@@ -96,51 +96,35 @@ func BenchmarkWorkloadGen(b *testing.B) {
 	}
 }
 
-// mcEngines are the trial implementations compared head-to-head by the
-// Monte-Carlo micro-benchmarks (and recorded in BENCH_mc.json by
-// `soferr bench` / `make bench`).
-var mcEngines = []montecarlo.Engine{
-	montecarlo.Superposed, montecarlo.Naive, montecarlo.Inverted, montecarlo.Fused,
-}
-
-// BenchmarkMonteCarloTrials measures Monte-Carlo trial throughput per
-// engine on a low-duty-cycle component (busy 1h per 24h day, AVF ~
-// 0.04; b.N = trials). Low AVF is the regime that dominates the
-// design-space sweeps: the arrival-enumerating engines reject ~1/AVF
-// raw arrivals per trial before the first unmasked one, while the
-// inverted engine's cost is a constant.
+// BenchmarkMonteCarloTrials measures Monte-Carlo trial throughput on a
+// low-duty-cycle component (busy 1h per 24h day, AVF ~ 0.04; b.N =
+// trials). Low AVF is the regime that dominates the design-space
+// sweeps; the Fused trial's cost is independent of it.
 func BenchmarkMonteCarloTrials(b *testing.B) {
 	batch, err := trace.BusyIdle(24*3600, 3600)
 	if err != nil {
 		b.Fatal(err)
 	}
 	comp := montecarlo.Component{Rate: 1e-4, Trace: batch}
-	for _, e := range mcEngines {
-		b.Run(e.String(), func(b *testing.B) {
-			if _, err := montecarlo.ComponentMTTF(context.Background(), comp, montecarlo.Config{
-				Trials: b.N, Seed: 1, Engine: e,
-			}); err != nil {
-				b.Fatal(err)
-			}
-		})
+	if _, err := montecarlo.ComponentMTTF(context.Background(), comp, montecarlo.Config{
+		Trials: b.N, Seed: 1,
+	}); err != nil {
+		b.Fatal(err)
 	}
 }
 
-// BenchmarkMonteCarloSPECTrace measures trials per engine against a
-// real simulator trace with ~10^4 segments.
+// BenchmarkMonteCarloSPECTrace measures trials against a real
+// simulator trace with ~10^4 segments.
 func BenchmarkMonteCarloSPECTrace(b *testing.B) {
 	res, err := soferr.SimulateBenchmark("gzip", 50000, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	comp := soferr.Component{Name: "int", RatePerYear: 1e6, Trace: res.Int}
-	for _, e := range mcEngines {
-		b.Run(e.String(), func(b *testing.B) {
-			if _, err := soferr.MonteCarloMTTF([]soferr.Component{comp},
-				soferr.MonteCarloOptions{Trials: b.N, Seed: 1, Engine: e}); err != nil {
-				b.Fatal(err)
-			}
-		})
+	b.ResetTimer()
+	if _, err := soferr.MonteCarloMTTF([]soferr.Component{comp},
+		soferr.MonteCarloOptions{Trials: b.N, Seed: 1}); err != nil {
+		b.Fatal(err)
 	}
 }
 
@@ -165,7 +149,7 @@ func BenchmarkRepeatedMonteCarloQuery(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := sys.MTTF(context.Background(), soferr.MonteCarlo,
-				soferr.WithTrials(trials), soferr.WithSeed(1), soferr.WithEngine(soferr.Inverted)); err != nil {
+				soferr.WithTrials(trials), soferr.WithSeed(1)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -173,7 +157,7 @@ func BenchmarkRepeatedMonteCarloQuery(b *testing.B) {
 	b.Run("flat", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := soferr.MonteCarloMTTF(comps, soferr.MonteCarloOptions{
-				Trials: trials, Seed: 1, Engine: soferr.Inverted,
+				Trials: trials, Seed: 1,
 			}); err != nil {
 				b.Fatal(err)
 			}

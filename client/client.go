@@ -140,6 +140,8 @@ func (e *APIError) retryable() bool { return e.Status == http.StatusServiceUnava
 type Options struct {
 	Trials int    `json:"trials,omitempty"`
 	Seed   uint64 `json:"seed,omitempty"`
+	// Engine is the Monte-Carlo engine: "fused" (the server default
+	// when empty) or "exact"; unknown names are permanent 400s.
 	Engine string `json:"engine,omitempty"`
 	// Sampler is the Monte-Carlo draw source ("pcg" default, "sobol"
 	// for quasi-Monte-Carlo); unknown names are permanent 422s.

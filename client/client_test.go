@@ -35,7 +35,7 @@ func sweepReq() SweepRequest {
 		Methods:      []string{"montecarlo"},
 		Seed:         7,
 		Trials:       1000,
-		Engine:       "inverted",
+		Engine:       "fused",
 	}
 }
 
@@ -57,7 +57,7 @@ func directSweep(t *testing.T) []soferr.CellResult {
 		Counts:       []int{1, 16},
 		Methods:      []soferr.Method{soferr.MonteCarlo},
 		Seed:         7,
-	}, soferr.WithTrials(1000), soferr.WithEngine(soferr.Inverted))
+	}, soferr.WithTrials(1000), soferr.WithEngine(soferr.Fused))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestMTTFBitIdenticalToDirect(t *testing.T) {
 
 	spec := testSpec(1e6)
 	got, err := c.MTTF(context.Background(), spec, "montecarlo",
-		Options{Trials: 5000, Seed: 3, Engine: "inverted"})
+		Options{Trials: 5000, Seed: 3, Engine: "fused"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestMTTFBitIdenticalToDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, err := sys.MTTF(context.Background(), soferr.MonteCarlo,
-		soferr.WithTrials(5000), soferr.WithSeed(3), soferr.WithEngine(soferr.Inverted))
+		soferr.WithTrials(5000), soferr.WithSeed(3), soferr.WithEngine(soferr.Fused))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"github.com/soferr/soferr"
-	"github.com/soferr/soferr/internal/montecarlo"
 	"github.com/soferr/soferr/internal/trace"
 	"github.com/soferr/soferr/internal/units"
 )
@@ -25,25 +24,22 @@ type benchEntry struct {
 	Iterations  int     `json:"iterations"`
 }
 
-// benchReport is the schema of BENCH_mc.json: the Monte-Carlo substrate
-// micro-benchmarks per engine, plus the headline speedups, so the perf
-// trajectory is recorded alongside the code from PR 1 onward.
+// benchReport is the schema of BENCH_mc.json: the Monte-Carlo query
+// micro-benchmarks and their headline speedup, so the perf trajectory
+// is recorded alongside the code.
 type benchReport struct {
-	GoVersion  string             `json:"go_version"`
-	GOARCH     string             `json:"goarch"`
-	Benchmarks []benchEntry       `json:"benchmarks"`
-	Speedup    map[string]float64 `json:"speedup_inverted_vs_superposed"`
+	GoVersion  string       `json:"go_version"`
+	GOARCH     string       `json:"goarch"`
+	Benchmarks []benchEntry `json:"benchmarks"`
 	// SpeedupSystem records the repeated-query speedup of a compiled
 	// soferr.System over N independent flat MonteCarloMTTF calls at
 	// identical settings (the build-once/query-forever headline).
 	SpeedupSystem map[string]float64 `json:"speedup_system_vs_flat,omitempty"`
 }
 
-// runBench measures Monte-Carlo trial cost per engine on the two
-// workloads the acceptance benchmarks use — the day schedule
-// (BenchmarkMonteCarloTrials) and a simulator-derived SPEC trace
-// (BenchmarkMonteCarloSPECTrace) — plus the compiled-System
-// repeated-query path, and writes the JSON report.
+// runBench measures the compiled-System repeated-query path against
+// flat MonteCarloMTTF calls on the day-schedule workload
+// (BenchmarkRepeatedMonteCarloQuery) and writes the JSON report.
 func runBench(ctx context.Context, stdout, stderr io.Writer, outPath string, verbose bool) error {
 	logf := func(format string, args ...interface{}) {
 		if verbose {
@@ -51,147 +47,76 @@ func runBench(ctx context.Context, stdout, stderr io.Writer, outPath string, ver
 		}
 	}
 
-	// Low-duty-cycle loop (busy 1h per 24h day, AVF ~ 0.04): the
-	// low-AVF regime where arrival-enumerating engines reject ~1/AVF
-	// raw arrivals per trial. Mirrors BenchmarkMonteCarloTrials.
+	// Low-duty-cycle loop (busy 1h per 24h day, AVF ~ 0.04). Mirrors
+	// BenchmarkRepeatedMonteCarloQuery.
 	batch, err := trace.BusyIdle(24*3600, 3600)
 	if err != nil {
 		return err
 	}
 
-	// The same trace BenchmarkMonteCarloSPECTrace measures, built
-	// through the same public entry point.
-	logf("simulating gzip for the SPEC trace")
-	simRes, err := soferr.SimulateBenchmark("gzip", 50000, 1)
+	const trials = 20000
+	comps := []soferr.Component{{
+		Name: "batch", RatePerYear: units.PerSecondToPerYear(1e-4), Trace: batch,
+	}}
+	sys, err := soferr.NewSystem(comps)
 	if err != nil {
 		return err
 	}
-
-	cases := []struct {
-		name string
-		comp montecarlo.Component
-	}{
-		{"MonteCarloTrials", montecarlo.Component{
-			Name: "batch", Rate: 1e-4, Trace: batch,
-		}},
-		{"MonteCarloSPECTrace", montecarlo.Component{
-			Name: "int", Rate: units.PerYearToPerSecond(1e6), Trace: simRes.Int,
-		}},
+	opts := []soferr.EstimateOption{soferr.WithTrials(trials), soferr.WithSeed(1)}
+	logf("bench RepeatedMonteCarloQuery/system")
+	var queryErr error
+	rSys := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := sys.MTTF(ctx, soferr.MonteCarlo, opts...); err != nil {
+				queryErr = err
+				b.Fatal(err)
+			}
+		}
+	})
+	if queryErr != nil {
+		return fmt.Errorf("bench RepeatedMonteCarloQuery/system: %w", queryErr)
 	}
-	engines := []montecarlo.Engine{montecarlo.Superposed, montecarlo.Naive, montecarlo.Inverted}
-
+	logf("bench RepeatedMonteCarloQuery/flat")
+	rFlat := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := soferr.MonteCarloMTTF(comps, soferr.MonteCarloOptions{
+				Trials: trials, Seed: 1,
+			}); err != nil {
+				queryErr = err
+				b.Fatal(err)
+			}
+		}
+	})
+	if queryErr != nil {
+		return fmt.Errorf("bench RepeatedMonteCarloQuery/flat: %w", queryErr)
+	}
+	// b.Fatal aborts the benchmark goroutine and Benchmark returns a
+	// zero-N result; surface that instead of recording Inf/NaN.
+	if rSys.N == 0 || rFlat.N == 0 {
+		return fmt.Errorf("bench RepeatedMonteCarloQuery: benchmark produced no iterations")
+	}
+	sysNs := float64(rSys.T.Nanoseconds()) / float64(rSys.N)
+	flatNs := float64(rFlat.T.Nanoseconds()) / float64(rFlat.N)
 	report := benchReport{
-		GoVersion: runtime.Version(),
-		GOARCH:    runtime.GOARCH,
-		Speedup:   make(map[string]float64),
+		GoVersion:     runtime.Version(),
+		GOARCH:        runtime.GOARCH,
+		SpeedupSystem: map[string]float64{"RepeatedMonteCarloQuery": flatNs / sysNs},
 	}
-	nsPerOp := make(map[string]map[string]float64)
-	for _, c := range cases {
-		nsPerOp[c.name] = make(map[string]float64)
-		for _, e := range engines {
-			comp, engine := c.comp, e
-			logf("bench %s/%s", c.name, e)
-			var benchErr error
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				if _, err := montecarlo.ComponentMTTF(ctx, comp, montecarlo.Config{
-					Trials: b.N, Seed: 1, Engine: engine,
-				}); err != nil {
-					benchErr = err
-					b.Fatal(err)
-				}
-			})
-			// b.Fatal aborts the benchmark goroutine and Benchmark
-			// returns a zero-N result; surface the failure instead of
-			// recording Inf/NaN.
-			if benchErr != nil {
-				return fmt.Errorf("bench %s/%s: %w", c.name, engine, benchErr)
-			}
-			if r.N == 0 {
-				return fmt.Errorf("bench %s/%s: benchmark produced no iterations", c.name, engine)
-			}
-			entry := benchEntry{
-				Name:        c.name,
-				Engine:      e.String(),
-				NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-				AllocsPerOp: r.AllocsPerOp(),
-				BytesPerOp:  r.AllocedBytesPerOp(),
-				Iterations:  r.N,
-			}
-			report.Benchmarks = append(report.Benchmarks, entry)
-			nsPerOp[c.name][e.String()] = entry.NsPerOp
-			fmt.Fprintf(stdout, "%-22s %-11s %14.1f ns/op %6d B/op %4d allocs/op\n",
-				c.name, e.String(), entry.NsPerOp, entry.BytesPerOp, entry.AllocsPerOp)
-		}
-		report.Speedup[c.name] = nsPerOp[c.name]["superposed"] / nsPerOp[c.name]["inverted"]
-		fmt.Fprintf(stdout, "%-22s inverted is %.1fx faster than superposed\n",
-			c.name, report.Speedup[c.name])
-	}
-
-	// Repeated-query benchmark: one compiled System answering the same
-	// Monte-Carlo query N times vs N flat MonteCarloMTTF calls.
-	report.SpeedupSystem = make(map[string]float64)
-	{
-		const trials = 20000
-		comps := []soferr.Component{{
-			Name: "batch", RatePerYear: units.PerSecondToPerYear(1e-4), Trace: batch,
-		}}
-		sys, err := soferr.NewSystem(comps)
-		if err != nil {
-			return err
-		}
-		opts := []soferr.EstimateOption{
-			soferr.WithTrials(trials), soferr.WithSeed(1), soferr.WithEngine(soferr.Inverted),
-		}
-		logf("bench RepeatedMonteCarloQuery/system")
-		var queryErr error
-		rSys := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := sys.MTTF(ctx, soferr.MonteCarlo, opts...); err != nil {
-					queryErr = err
-					b.Fatal(err)
-				}
-			}
+	for _, entry := range []struct {
+		name string
+		ns   float64
+		res  testing.BenchmarkResult
+	}{{"system", sysNs, rSys}, {"flat", flatNs, rFlat}} {
+		report.Benchmarks = append(report.Benchmarks, benchEntry{
+			Name: "RepeatedMonteCarloQuery", Engine: entry.name, NsPerOp: entry.ns,
+			Iterations:  entry.res.N,
+			AllocsPerOp: entry.res.AllocsPerOp(),
+			BytesPerOp:  entry.res.AllocedBytesPerOp(),
 		})
-		if queryErr != nil {
-			return fmt.Errorf("bench RepeatedMonteCarloQuery/system: %w", queryErr)
-		}
-		logf("bench RepeatedMonteCarloQuery/flat")
-		rFlat := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := soferr.MonteCarloMTTF(comps, soferr.MonteCarloOptions{
-					Trials: trials, Seed: 1, Engine: soferr.Inverted,
-				}); err != nil {
-					queryErr = err
-					b.Fatal(err)
-				}
-			}
-		})
-		if queryErr != nil {
-			return fmt.Errorf("bench RepeatedMonteCarloQuery/flat: %w", queryErr)
-		}
-		if rSys.N == 0 || rFlat.N == 0 {
-			return fmt.Errorf("bench RepeatedMonteCarloQuery: benchmark produced no iterations")
-		}
-		sysNs := float64(rSys.T.Nanoseconds()) / float64(rSys.N)
-		flatNs := float64(rFlat.T.Nanoseconds()) / float64(rFlat.N)
-		for _, entry := range []struct {
-			name string
-			ns   float64
-			res  testing.BenchmarkResult
-		}{{"system", sysNs, rSys}, {"flat", flatNs, rFlat}} {
-			report.Benchmarks = append(report.Benchmarks, benchEntry{
-				Name: "RepeatedMonteCarloQuery", Engine: entry.name, NsPerOp: entry.ns,
-				Iterations:  entry.res.N,
-				AllocsPerOp: entry.res.AllocsPerOp(),
-				BytesPerOp:  entry.res.AllocedBytesPerOp(),
-			})
-			fmt.Fprintf(stdout, "%-22s %-11s %14.1f ns/op\n", "RepeatedMCQuery", entry.name, entry.ns)
-		}
-		report.SpeedupSystem["RepeatedMonteCarloQuery"] = flatNs / sysNs
-		fmt.Fprintf(stdout, "%-22s compiled System is %.0fx faster than flat calls\n",
-			"RepeatedMCQuery", report.SpeedupSystem["RepeatedMonteCarloQuery"])
+		fmt.Fprintf(stdout, "%-22s %-11s %14.1f ns/op\n", "RepeatedMCQuery", entry.name, entry.ns)
 	}
+	fmt.Fprintf(stdout, "%-22s compiled System is %.0fx faster than flat calls\n",
+		"RepeatedMCQuery", report.SpeedupSystem["RepeatedMonteCarloQuery"])
 
 	if outPath != "" {
 		data, err := json.MarshalIndent(report, "", "  ")

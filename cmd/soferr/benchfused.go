@@ -15,50 +15,43 @@ import (
 	"github.com/soferr/soferr/internal/units"
 )
 
-// fusedScalingEntry records per-trial cost at one component count N
-// under the per-component Inverted engine and the system-level Fused
-// engine.
+// fusedScalingEntry records the Fused engine's per-trial cost at one
+// component count N.
 type fusedScalingEntry struct {
-	Components    int     `json:"components"`
-	InvertedNsOp  float64 `json:"inverted_ns_per_trial"`
-	FusedNsOp     float64 `json:"fused_ns_per_trial"`
-	Speedup       float64 `json:"speedup_fused_vs_inverted"`
-	InvertedAlloc int64   `json:"inverted_allocs_per_trial"`
-	FusedAlloc    int64   `json:"fused_allocs_per_trial"`
+	Components int     `json:"components"`
+	FusedNsOp  float64 `json:"fused_ns_per_trial"`
+	FusedAlloc int64   `json:"fused_allocs_per_trial"`
 }
 
 // batchedBlockEntry records per-trial cost of the Fused engine's
 // batched inversion kernel at one block size B on the N=64 profile,
-// framed against both scalar baselines: the scalar fused kernel
-// (BatchSize 1, same engine, batching alone) and the scalar Inverted
-// engine (the pre-fused per-component path, kernel + merge combined).
+// framed against the scalar fused kernel (BatchSize 1): what batching
+// alone buys.
 type batchedBlockEntry struct {
-	BlockSize       int     `json:"block_size"`
-	BatchedNsOp     float64 `json:"batched_ns_per_trial"`
-	SpeedupFused    float64 `json:"speedup_vs_scalar_fused"`
-	SpeedupInverted float64 `json:"speedup_vs_scalar_inverted"`
+	BlockSize    int     `json:"block_size"`
+	BatchedNsOp  float64 `json:"batched_ns_per_trial"`
+	SpeedupFused float64 `json:"speedup_vs_scalar_fused"`
 }
 
 // batchedReport is the `batched` section of BENCH_fused.json: the
-// scalar baselines at N=64 plus one row per block size.
+// scalar baseline at N=64 plus one row per block size.
 type batchedReport struct {
-	Components       int                 `json:"components"`
-	ScalarFusedNs    float64             `json:"scalar_fused_ns_per_trial"`
-	ScalarInvertedNs float64             `json:"scalar_inverted_ns_per_trial"`
-	Blocks           []batchedBlockEntry `json:"blocks"`
+	Components    int                 `json:"components"`
+	ScalarFusedNs float64             `json:"scalar_fused_ns_per_trial"`
+	Blocks        []batchedBlockEntry `json:"blocks"`
 }
 
 // qmcReport is the `qmc` section of BENCH_fused.json: adaptive
 // trials-to-target under the PCG sampler vs the scrambled-Sobol
 // sampler on the paper's SPEC-trace profile.
 type qmcReport struct {
-	Target       float64 `json:"target_rel_stderr"`
-	PCGTrials    int     `json:"pcg_trials_to_target"`
-	PCGRelSE     float64 `json:"pcg_rel_stderr"`
-	SobolTrials  int     `json:"sobol_trials_to_target"`
-	SobolRelSE   float64 `json:"sobol_rel_stderr"`
-	TrialsRatio  float64 `json:"sobol_trials_fraction_of_pcg"`
-	TrialsSaved  float64 `json:"trials_saved_fraction"`
+	Target      float64 `json:"target_rel_stderr"`
+	PCGTrials   int     `json:"pcg_trials_to_target"`
+	PCGRelSE    float64 `json:"pcg_rel_stderr"`
+	SobolTrials int     `json:"sobol_trials_to_target"`
+	SobolRelSE  float64 `json:"sobol_rel_stderr"`
+	TrialsRatio float64 `json:"sobol_trials_fraction_of_pcg"`
+	TrialsSaved float64 `json:"trials_saved_fraction"`
 }
 
 // fusedAdaptiveReport compares a fixed-trial run against an adaptive
@@ -76,13 +69,13 @@ type fusedAdaptiveReport struct {
 }
 
 // fusedBenchReport is the schema of BENCH_fused.json: trial-cost
-// scaling in the component count N (flat for Fused, linear for
-// Inverted) plus the adaptive-precision comparison.
+// scaling in the component count N (flat: one merged-table draw per
+// trial), the batched kernel, the QMC sampler, and the
+// adaptive-precision comparison.
 type fusedBenchReport struct {
 	GoVersion string              `json:"go_version"`
 	GOARCH    string              `json:"goarch"`
 	Scaling   []fusedScalingEntry `json:"scaling"`
-	SpeedupAt map[string]float64  `json:"speedup_at_n"`
 	Batched   batchedReport       `json:"batched"`
 	QMC       qmcReport           `json:"qmc"`
 	Adaptive  fusedAdaptiveReport `json:"adaptive"`
@@ -109,13 +102,11 @@ func fusedBenchComponents(n int) []montecarlo.Component {
 	return comps
 }
 
-// runFusedBench measures the tentpole claims and writes
-// BENCH_fused.json: per-trial ns for N in {1, 4, 16, 64, 256}
-// components under Inverted vs Fused (expect linear vs flat), the
-// batched inversion kernel at B in {16, 64, 256} vs both scalar
-// baselines at N=64, adaptive trials-to-target vs the fixed-200k
-// default on the SPEC trace, and PCG-vs-Sobol trials to the same
-// target.
+// runFusedBench measures the Fused engine and writes BENCH_fused.json:
+// per-trial ns for N in {1, 4, 16, 64, 256} components (expect flat),
+// the batched inversion kernel at B in {16, 64, 256} vs the scalar
+// kernel at N=64, adaptive trials-to-target vs the fixed-200k default
+// on the SPEC trace, and PCG-vs-Sobol trials to the same target.
 func runFusedBench(ctx context.Context, stdout, stderr io.Writer, outPath string, verbose bool) error {
 	logf := func(format string, args ...interface{}) {
 		if verbose {
@@ -125,90 +116,62 @@ func runFusedBench(ctx context.Context, stdout, stderr io.Writer, outPath string
 	report := fusedBenchReport{
 		GoVersion: runtime.Version(),
 		GOARCH:    runtime.GOARCH,
-		SpeedupAt: make(map[string]float64),
 	}
 
-	var n64 *montecarlo.Compiled
-	var n64Inverted float64
-	for _, n := range []int{1, 4, 16, 64, 256} {
-		compiled, err := montecarlo.Compile(fusedBenchComponents(n))
-		if err != nil {
-			return err
-		}
-		entry := fusedScalingEntry{Components: n}
-		for _, engine := range []montecarlo.Engine{montecarlo.Inverted, montecarlo.Fused} {
-			engine := engine
-			logf("bench fused scaling N=%d %s", n, engine)
-			// Warm lazily built state (the fused merge) so the table
-			// build is not billed to the trials.
-			if _, err := compiled.MTTF(ctx, montecarlo.Config{Trials: 64, Seed: 1, Engine: engine, Workers: 1}); err != nil {
-				return err
-			}
-			var benchErr error
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				if _, err := compiled.MTTF(ctx, montecarlo.Config{
-					Trials: b.N, Seed: 1, Engine: engine, Workers: 1,
-				}); err != nil {
-					benchErr = err
-					b.Fatal(err)
-				}
-			})
-			if benchErr != nil {
-				return fmt.Errorf("bench fused scaling N=%d %s: %w", n, engine, benchErr)
-			}
-			if r.N == 0 {
-				return fmt.Errorf("bench fused scaling N=%d %s: no iterations", n, engine)
-			}
-			ns := float64(r.T.Nanoseconds()) / float64(r.N)
-			switch engine {
-			case montecarlo.Inverted:
-				entry.InvertedNsOp = ns
-				entry.InvertedAlloc = r.AllocsPerOp()
-			case montecarlo.Fused:
-				entry.FusedNsOp = ns
-				entry.FusedAlloc = r.AllocsPerOp()
-			}
-		}
-		entry.Speedup = entry.InvertedNsOp / entry.FusedNsOp
-		report.Scaling = append(report.Scaling, entry)
-		report.SpeedupAt[fmt.Sprintf("%d", n)] = entry.Speedup
-		fmt.Fprintf(stdout, "%-22s N=%-4d inverted %10.1f ns/trial  fused %8.1f ns/trial  %5.1fx\n",
-			"FusedScaling", n, entry.InvertedNsOp, entry.FusedNsOp, entry.Speedup)
-		if n == 64 {
-			n64 = compiled
-			n64Inverted = entry.InvertedNsOp
-		}
-	}
-
-	// Batched inversion kernel on the N=64 profile: the scalar fused
-	// kernel (BatchSize 1) isolates what batching alone buys, and the
-	// scalar Inverted baseline from the scaling loop frames the full
-	// batched-fused-vs-per-component gap the acceptance test pins.
-	batched := batchedReport{Components: 64, ScalarInvertedNs: n64Inverted}
-	measureFused := func(batchSize int) (float64, error) {
-		logf("bench batched N=64 B=%d", batchSize)
-		if _, err := n64.MTTF(ctx, montecarlo.Config{
-			Trials: 64, Seed: 1, Engine: montecarlo.Fused, Workers: 1, BatchSize: batchSize,
-		}); err != nil {
-			return 0, err
+	// measure returns single-threaded ns and allocations per trial of
+	// the compiled system at the given batch size, after a warm-up run
+	// so the lazily built merged table is not billed to the trials.
+	measure := func(c *montecarlo.Compiled, batchSize int) (float64, int64, error) {
+		cfg := montecarlo.Config{Trials: 64, Seed: 1, Workers: 1, BatchSize: batchSize}
+		if _, err := c.MTTF(ctx, cfg); err != nil {
+			return 0, 0, err
 		}
 		var benchErr error
 		r := testing.Benchmark(func(b *testing.B) {
-			if _, err := n64.MTTF(ctx, montecarlo.Config{
-				Trials: b.N, Seed: 1, Engine: montecarlo.Fused, Workers: 1, BatchSize: batchSize,
-			}); err != nil {
+			b.ReportAllocs()
+			cfg.Trials = b.N
+			if _, err := c.MTTF(ctx, cfg); err != nil {
 				benchErr = err
 				b.Fatal(err)
 			}
 		})
 		if benchErr != nil {
-			return 0, fmt.Errorf("bench batched B=%d: %w", batchSize, benchErr)
+			return 0, 0, benchErr
 		}
 		if r.N == 0 {
-			return 0, fmt.Errorf("bench batched B=%d: no iterations", batchSize)
+			return 0, 0, fmt.Errorf("no iterations")
 		}
-		return float64(r.T.Nanoseconds()) / float64(r.N), nil
+		return float64(r.T.Nanoseconds()) / float64(r.N), r.AllocsPerOp(), nil
+	}
+
+	var n64 *montecarlo.Compiled
+	for _, n := range []int{1, 4, 16, 64, 256} {
+		compiled, err := montecarlo.Compile(fusedBenchComponents(n))
+		if err != nil {
+			return err
+		}
+		logf("bench fused scaling N=%d", n)
+		ns, allocs, err := measure(compiled, 0)
+		if err != nil {
+			return fmt.Errorf("bench fused scaling N=%d: %w", n, err)
+		}
+		report.Scaling = append(report.Scaling, fusedScalingEntry{Components: n, FusedNsOp: ns, FusedAlloc: allocs})
+		fmt.Fprintf(stdout, "%-22s N=%-4d fused %8.1f ns/trial\n", "FusedScaling", n, ns)
+		if n == 64 {
+			n64 = compiled
+		}
+	}
+
+	// Batched inversion kernel on the N=64 profile: the scalar fused
+	// kernel (BatchSize 1) isolates what batching alone buys.
+	batched := batchedReport{Components: 64}
+	measureFused := func(batchSize int) (float64, error) {
+		logf("bench batched N=64 B=%d", batchSize)
+		ns, _, err := measure(n64, batchSize)
+		if err != nil {
+			return 0, fmt.Errorf("bench batched B=%d: %w", batchSize, err)
+		}
+		return ns, nil
 	}
 	scalarFused, err := measureFused(1)
 	if err != nil {
@@ -221,13 +184,12 @@ func runFusedBench(ctx context.Context, stdout, stderr io.Writer, outPath string
 			return err
 		}
 		batched.Blocks = append(batched.Blocks, batchedBlockEntry{
-			BlockSize:       bsz,
-			BatchedNsOp:     ns,
-			SpeedupFused:    scalarFused / ns,
-			SpeedupInverted: n64Inverted / ns,
+			BlockSize:    bsz,
+			BatchedNsOp:  ns,
+			SpeedupFused: scalarFused / ns,
 		})
-		fmt.Fprintf(stdout, "%-22s N=64 B=%-4d %8.1f ns/trial  %5.2fx vs scalar fused  %6.1fx vs inverted\n",
-			"BatchedScaling", bsz, ns, scalarFused/ns, n64Inverted/ns)
+		fmt.Fprintf(stdout, "%-22s N=64 B=%-4d %8.1f ns/trial  %5.2fx vs scalar fused\n",
+			"BatchedScaling", bsz, ns, scalarFused/ns)
 	}
 	report.Batched = batched
 
@@ -252,9 +214,7 @@ func runFusedBench(ctx context.Context, stdout, stderr io.Writer, outPath string
 	var fixedRes montecarlo.Result
 	rFixed := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := compiled.MTTF(ctx, montecarlo.Config{
-				Trials: soferr.DefaultTrials, Seed: uint64(i + 1), Engine: montecarlo.Fused,
-			})
+			res, err := compiled.MTTF(ctx, montecarlo.Config{Trials: soferr.DefaultTrials, Seed: uint64(i + 1)})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -266,8 +226,7 @@ func runFusedBench(ctx context.Context, stdout, stderr io.Writer, outPath string
 	rAdaptive := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			res, err := compiled.MTTF(ctx, montecarlo.Config{
-				Trials: soferr.DefaultTrials, Seed: uint64(i + 1), Engine: montecarlo.Fused,
-				TargetRelStdErr: target,
+				Trials: soferr.DefaultTrials, Seed: uint64(i + 1), TargetRelStdErr: target,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -296,8 +255,7 @@ func runFusedBench(ctx context.Context, stdout, stderr io.Writer, outPath string
 	for _, sampler := range []montecarlo.Sampler{montecarlo.PCG, montecarlo.Sobol} {
 		logf("bench qmc %s target-%g", sampler, target)
 		res, err := compiled.MTTF(ctx, montecarlo.Config{
-			Trials: soferr.DefaultTrials, Seed: 1, Engine: montecarlo.Fused,
-			TargetRelStdErr: target, Sampler: sampler,
+			Trials: soferr.DefaultTrials, Seed: 1, TargetRelStdErr: target, Sampler: sampler,
 		})
 		if err != nil {
 			return err

@@ -92,11 +92,12 @@ func runServeBench(ctx context.Context, stdout, stderr io.Writer, outPath string
 				RatePerYear: rate,
 				Trace:       soferr.TraceSpec{Kind: soferr.TraceKindBusyIdle, PeriodSeconds: 86400, BusySeconds: 3600},
 			}}},
-			"method": "montecarlo", "trials": 20000, "seed": 1, "engine": "inverted",
+			"method": "montecarlo", "trials": 20000, "seed": 1, "engine": "fused",
 		}
 	}
-	// The simulator-derived Spec: the compile (alias table + exposure
-	// samplers over a many-segment trace) is the dominant cold cost, and
+	// The simulator-derived Spec: the compile (validation and
+	// per-component precomputation over a many-segment trace) is the
+	// dominant cold cost, and
 	// the queried method is deterministic so the hit path measures pure
 	// cache service. Instructions are pinned so the report is
 	// self-describing; the one-time simulation itself is shared through

@@ -30,7 +30,7 @@
 //	-trials N        run: Monte-Carlo trials per point (default 200000)
 //	-instructions N  simulated instructions per benchmark (default 300000)
 //	-seed N          deterministic seed (default 1)
-//	-engine NAME     run: Monte-Carlo engine: fused (default), exact, inverted, superposed, naive
+//	-engine NAME     run: Monte-Carlo engine: fused (default) or exact
 //	-sampler NAME    run <spec.json>: Monte-Carlo sampler: pcg (default) or sobol (quasi-Monte-Carlo)
 //	-target-rse T    run <spec.json>: adaptive precision target (rel stderr; -trials caps it)
 //	-methods LIST    run <spec.json>: methods to compare (default all)
@@ -109,7 +109,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		trials       = fs.Int("trials", 0, "Monte-Carlo trials per point (0 = default)")
 		instructions = fs.Int("instructions", 0, "instructions per simulated benchmark (0 = default)")
 		seed         = fs.Uint64("seed", 1, "deterministic seed")
-		engineName   = fs.String("engine", "", "Monte-Carlo engine: fused, exact, inverted, superposed, or naive")
+		engineName   = fs.String("engine", "", "Monte-Carlo engine: fused (default) or exact")
 		samplerName  = fs.String("sampler", "", "run <spec.json>: Monte-Carlo sampler: pcg (default) or sobol")
 		targetRSE    = fs.Float64("target-rse", 0, "run <spec.json>: adaptive precision target (relative standard error; trials become the cap)")
 		methodsFlag  = fs.String("methods", "", "run <spec.json>: comma-separated methods to compare (default all)")
@@ -344,7 +344,7 @@ commands:
   bench        micro-benchmark the engines; write BENCH_mc.json + BENCH_fused.json + BENCH_exact.json + BENCH_sweep.json + BENCH_serve.json
 
 flags for run:
-  -trials N -instructions N -seed N -engine fused|exact|inverted|superposed|naive -sampler pcg|sobol -target-rse T -methods LIST -quick -csv -json -v
+  -trials N -instructions N -seed N -engine fused|exact -sampler pcg|sobol -target-rse T -methods LIST -quick -csv -json -v
 flags for sweep:
   -workloads day,week,combined -duty LIST -period S -bench LIST
   -ns LIST -rates LIST -counts LIST -methods LIST

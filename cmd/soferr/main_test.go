@@ -151,7 +151,7 @@ func TestWorkloadsSurvey(t *testing.T) {
 }
 
 func TestRunEngineFlag(t *testing.T) {
-	for _, engine := range []string{"inverted", "superposed", "naive", "exact"} {
+	for _, engine := range []string{"fused", "exact"} {
 		out, _, err := runCLI(t, "run", "fig4", "-quick", "-engine", engine)
 		if err != nil {
 			t.Fatalf("engine %s: %v", engine, err)

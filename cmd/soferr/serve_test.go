@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/soferr/soferr/internal/faultinject"
 )
 
 // syncBuffer is a threadsafe io.Writer: runServe writes to it from the
@@ -123,7 +125,7 @@ func TestServeEndToEnd(t *testing.T) {
 	// A served MTTF query succeeds and carries the estimate.
 	status, body := postJSON(t, url+"/v1/mttf", map[string]interface{}{
 		"spec": busyIdleSpecJSON(1e6), "method": "montecarlo",
-		"trials": 2000, "seed": 3, "engine": "inverted",
+		"trials": 2000, "seed": 3, "engine": "fused",
 	})
 	if status != http.StatusOK {
 		t.Fatalf("mttf status %d: %s", status, body)
@@ -160,8 +162,12 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("sweep response malformed (%v): %s", err, body)
 	}
 
-	// Fire a slow query, then cancel the command while it runs: the
-	// query must complete (graceful drain) and the command exit nil.
+	// Fire a slow query (an injected 100ms delay on every trial block),
+	// then cancel the command while it runs: the query must complete
+	// (graceful drain) and the command exit nil.
+	defer faultinject.Arm(faultinject.Schedule{Rules: []faultinject.Rule{
+		{Point: "montecarlo.trial", Delay: 100 * time.Millisecond},
+	}})()
 	slow := make(chan error, 1)
 	slowStatus := make(chan int, 1)
 	go func() {
@@ -172,7 +178,7 @@ func TestServeEndToEnd(t *testing.T) {
 					"trace":         map[string]interface{}{"kind": "busyidle", "period_seconds": 86400, "busy_seconds": 43200},
 				}},
 			},
-			"method": "montecarlo", "engine": "superposed", "trials": 3000000,
+			"method": "montecarlo", "trials": 20000,
 		})
 		resp, err := http.Post(url+"/v1/mttf", "application/json", bytes.NewReader(data))
 		if err != nil {
@@ -276,8 +282,8 @@ func TestRunSpecFile(t *testing.T) {
 }
 
 // TestRunSpecFileSamplerFlag covers `-sampler` on the spec-file path:
-// sobol runs thread through to the estimate (and its JSON), unknown
-// names and sampler-incompatible engines fail loudly.
+// sobol runs thread through to the estimate (and its JSON), and
+// unknown names fail loudly.
 func TestRunSpecFileSamplerFlag(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "system.json")
@@ -299,10 +305,6 @@ func TestRunSpecFileSamplerFlag(t *testing.T) {
 	if _, _, err := runCLI(t, "run", path, "-sampler", "halton"); err == nil ||
 		!strings.Contains(err.Error(), "halton") {
 		t.Errorf("unknown sampler: err = %v, want rejection naming halton", err)
-	}
-	if _, _, err := runCLI(t, "run", path, "-trials", "2000",
-		"-engine", "superposed", "-sampler", "sobol"); err == nil {
-		t.Error("sobol accepted on an arrival-enumerating engine")
 	}
 }
 

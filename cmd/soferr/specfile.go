@@ -84,17 +84,13 @@ func runSpecFile(ctx context.Context, path string, stdout, stderr io.Writer, opt
 	if opt.targetRSE != 0 {
 		opts = append(opts, soferr.WithTargetRelStdErr(opt.targetRSE))
 	}
-	// The run subcommand documents fused as its default engine
-	// (matching the experiment harness); spec files get the same.
-	engineName := opt.engineName
-	if engineName == "" {
-		engineName = "fused"
+	if opt.engineName != "" {
+		engine, err := soferr.EngineByName(opt.engineName)
+		if err != nil {
+			return err
+		}
+		opts = append(opts, soferr.WithEngine(engine))
 	}
-	engine, err := soferr.EngineByName(engineName)
-	if err != nil {
-		return err
-	}
-	opts = append(opts, soferr.WithEngine(engine))
 	sampler, err := soferr.SamplerByName(opt.samplerName)
 	if err != nil {
 		return err

@@ -34,7 +34,7 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		methods      = fs.String("methods", "", "estimator axis: comma-separated avf+sofr,montecarlo,softarch (default all)")
 		trials       = fs.Int("trials", 0, "Monte-Carlo trials per cell (0 = default)")
 		seed         = fs.Uint64("seed", 1, "base seed; per-cell streams derive from (seed, cell index)")
-		engineName   = fs.String("engine", "", "Monte-Carlo engine: fused, inverted, superposed, or naive")
+		engineName   = fs.String("engine", "", "Monte-Carlo engine: fused (default) or exact")
 		samplerName  = fs.String("sampler", "", "Monte-Carlo sampler: pcg (default) or sobol")
 		targetRSE    = fs.Float64("target-rse", 0, "adaptive precision target per cell (relative standard error; -trials becomes the cap)")
 		workers      = fs.Int("workers", 0, "total sweep parallelism (0 = GOMAXPROCS)")

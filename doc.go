@@ -25,16 +25,16 @@
 //     (AVFSOFR, MonteCarlo, SoftArch), compare methods on identical
 //     state (Compare), and ask distribution-level questions the flat
 //     API cannot express (Reliability, FailureQuantile). Monte-Carlo
-//     queries choose among five engines (WithEngine) — including Fused,
-//     which samples the whole system from one merged cumulative-hazard
-//     table in O(log S) per trial regardless of the component count,
-//     and Exact, which integrates that same table in closed form (zero
-//     trials, zero stderr; ErrExactUnavailable where no tabulation
-//     exists) — and can target a precision instead of a trial count
+//     queries run one of two engines (WithEngine): Fused, the default,
+//     samples the whole system from one merged cumulative-hazard table
+//     in O(log S) per trial regardless of the component count, and
+//     Exact integrates that same table in closed form (zero trials,
+//     zero stderr; ErrExactUnavailable where no tabulation exists).
+//     Fused queries can target a precision instead of a trial count
 //     (WithTargetRelStdErr): trials run in deterministic doubling
-//     rounds until the relative standard error meets the target. The
-//     closed-form engines can also swap their uniform source for a
-//     scrambled Sobol sequence (WithSampler(Sobol)): quasi-Monte-Carlo
+//     rounds until the relative standard error meets the target. They
+//     can also swap their uniform source for a scrambled Sobol
+//     sequence (WithSampler(Sobol)): quasi-Monte-Carlo
 //     reaches a 1% precision target in a fraction of the PCG trial
 //     count, with the standard error estimated from independently
 //     scrambled replicates and recorded per estimate

@@ -52,7 +52,7 @@ func TestEstimateJSONRoundTripFromQueries(t *testing.T) {
 	}
 	for _, m := range soferr.Methods() {
 		est, err := sys.MTTF(ctx, m,
-			soferr.WithTrials(2000), soferr.WithSeed(7), soferr.WithEngine(soferr.Inverted))
+			soferr.WithTrials(2000), soferr.WithSeed(7), soferr.WithEngine(soferr.Fused))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestEstimateJSONRoundTripFromQueries(t *testing.T) {
 	}
 	// Cached Monte-Carlo estimates round-trip too (Cached = true).
 	est, err := sys.MTTF(ctx, soferr.MonteCarlo,
-		soferr.WithTrials(2000), soferr.WithSeed(7), soferr.WithEngine(soferr.Inverted))
+		soferr.WithTrials(2000), soferr.WithSeed(7), soferr.WithEngine(soferr.Fused))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestEstimateJSONRoundTripProperty(t *testing.T) {
 		return math.Ldexp(rng.Float64(), rng.Intn(600)-300)
 	}
 	methods := soferr.Methods()
-	engines := []soferr.Engine{soferr.Superposed, soferr.Naive, soferr.Inverted, soferr.Fused}
+	engines := []soferr.Engine{soferr.Fused, soferr.Exact}
 	for i := 0; i < 500; i++ {
 		m := methods[rng.Intn(len(methods))]
 		est := soferr.Estimate{
@@ -234,9 +234,8 @@ func TestNameParsingCaseInsensitive(t *testing.T) {
 	}
 
 	engineCases := map[string]soferr.Engine{
-		"Inverted": soferr.Inverted, "INVERTED": soferr.Inverted,
-		"Superposed": soferr.Superposed, "Naive": soferr.Naive,
 		"Fused": soferr.Fused, "FUSED": soferr.EngineFused,
+		"exact": soferr.Exact, "Exact": soferr.EngineExact,
 	}
 	for name, want := range engineCases {
 		got, err := soferr.EngineByName(name)
@@ -247,7 +246,7 @@ func TestNameParsingCaseInsensitive(t *testing.T) {
 	if _, err := soferr.EngineByName("quantum"); err == nil {
 		t.Error("unknown engine accepted")
 	} else if !strings.Contains(err.Error(), `"quantum"`) ||
-		!strings.Contains(err.Error(), "superposed, naive, inverted, fused, or exact") {
+		!strings.Contains(err.Error(), "fused or exact") {
 		t.Errorf("unknown-engine message unhelpful: %v", err)
 	}
 

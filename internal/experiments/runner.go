@@ -48,9 +48,6 @@ func (o Options) withDefaults() Options {
 	if o.Trials <= 0 {
 		o.Trials = 200000
 	}
-	if o.Engine == 0 {
-		o.Engine = montecarlo.Fused
-	}
 	if o.Instructions <= 0 {
 		o.Instructions = benchsim.DefaultInstructions
 	}

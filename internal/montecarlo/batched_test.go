@@ -67,7 +67,7 @@ func TestBatchedBitIdenticalToScalar(t *testing.T) {
 // TestBatchedDegradedFusedFallsBackToScalar: a fused state without a
 // merged table (incommensurate periods) or with thinning components is
 // not batchable, and the run must silently use the scalar kernel and
-// stay bit-identical to the inverted engine (the existing degraded
+// stay bit-identical to the scalar per-component path (the degraded
 // contract), whatever BatchSize says.
 func TestBatchedDegradedFusedFallsBackToScalar(t *testing.T) {
 	comps := []Component{
@@ -82,7 +82,7 @@ func TestBatchedDegradedFusedFallsBackToScalar(t *testing.T) {
 		t.Skip("expected an unmergeable system for this test")
 	}
 	ctx := context.Background()
-	inv, err := c.MTTF(ctx, Config{Trials: trialBlock, Seed: 5, Engine: Inverted})
+	inv, err := c.MTTF(ctx, Config{Trials: trialBlock, Seed: 5, BatchSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestBatchedDegradedFusedFallsBackToScalar(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fused != inv {
-		t.Errorf("degraded fused with BatchSize=256 = %+v, want inverted-identical %+v", fused, inv)
+		t.Errorf("degraded fused with BatchSize=256 = %+v, want scalar-identical %+v", fused, inv)
 	}
 }
 
@@ -108,8 +108,8 @@ func TestBatchedInvalidBatchSize(t *testing.T) {
 }
 
 // TestBatchedOtherEnginesIgnoreBatchSize: the batch kernel only exists
-// for the Fused engine's merged table; other engines must run (scalar)
-// and return their usual results for any BatchSize.
+// for the Fused engine's merged table; the Exact engine runs no trials
+// and must return its usual result for any BatchSize.
 func TestBatchedOtherEnginesIgnoreBatchSize(t *testing.T) {
 	comps := fusedTestSystem(t)
 	c, err := Compile(comps)
@@ -117,17 +117,17 @@ func TestBatchedOtherEnginesIgnoreBatchSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, engine := range []Engine{Superposed, Naive, Inverted} {
-		plain, err := c.MTTF(ctx, Config{Trials: trialBlock, Seed: 9, Engine: engine})
-		if err != nil {
-			t.Fatal(err)
-		}
-		batched, err := c.MTTF(ctx, Config{Trials: trialBlock, Seed: 9, Engine: engine, BatchSize: 128})
+	plain, err := c.MTTF(ctx, Config{Engine: Exact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bsz := range []int{1, 128} {
+		batched, err := c.MTTF(ctx, Config{Engine: Exact, BatchSize: bsz})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if plain != batched {
-			t.Errorf("engine %v: BatchSize changed the result (%+v vs %+v)", engine, plain, batched)
+			t.Errorf("BatchSize=%d changed the exact result (%+v vs %+v)", bsz, plain, batched)
 		}
 	}
 }

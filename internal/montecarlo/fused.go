@@ -22,8 +22,8 @@ import (
 // costs O(log S_total) regardless of the component count.
 //
 // Components fall back out of the merge in two ways, both preserving
-// exactness: a non-materialized trace (lazy LongLoop) is sampled
-// per-component as the Inverted engine would (closed form via its own
+// exactness: a non-materialized trace (lazy LongLoop, or any custom
+// Trace) is sampled per component (closed form via its own
 // ExposureInverter, or thinning), and if the materialized traces'
 // periods are incommensurate — or the merged table would exceed the
 // segment cap — the whole merge degrades to per-component inverted
@@ -69,10 +69,10 @@ func newFusedState(components []Component) *fusedState {
 			// Incommensurate periods or an over-cap table: degrade to
 			// per-component inverted sampling, which is exact for any
 			// period mixture. Fall back with the components in their
-			// ORIGINAL order (not mergeable-last) so the degraded trial
-			// consumes the shared per-trial stream exactly as
-			// trialInverted does — bit-identical, not just
-			// distributionally equal.
+			// ORIGINAL order (not mergeable-last): the degraded trial
+			// then draws from the shared per-trial stream in component
+			// order, the draw order every seeded degraded estimate is
+			// pinned to.
 			fs.rest = newInvComps(components)
 			return fs
 		}
@@ -87,8 +87,10 @@ func newFusedState(components []Component) *fusedState {
 
 // trialFused samples one system failure time: one closed-form draw on
 // the merged hazard table, then per-component fallback draws for
-// components outside the merge, taking the min. A trial in which
-// nothing fails within the representable horizon reports +Inf.
+// components outside the merge (exposure inversion, or thinning for
+// traces without an exposure table), taking the min. A trial in which
+// nothing fails within the representable horizon (every per-period
+// exposure underflowed to zero) reports +Inf rather than an error.
 //
 //soferr:hotpath
 func trialFused(fs *fusedState, ds *drawSource, maxArrivals int) (float64, error) {

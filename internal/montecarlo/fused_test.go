@@ -61,7 +61,8 @@ func fusedTestSystem(t *testing.T) []Component {
 }
 
 func TestFusedMatchesInvertedDistribution(t *testing.T) {
-	// Fused and Inverted sample the same distribution through different
+	// The merged table and per-component inverted sampling (the path
+	// Fused degrades to) sample the same distribution through different
 	// factorizations, so trial-level bit-identity is not expected; the
 	// first-arrival distributions must agree. Compare means within
 	// combined standard errors and the empirical CDFs by a two-sample
@@ -72,11 +73,11 @@ func TestFusedMatchesInvertedDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 60000
-	fused, err := c.TTFSamples(context.Background(), Config{Trials: n, Seed: 3, Engine: Fused})
+	fused, err := c.TTFSamples(context.Background(), Config{Trials: n, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv, err := c.TTFSamples(context.Background(), Config{Trials: n, Seed: 4, Engine: Inverted})
+	inv, err := perComponent(t, comps).TTFSamples(context.Background(), Config{Trials: n, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,14 +97,11 @@ func TestFusedMatchesInvertedDistribution(t *testing.T) {
 		t.Errorf("KS distance %v exceeds %v", ks, crit)
 	}
 
-	// Both engines must also agree with the exact softarch-free
-	// reference: the Superposed engine thins literal arrivals.
-	sup, err := c.MTTF(context.Background(), Config{Trials: n, Seed: 5, Engine: Superposed})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Both must also agree with the exact softarch-free reference: the
+	// naive oracle thins literal arrivals.
+	sup := naiveMTTF(t, c, n, 5)
 	if numeric.RelErr(fm, sup.MTTF) > 0.03 {
-		t.Errorf("fused %v vs superposed %v", fm, sup.MTTF)
+		t.Errorf("fused %v vs naive %v", fm, sup.MTTF)
 	}
 }
 
@@ -129,7 +127,7 @@ func ksTwoSample(a, b []float64) float64 {
 func TestFusedFallbackForNonMaterializedTraces(t *testing.T) {
 	// A lazy LongLoop cannot join the merge; it must be sampled
 	// per-component inside the same trial, and the estimate must agree
-	// with the all-inverted engine.
+	// with all-per-component sampling.
 	inner := busyIdle(t, 1e-3, 0.5e-3)
 	ll, err := trace.NewLongLoop(trace.LoopPhase{Inner: inner, Reps: trace.RepeatFor(inner, 2.0)})
 	if err != nil {
@@ -143,7 +141,7 @@ func TestFusedFallbackForNonMaterializedTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv, err := SystemMTTF(context.Background(), comps, Config{Trials: 60000, Seed: 10, Engine: Inverted})
+	inv, err := perComponent(t, comps).MTTF(context.Background(), Config{Trials: 60000, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,20 +168,21 @@ func TestFusedIncommensurateFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv, err := c.MTTF(context.Background(), Config{Trials: 60000, Seed: 2, Engine: Inverted})
+	inv, err := perComponent(t, comps).MTTF(context.Background(), Config{Trials: 60000, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With no merged subset the Fused trial IS the inverted trial:
-	// identical samplers, identical draw order, identical streams.
+	// With no merged subset the Fused trial IS the per-component
+	// inverted trial: identical samplers, identical draw order,
+	// identical streams.
 	if fused.MTTF != inv.MTTF || fused.StdErr != inv.StdErr {
 		t.Errorf("degraded fused %+v != inverted %+v", fused, inv)
 	}
 
 	// The bit-identity must survive component-order shuffling too: a
 	// lazy trace interleaved between the (unmergeable) materialized
-	// ones must be sampled in the original component order, exactly as
-	// trialInverted orders its draws.
+	// ones must be sampled in the original component order, not
+	// mergeable-last.
 	inner := busyIdle(t, 1e-3, 0.5e-3)
 	ll, err := trace.NewLongLoop(trace.LoopPhase{Inner: inner, Reps: trace.RepeatFor(inner, 0.5)})
 	if err != nil {
@@ -205,7 +204,7 @@ func TestFusedIncommensurateFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	invMixed, err := cm.MTTF(context.Background(), Config{Trials: 20000, Seed: 5, Engine: Inverted})
+	invMixed, err := perComponent(t, mixed).MTTF(context.Background(), Config{Trials: 20000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,13 +285,14 @@ func TestAdaptiveTargetRelStdErr(t *testing.T) {
 func TestAdaptiveDeterminismAcrossWorkerCounts(t *testing.T) {
 	// The adaptive stop decision happens at deterministic round
 	// boundaries, so both the chosen trial count and the estimate must
-	// be bit-identical for any worker count — for every engine.
+	// be bit-identical for any worker count — on the merged table and
+	// on the per-component path alike.
 	comps := fusedTestSystem(t)
-	for _, engine := range []Engine{Superposed, Naive, Inverted, Fused} {
+	for name, c := range map[string]*Compiled{"merged": mustCompile(t, comps), "per-component": perComponent(t, comps)} {
 		var results []Result
 		for _, workers := range []int{1, 2, 7} {
-			res, err := SystemMTTF(context.Background(), comps, Config{
-				Trials: 100000, Seed: 11, Workers: workers, Engine: engine, TargetRelStdErr: 0.02,
+			res, err := c.MTTF(context.Background(), Config{
+				Trials: 100000, Seed: 11, Workers: workers, TargetRelStdErr: 0.02,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -301,125 +301,109 @@ func TestAdaptiveDeterminismAcrossWorkerCounts(t *testing.T) {
 		}
 		for _, res := range results[1:] {
 			if res != results[0] {
-				t.Errorf("%v: worker count changed adaptive result: %+v vs %+v", engine, res, results[0])
+				t.Errorf("%s: worker count changed adaptive result: %+v vs %+v", name, res, results[0])
 			}
 		}
 	}
 }
 
 func TestTrialLoopDoesNotAllocate(t *testing.T) {
-	// The steady-state trial loop must not allocate per trial for any
-	// engine: per-trial streams reuse one Rand per worker. Per-run
+	// The steady-state trial loop must not allocate per trial on any
+	// Fused path — merged table, per-component inversion, thinning
+	// fallback: per-trial streams reuse one Rand per worker. Per-run
 	// setup (block accumulators, the worker goroutine) is O(1) in the
 	// trial count, so allocations for a 3-block run must stay far below
 	// one per trial.
 	comps := fusedTestSystem(t)
-	c, err := Compile(comps)
-	if err != nil {
-		t.Fatal(err)
-	}
+	thinning := append(fusedTestSystem(t), Component{Name: "opaque", Rate: 0.05, Trace: opaqueTrace{p: busyIdle(t, 6, 2)}})
 	ctx := context.Background()
 	const trials = 3 * trialBlock
-	for _, engine := range []Engine{Superposed, Naive, Inverted, Fused} {
+	for name, c := range map[string]*Compiled{
+		"merged": mustCompile(t, comps), "per-component": perComponent(t, comps), "thinning": mustCompile(t, thinning),
+	} {
 		// Warm lazily built state (the fused merge) outside the loop.
-		if _, err := c.MTTF(ctx, Config{Trials: 16, Seed: 1, Engine: engine, Workers: 1}); err != nil {
+		if _, err := c.MTTF(ctx, Config{Trials: 16, Seed: 1, Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(3, func() {
-			if _, err := c.MTTF(ctx, Config{Trials: trials, Seed: 1, Engine: engine, Workers: 1}); err != nil {
+			if _, err := c.MTTF(ctx, Config{Trials: trials, Seed: 1, Workers: 1}); err != nil {
 				t.Fatal(err)
 			}
 		})
 		// ~10 setup allocations per run (accumulator slice, goroutine,
 		// closures); one alloc per trial would be >= 12288.
 		if allocs > 64 {
-			t.Errorf("%v: %v allocations per %d-trial run, want O(1) setup only", engine, allocs, trials)
+			t.Errorf("%s: %v allocations per %d-trial run, want O(1) setup only", name, allocs, trials)
 		}
 	}
 }
 
-func TestFusedSpeedupAtN64(t *testing.T) {
-	// The acceptance criterion: at 64 components the fused engine's
-	// one-draw trials must beat the inverted engine's per-component
-	// loop by >= 3x (the measured gap is far larger; 3x leaves room for
-	// noisy CI machines).
-	if testing.Short() {
-		t.Skip("timing comparison skipped in -short mode")
-	}
+// speedupSystem is the N=64 system the speedup acceptance tests time:
+// heterogeneous duty cycles on one shared period, so every component
+// contributes its own segments to the merged table.
+func speedupSystem(t *testing.T) []Component {
 	const n = 64
 	comps := make([]Component, n)
 	for i := range comps {
-		// Heterogeneous duty cycles on one shared period: every
-		// component contributes its own segments to the merged table.
 		busy := 1 + float64(i%17)
 		comps[i] = Component{Rate: 1e-4 * float64(1+i%5), Trace: mustBusyIdleB(t, 24, busy)}
 	}
-	c, err := Compile(comps)
-	if err != nil {
+	return comps
+}
+
+// timeRun warms c's lazy state and caches, then times one
+// single-threaded run of trials.
+func timeRun(t *testing.T, c *Compiled, trials, batchSize int) time.Duration {
+	ctx := context.Background()
+	if _, err := c.MTTF(ctx, Config{Trials: 256, Seed: 1, Workers: 1, BatchSize: batchSize}); err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	const trials = 60000
-	measure := func(engine Engine) time.Duration {
-		// Warm up lazy state and caches, then time single-threaded.
-		if _, err := c.MTTF(ctx, Config{Trials: 256, Seed: 1, Engine: engine, Workers: 1}); err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		if _, err := c.MTTF(ctx, Config{Trials: trials, Seed: 1, Engine: engine, Workers: 1}); err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start)
+	start := time.Now()
+	if _, err := c.MTTF(ctx, Config{Trials: trials, Seed: 1, Workers: 1, BatchSize: batchSize}); err != nil {
+		t.Fatal(err)
 	}
-	inv := measure(Inverted)
-	fused := measure(Fused)
+	return time.Since(start)
+}
+
+func TestFusedSpeedupAtN64(t *testing.T) {
+	// The acceptance criterion: at 64 components the merged table's
+	// one-draw trials must beat the per-component inverted loop (the
+	// path Fused takes when the merge is refused) by >= 3x (the
+	// measured gap is far larger; 3x leaves room for noisy CI machines).
+	if testing.Short() {
+		t.Skip("timing comparison skipped in -short mode")
+	}
+	comps := speedupSystem(t)
+	const trials = 60000
+	inv := timeRun(t, perComponent(t, comps), trials, 0)
+	fused := timeRun(t, mustCompile(t, comps), trials, 0)
 	if speedup := float64(inv) / float64(fused); speedup < 3 {
-		t.Errorf("fused speedup at N=%d is %.1fx (inverted %v, fused %v), want >= 3x", n, speedup, inv, fused)
+		t.Errorf("fused speedup at N=%d is %.1fx (inverted %v, fused %v), want >= 3x", len(comps), speedup, inv, fused)
 	}
 }
 
 // TestBatchedSpeedupAtN64 is the batched-kernel acceptance criterion:
 // at 64 components the Fused engine's batched inversion kernel (the
 // default block of 64) must improve per-trial cost by >= 2x over the
-// scalar Inverted profile. The scalar fused kernel (BatchSize 1) is
-// measured alongside and logged, so BENCH_fused.json's two framings
-// (vs scalar-inverted, vs scalar-fused) are both visible here; only
-// the robust inverted framing is asserted, since batching alone sits
-// close to memory-bandwidth noise on small tables.
+// scalar per-component inverted path. The scalar fused kernel
+// (BatchSize 1) is measured alongside and logged; only the robust
+// per-component framing is asserted, since batching alone sits close
+// to memory-bandwidth noise on small tables.
 func TestBatchedSpeedupAtN64(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison skipped in -short mode")
 	}
-	const n = 64
-	comps := make([]Component, n)
-	for i := range comps {
-		busy := 1 + float64(i%17)
-		comps[i] = Component{Rate: 1e-4 * float64(1+i%5), Trace: mustBusyIdleB(t, 24, busy)}
-	}
-	c, err := Compile(comps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
+	comps := speedupSystem(t)
+	c := mustCompile(t, comps)
 	const trials = 60000
-	measure := func(engine Engine, batchSize int) time.Duration {
-		if _, err := c.MTTF(ctx, Config{Trials: 256, Seed: 1, Engine: engine, Workers: 1, BatchSize: batchSize}); err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		if _, err := c.MTTF(ctx, Config{Trials: trials, Seed: 1, Engine: engine, Workers: 1, BatchSize: batchSize}); err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	inv := measure(Inverted, 0)
-	scalar := measure(Fused, 1)
-	batched := measure(Fused, DefaultBatchSize)
+	inv := timeRun(t, perComponent(t, comps), trials, 0)
+	scalar := timeRun(t, c, trials, 1)
+	batched := timeRun(t, c, trials, DefaultBatchSize)
 	t.Logf("N=%d: inverted %v, scalar fused %v, batched fused %v (%.2fx vs scalar fused)",
-		n, inv, scalar, batched, float64(scalar)/float64(batched))
+		len(comps), inv, scalar, batched, float64(scalar)/float64(batched))
 	if speedup := float64(inv) / float64(batched); speedup < 2 {
 		t.Errorf("batched kernel speedup at N=%d is %.1fx vs inverted (inverted %v, batched %v), want >= 2x",
-			n, speedup, inv, batched)
+			len(comps), speedup, inv, batched)
 	}
 }
 

@@ -6,10 +6,12 @@ import (
 	"github.com/soferr/soferr/internal/numeric"
 )
 
-// ExposureInverter is the trace capability the Inverted engine needs: a
-// precomputed cumulative-exposure table that can be inverted in O(log S).
-// trace.Piecewise implements it; lazy traces that do not are handled by
-// per-component thinning inside the same trial.
+// ExposureInverter is the trace capability per-component inverted
+// sampling needs: a precomputed cumulative-exposure table that can be
+// inverted in O(log S). trace.Piecewise and the lazy trace.LongLoop
+// implement it; the Fused engine samples components outside its merged
+// table through it, and falls back to literal thinning for traces that
+// do not implement it.
 type ExposureInverter interface {
 	Period() float64
 	TotalExposure() float64
@@ -93,33 +95,4 @@ func (ic *invComp) sample(ds *drawSource) float64 {
 	// search over the trace's cumulative-exposure table.
 	e := numeric.TruncExpInvCDF(ds.Float64(), ic.pFail) / ic.rate
 	return k*ic.period + ic.inv.InvertExposure(e)
-}
-
-// trialInverted samples the system failure time as the min of
-// per-component first unmasked arrivals, each drawn in closed form
-// (or by thinning for non-invertible traces). A trial in which no
-// component fails within the representable horizon (every per-period
-// exposure underflowed to zero) reports +Inf, the never-failing
-// answer, rather than an error.
-//
-//soferr:hotpath
-func trialInverted(comps []invComp, ds *drawSource, maxArrivals int) (float64, error) {
-	best := math.Inf(1)
-	for i := range comps {
-		ic := &comps[i]
-		if ic.thinning {
-			t, failed, err := thinFirstArrival(ic.comp, &ds.rng, best, maxArrivals)
-			if err != nil {
-				return 0, err
-			}
-			if failed && t < best {
-				best = t
-			}
-			continue
-		}
-		if t := ic.sample(ds); t < best {
-			best = t
-		}
-	}
-	return best, nil
 }

@@ -3,18 +3,19 @@ package montecarlo
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/soferr/soferr/internal/analytic"
 	"github.com/soferr/soferr/internal/numeric"
 	"github.com/soferr/soferr/internal/trace"
-	"github.com/soferr/soferr/internal/xrand"
 )
 
 func TestInvertedAgainstClosedForm(t *testing.T) {
-	// The inverted engine must reproduce Derivation 1's closed form in
-	// every rate*L regime, including the extremes where the arrival-
-	// enumerating engines need thousands of draws per trial.
+	// Per-component inverted sampling (Fused's path for components
+	// outside the merge) must reproduce Derivation 1's closed form in
+	// every rate*L regime, including the extremes where literal thinning
+	// needs thousands of draws per trial.
 	cases := []struct {
 		name               string
 		rate, period, busy float64
@@ -34,8 +35,8 @@ func TestInvertedAgainstClosedForm(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := ComponentMTTF(context.Background(), Component{Rate: tt.rate, Trace: tr},
-				Config{Trials: 150000, Seed: 7, Engine: Inverted})
+			c := perComponent(t, []Component{{Rate: tt.rate, Trace: tr}})
+			res, err := c.MTTF(context.Background(), Config{Trials: 150000, Seed: 7})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,10 +48,11 @@ func TestInvertedAgainstClosedForm(t *testing.T) {
 	}
 }
 
-// TestEnginesAgreeWithinStdErr is the cross-engine property test: on
-// every (trace, rate, seed) triple the three engines must produce MTTFs
+// TestEnginesAgreeWithinStdErr is the cross-method property test: on
+// every (trace, rate, seed) triple the naive oracle, per-component
+// inverted sampling, and the merged Fused trial must produce MTTFs
 // within 3 combined standard errors of each other. Distinct seeds per
-// engine keep the estimates independent, so the 3-sigma bound holds
+// method keep the estimates independent, so the 3-sigma bound holds
 // with ~99.7% probability per comparison.
 func TestEnginesAgreeWithinStdErr(t *testing.T) {
 	fractional, err := trace.NewPiecewise([]trace.Segment{
@@ -77,24 +79,27 @@ func TestEnginesAgreeWithinStdErr(t *testing.T) {
 		for _, rate := range rates {
 			for _, seed := range seeds {
 				comps := []Component{{Rate: rate, Trace: trc.tr}}
-				results := make(map[Engine]Result)
-				for _, e := range []Engine{Superposed, Naive, Inverted} {
-					res, err := SystemMTTF(context.Background(), comps, Config{
-						Trials: trials, Seed: seed + uint64(e)<<32, Engine: e,
-					})
+				fused := mustCompile(t, comps)
+				results := map[string]Result{"naive": naiveMTTF(t, fused, trials, seed+2<<32)}
+				for _, m := range []struct {
+					name string
+					c    *Compiled
+					off  uint64
+				}{{"inverted", perComponent(t, comps), 3}, {"fused", fused, 4}} {
+					res, err := m.c.MTTF(context.Background(), Config{Trials: trials, Seed: seed + m.off<<32})
 					if err != nil {
-						t.Fatalf("%s rate=%g seed=%d engine=%v: %v", trc.name, rate, seed, e, err)
+						t.Fatalf("%s rate=%g seed=%d %s: %v", trc.name, rate, seed, m.name, err)
 					}
-					results[e] = res
+					results[m.name] = res
 				}
-				for _, pair := range [][2]Engine{
-					{Superposed, Inverted}, {Naive, Inverted}, {Superposed, Naive},
+				for _, pair := range [][2]string{
+					{"naive", "inverted"}, {"naive", "fused"}, {"inverted", "fused"},
 				} {
 					a, b := results[pair[0]], results[pair[1]]
 					diff := math.Abs(a.MTTF - b.MTTF)
 					bound := 3 * math.Hypot(a.StdErr, b.StdErr)
 					if diff > bound {
-						t.Errorf("%s rate=%g seed=%d: %v=%v vs %v=%v differ by %v > %v",
+						t.Errorf("%s rate=%g seed=%d: %s=%v vs %s=%v differ by %v > %v",
 							trc.name, rate, seed, pair[0], a.MTTF, pair[1], b.MTTF, diff, bound)
 					}
 				}
@@ -109,8 +114,8 @@ func mustBusyIdle(t *testing.T, period, busy float64) trace.Trace {
 }
 
 func TestInvertedSystem(t *testing.T) {
-	// A heterogeneous series system: inverted min-of-components must
-	// agree with the superposed union engine.
+	// A heterogeneous series system: the per-component inverted min
+	// must agree with the naive oracle's literal simulation.
 	a := busyIdle(t, 10, 5)
 	b := busyIdle(t, 10, 3)
 	c := busyIdle(t, 24, 6)
@@ -119,29 +124,27 @@ func TestInvertedSystem(t *testing.T) {
 		{Name: "b", Rate: 0.05, Trace: b},
 		{Name: "c", Rate: 0.02, Trace: c},
 	}
-	sup, err := SystemMTTF(context.Background(), comps, Config{Trials: 120000, Seed: 3, Engine: Superposed})
+	pc := perComponent(t, comps)
+	nai := naiveMTTF(t, pc, 120000, 3)
+	inv, err := pc.MTTF(context.Background(), Config{Trials: 120000, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv, err := SystemMTTF(context.Background(), comps, Config{Trials: 120000, Seed: 4, Engine: Inverted})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := math.Abs(sup.MTTF - inv.MTTF); diff > 3*math.Hypot(sup.StdErr, inv.StdErr) {
-		t.Errorf("superposed %v vs inverted %v (diff %v)", sup.MTTF, inv.MTTF, diff)
+	if diff := math.Abs(nai.MTTF - inv.MTTF); diff > 3*math.Hypot(nai.StdErr, inv.StdErr) {
+		t.Errorf("naive %v vs inverted %v (diff %v)", nai.MTTF, inv.MTTF, diff)
 	}
 }
 
 func TestInvertedDeterminismAcrossWorkerCounts(t *testing.T) {
-	tr := busyIdle(t, 10, 4)
+	c := perComponent(t, []Component{{Rate: 0.1, Trace: busyIdle(t, 10, 4)}})
 	cfg := func(workers int) Config {
-		return Config{Trials: 20000, Seed: 42, Workers: workers, Engine: Inverted}
+		return Config{Trials: 20000, Seed: 42, Workers: workers}
 	}
-	one, err := ComponentMTTF(context.Background(), Component{Rate: 0.1, Trace: tr}, cfg(1))
+	one, err := c.MTTF(context.Background(), cfg(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := ComponentMTTF(context.Background(), Component{Rate: 0.1, Trace: tr}, cfg(4))
+	four, err := c.MTTF(context.Background(), cfg(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,37 +154,40 @@ func TestInvertedDeterminismAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestInvertedFallbackNonInvertibleTrace(t *testing.T) {
-	// A LongLoop trace has no exposure table; the inverted engine must
-	// fall back to thinning and still match the closed form.
-	inner := busyIdle(t, 1e-3, 0.5e-3)
-	reps := trace.RepeatFor(inner, 2.0)
-	ll, err := trace.NewLongLoop(trace.LoopPhase{Inner: inner, Reps: reps})
+	// A custom trace with no exposure table cannot join the merge or be
+	// inverted; Fused must fall back to literal thinning for it and
+	// still match the closed form.
+	const rate, period, busy = 0.05, 10.0, 5.0
+	c, err := Compile([]Component{{Name: "opaque", Rate: rate, Trace: opaqueTrace{p: busyIdle(t, period, busy)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const rate = 0.05
-	res, err := ComponentMTTF(context.Background(), Component{Rate: rate, Trace: ll},
-		Config{Trials: 60000, Seed: 21, Engine: Inverted})
+	if fs := c.fusedState(); fs.merged != nil || len(fs.rest) != 1 || !fs.rest[0].thinning {
+		t.Fatalf("opaque trace not on the thinning fallback: merged %v, rest %+v", fs.merged != nil, fs.rest)
+	}
+	res, err := c.MTTF(context.Background(), Config{Trials: 60000, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 1 / (rate * 0.5)
+	want, err := analytic.BusyIdleMTTF(rate, period, busy)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if numeric.RelErr(res.MTTF, want) > 0.02 {
-		t.Errorf("MTTF = %v, want ~%v", res.MTTF, want)
+		t.Errorf("MTTF = %v, closed form %v (relerr %v, stderr %v)", res.MTTF, want, numeric.RelErr(res.MTTF, want), res.RelStdErr())
 	}
 }
 
 func TestInvertedSamplesMatchSummary(t *testing.T) {
 	// The collect path (raw samples) and the streaming path must agree
 	// on the mean exactly up to accumulation order.
-	tr := busyIdle(t, 10, 4)
-	comps := []Component{{Rate: 0.1, Trace: tr}}
-	cfg := Config{Trials: 30000, Seed: 5, Engine: Inverted}
-	sum, err := SystemMTTF(context.Background(), comps, cfg)
+	c := perComponent(t, []Component{{Rate: 0.1, Trace: busyIdle(t, 10, 4)}})
+	cfg := Config{Trials: 30000, Seed: 5}
+	sum, err := c.MTTF(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples, err := SystemTTFSamples(context.Background(), comps, cfg)
+	samples, err := c.TTFSamples(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +201,8 @@ func TestInvertedSamplesMatchSummary(t *testing.T) {
 }
 
 func TestEngineNames(t *testing.T) {
-	for _, e := range []Engine{Superposed, Naive, Inverted} {
-		got, err := EngineByName(e.String())
+	for _, e := range []Engine{Fused, Exact} {
+		got, err := EngineByName(strings.ToUpper(e.String()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,96 +210,69 @@ func TestEngineNames(t *testing.T) {
 			t.Errorf("EngineByName(%q) = %v, want %v", e.String(), got, e)
 		}
 	}
-	if _, err := EngineByName("warp"); err == nil {
-		t.Error("unknown engine name should fail")
+	var zero Engine
+	if zero != Fused {
+		t.Errorf("zero Engine = %v, want fused", zero)
+	}
+	// The engines cut from the package, and any other name, fall
+	// through to the unknown-engine error naming the valid ones.
+	for _, name := range []string{"superposed", "naive", "inverted", "warp", ""} {
+		_, err := EngineByName(name)
+		if err == nil || !strings.Contains(err.Error(), "fused or exact") {
+			t.Errorf("EngineByName(%q) err = %v, want an unknown-engine error naming fused and exact", name, err)
+		}
 	}
 }
 
 func TestFailFastOnBadTrace(t *testing.T) {
-	// A vanishing-AVF component with a tiny arrival cap must error out,
-	// and cancellation must keep it from burning the whole budget (the
-	// test would time out if every trial ran to the cap).
+	// A vanishing-AVF component without an exposure table runs on the
+	// thinning fallback; with a tiny arrival cap it must error out, and
+	// cancellation must keep it from burning the whole budget (the test
+	// would time out if every trial ran to the cap).
 	p, err := trace.NewPiecewise([]trace.Segment{{Start: 0, End: 10, Vuln: 1e-15}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = SystemMTTF(
 		context.Background(),
-		[]Component{{Name: "bad", Rate: 1, Trace: p}},
-		Config{Trials: 1 << 20, Seed: 1, Engine: Superposed, MaxArrivalsPerTrial: 100},
+		[]Component{{Name: "bad", Rate: 1, Trace: opaqueTrace{p: p}}},
+		Config{Trials: 1 << 20, Seed: 1, MaxArrivalsPerTrial: 100},
 	)
 	if err == nil {
 		t.Fatal("expected an arrival-cap error")
 	}
 }
 
-func TestAliasTableMatchesWeights(t *testing.T) {
-	weights := []float64{5, 0, 1, 3, 1}
-	tab := newAliasTable(weights)
-	counts := make([]int, len(weights))
-	r := xrand.New(9)
-	const n = 1_000_000
-	for i := 0; i < n; i++ {
-		counts[tab.pick(r.Float64())]++
-	}
-	total := 10.0
-	for i, w := range weights {
-		want := float64(n) * w / total
-		got := float64(counts[i])
-		if w == 0 {
-			if got != 0 {
-				t.Errorf("zero-weight bucket %d drawn %v times", i, got)
-			}
-			continue
-		}
-		// 5-sigma binomial bound.
-		sigma := math.Sqrt(float64(n) * (w / total) * (1 - w/total))
-		if math.Abs(got-want) > 5*sigma {
-			t.Errorf("bucket %d: got %v draws, want %v +- %v", i, got, want, 5*sigma)
-		}
-	}
-}
-
-func TestSuperposedAliasMatchesLinearScan(t *testing.T) {
-	// >2 components switches the superposed engine to the alias
-	// sampler; the estimate must agree statistically with a 2-component
-	// run plus the closed-form-equivalent formulation (C identical
-	// components == one component at C times the rate).
-	tr := busyIdle(t, 10, 5)
-	const rate = 0.02
-	const c = 8
-	comps := make([]Component, c)
-	for i := range comps {
-		comps[i] = Component{Rate: rate, Trace: tr}
-	}
-	multi, err := SystemMTTF(context.Background(), comps, Config{Trials: 100000, Seed: 11, Engine: Superposed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := ComponentMTTF(context.Background(), Component{Rate: rate * c, Trace: tr},
-		Config{Trials: 100000, Seed: 12, Engine: Superposed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := math.Abs(multi.MTTF - single.MTTF); diff > 3*math.Hypot(multi.StdErr, single.StdErr) {
-		t.Errorf("alias-sampled system %v vs scaled single %v", multi.MTTF, single.MTTF)
-	}
-}
-
 func BenchmarkEngines(b *testing.B) {
-	// Head-to-head engine cost on the same low-AVF narrow-window trace,
-	// where arrival enumeration is most expensive.
+	// Head-to-head cost on the same low-AVF narrow-window trace, where
+	// arrival enumeration is most expensive: the merged Fused trial,
+	// the per-component inverted path, and the thinning fallback.
 	tr, err := trace.BusyIdle(1000, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	comps := []Component{{Rate: 0.01, Trace: tr}}
-	for _, e := range []Engine{Superposed, Naive, Inverted} {
-		b.Run(e.String(), func(b *testing.B) {
-			_, err := SystemMTTF(context.Background(), comps, Config{Trials: b.N, Seed: 1, Engine: e})
-			if err != nil {
+	for _, e := range []struct {
+		name string
+		c    *Compiled
+	}{
+		{"fused", mustCompile(b, comps)},
+		{"inverted", perComponent(b, comps)},
+		{"thinning", mustCompile(b, []Component{{Rate: 0.01, Trace: opaqueTrace{p: tr}}})},
+	} {
+		b.Run(e.name, func(b *testing.B) {
+			if _, err := e.c.MTTF(context.Background(), Config{Trials: b.N, Seed: 1}); err != nil {
 				b.Fatal(err)
 			}
 		})
 	}
+}
+
+func mustCompile(t testing.TB, comps []Component) *Compiled {
+	t.Helper()
+	c, err := Compile(comps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }

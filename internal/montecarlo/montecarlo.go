@@ -6,35 +6,23 @@
 // its earliest component fails. The average over trials is the MTTF, and
 // no AVF or SOFR assumption is involved.
 //
-// Five engines are provided:
+// Two engines are provided:
 //
-//   - The naive engine simulates every component separately and takes
-//     the minimum, mirroring the paper's description literally.
-//   - The superposition engine exploits the fact that the union of
-//     independent Poisson processes is a Poisson process of the summed
-//     rate, with each arrival belonging to component i with probability
-//     rate_i/total (sampled in O(1) by an alias table). The first
-//     unmasked arrival of the union is exactly the system failure time,
-//     so the cost per arrival is independent of the number of
-//     components. This is what makes the paper's 500,000-processor
-//     clusters (Table 2) simulable.
-//   - The inverted engine samples each component's first unmasked
-//     arrival in closed form by inverting the cumulative exposure m(t)
-//     that trace.Piecewise precomputes: a thinned Poisson process is an
-//     inhomogeneous Poisson process with cumulative hazard rate*m(t),
-//     so one Exp(1) draw splits into a geometric number of survived
-//     periods plus one binary search over the one-period exposure
-//     table — O(log S) per trial, independent of the raw rate, the
-//     AVF, and the number of masked arrivals that the other engines
-//     must enumerate and reject.
-//   - The fused engine applies the same closed form to the whole
-//     system at once: the superposition of the components' thinned
-//     processes has cumulative hazard H(t) = sum_i rate_i*m_i(t), so
-//     one merged hazard table (trace.MergedExposure, aligned on the
-//     components' hyperperiod) turns a system trial into one Exp(1)
-//     draw plus one binary search — O(log S_total) per trial,
-//     independent of the component count N that the inverted engine
-//     still loops over.
+//   - The fused engine samples each trial in closed form. The
+//     superposition of the components' thinned processes is an
+//     inhomogeneous Poisson process with cumulative hazard
+//     H(t) = sum_i rate_i*m_i(t), where m_i is component i's
+//     cumulative exposure; one merged hazard table
+//     (trace.MergedExposure, aligned on the components' hyperperiod)
+//     turns a system trial into one Exp(1) draw split into a geometric
+//     number of survived hyperperiods plus one binary search —
+//     O(log S_total) per trial, independent of the raw rate, the AVF,
+//     and the component count. Components outside the merge
+//     (non-materialized traces, incommensurate periods, over-cap
+//     tables) are sampled per component inside the same trial: by
+//     inverting their own exposure table when they have one, and by
+//     literal thinning of raw arrivals when they do not. It is the
+//     default (the zero Engine).
 //   - The exact engine is not a sampler at all: it integrates the
 //     merged hazard table once — segment-wise closed-form
 //     int exp(-H(t)) dt within one hyperperiod, geometric tail
@@ -43,10 +31,11 @@
 //     error. Systems the table cannot represent (incommensurate
 //     periods, over-cap merges, lazy traces alongside others) are
 //     refused with the typed ErrExactUnavailable so callers can fall
-//     back to a sampling engine.
+//     back to the fused engine.
 //
-// The engines are property-tested against each other and against the
-// closed forms in package analytic.
+// Both engines are property-tested against each other, against the
+// closed forms in package analytic, and against the paper's literal
+// per-component simulation, kept as a test-only oracle.
 //
 //soferr:deterministic
 package montecarlo
@@ -84,29 +73,20 @@ type Component struct {
 	Trace trace.Trace
 }
 
-// Engine selects the trial implementation.
+// Engine selects the trial implementation. The zero value is Fused.
 type Engine int
 
 const (
-	// Superposed simulates the union Poisson process (default; exact
-	// and O(1) in the number of components, but O(arrivals) in the
-	// masked-arrival count).
-	Superposed Engine = iota + 1
-	// Naive simulates each component separately and takes the minimum.
-	Naive
-	// Inverted samples each component's first unmasked arrival in
-	// closed form by exposure inversion: O(log S) per component per
-	// trial, independent of rate and AVF. Traces that do not expose an
-	// exposure table (see ExposureInverter) fall back to thinning.
-	Inverted
 	// Fused samples the whole system's failure time from the merged
 	// cumulative-hazard table (the superposition of the components'
 	// thinned processes): one Exp(1) draw plus one binary search per
-	// trial, O(log S_total), independent of the component count.
-	// Components whose traces cannot join the merge (non-materialized
-	// traces, incommensurate periods) fall back to per-component
-	// sampling inside the same trial, exactly as Inverted would.
-	Fused
+	// trial, O(log S_total), independent of rate, AVF, and component
+	// count. Components whose traces cannot join the merge
+	// (non-materialized traces, incommensurate periods) are sampled
+	// per component inside the same trial: by exposure inversion, or by
+	// thinning for traces without an exposure table (see
+	// ExposureInverter). The default engine.
+	Fused Engine = iota
 	// Exact integrates the merged cumulative-hazard table in closed
 	// form instead of sampling it: MTTF = int_0^inf exp(-H(t)) dt,
 	// evaluated as one hyperperiod's segment-wise truncated-exponential
@@ -119,12 +99,6 @@ const (
 // String returns the engine's CLI name.
 func (e Engine) String() string {
 	switch e {
-	case Superposed:
-		return "superposed"
-	case Naive:
-		return "naive"
-	case Inverted:
-		return "inverted"
 	case Fused:
 		return "fused"
 	case Exact:
@@ -137,23 +111,17 @@ func (e Engine) String() string {
 // EngineByName parses a CLI engine name, case-insensitively.
 func EngineByName(name string) (Engine, error) {
 	switch strings.ToLower(name) {
-	case "superposed":
-		return Superposed, nil
-	case "naive":
-		return Naive, nil
-	case "inverted":
-		return Inverted, nil
 	case "fused":
 		return Fused, nil
 	case "exact":
 		return Exact, nil
 	default:
-		return 0, fmt.Errorf("montecarlo: unknown engine %q (want superposed, naive, inverted, fused, or exact)", name)
+		return 0, fmt.Errorf("montecarlo: unknown engine %q (want fused or exact)", name)
 	}
 }
 
 // Config controls a Monte-Carlo run. The zero value is usable: it means
-// DefaultTrials trials, seed 0, all engines defaulted.
+// DefaultTrials trials, seed 0, the Fused engine, and the PCG sampler.
 type Config struct {
 	// Trials is the number of independent trials (default DefaultTrials).
 	Trials int
@@ -163,12 +131,12 @@ type Config struct {
 	Seed uint64
 	// Workers bounds parallelism (default GOMAXPROCS).
 	Workers int
-	// Engine selects the trial implementation (default Superposed).
+	// Engine selects the trial implementation (default Fused).
 	Engine Engine
 	// MaxArrivalsPerTrial aborts pathological trials (vanishing AVF with
-	// a non-zero rate) in the arrival-enumerating engines. Default 100
-	// million. The Inverted and Fused engines draw no arrivals and
-	// ignore it except for thinning fallbacks.
+	// a non-zero rate) in the thinning fallback, the only path that
+	// enumerates raw arrivals (components whose traces have no exposure
+	// table). Default 100 million.
 	MaxArrivalsPerTrial int
 	// TargetRelStdErr, when positive, switches the run to adaptive
 	// precision targeting: trials run in deterministic doubling rounds
@@ -180,9 +148,9 @@ type Config struct {
 	// runs (TTFSamples) ignore it.
 	TargetRelStdErr float64
 	// Sampler selects the uniform source beneath the trial kernels
-	// (default PCG). The Sobol low-discrepancy sampler requires the
-	// Inverted or Fused engine on a fully invertible system; see
-	// Sampler and ErrSamplerUnsupported.
+	// (default PCG). The Sobol low-discrepancy sampler requires a fully
+	// invertible system (no thinning fallback); see Sampler and
+	// ErrSamplerUnsupported.
 	Sampler Sampler
 	// BatchSize tunes the batched inversion kernel of the Fused engine:
 	// the number of trials whose hazard draws are sorted and resolved
@@ -256,11 +224,11 @@ const fiTrialPoint = "montecarlo.trial"
 // atomic load per run.
 const fiRelayPoint = "montecarlo.cancelrelay"
 
-// Compiled is a validated series system with every engine's shared
-// precomputation done once — rate totals, the alias table for
-// superposed component attribution, and the exposure-inversion samplers
-// — so that repeated queries (different trial counts, seeds, or
-// engines) skip straight to the trial loop.
+// Compiled is a validated series system whose engine precomputation —
+// the Fused merged table and fallback samplers, the Exact integration
+// state — is built once, on first use, so that repeated queries
+// (different trial counts, seeds, or engines) skip straight to the
+// trial loop.
 type Compiled struct {
 	components []Component
 	total      float64
@@ -268,13 +236,11 @@ type Compiled struct {
 	// false every MTTF query reports +Inf (and TTFSamples returns
 	// ErrNoFailurePossible).
 	anyVulnerable bool
-	alias         *aliasTable // nil unless len(components) > 2
-	inv           []invComp
 
 	// fused is the Fused engine's merged-hazard precomputation, built
 	// lazily on first use: the merge walks every segment of every
-	// component over the hyperperiod, which non-Fused queries should
-	// never pay for.
+	// component over the hyperperiod, which Exact queries and
+	// compile-only callers should never pay for.
 	fusedOnce sync.Once
 	fused     *fusedState
 
@@ -286,9 +252,9 @@ type Compiled struct {
 	exact     *exactState
 }
 
-// Compile validates components and precomputes the per-engine shared
-// state. The component slice is copied; the traces are shared and must
-// not be mutated afterwards.
+// Compile validates components; the per-engine state is built lazily by
+// the first query that needs it. The component slice is copied; the
+// traces are shared and must not be mutated afterwards.
 func Compile(components []Component) (*Compiled, error) {
 	if len(components) == 0 {
 		return nil, errNoComponents
@@ -308,14 +274,6 @@ func Compile(components []Component) (*Compiled, error) {
 			c.anyVulnerable = true
 		}
 	}
-	if len(c.components) > 2 {
-		weights := make([]float64, len(c.components))
-		for i := range c.components {
-			weights[i] = c.components[i].Rate
-		}
-		c.alias = newAliasTable(weights)
-	}
-	c.inv = newInvComps(c.components)
 	return c, nil
 }
 
@@ -472,23 +430,28 @@ func mergeBlockAccs(merged, accs []numeric.Welford) {
 }
 
 // newBlockRunner resolves a Config into a ready-to-run blockRunner:
-// the per-engine trial kernel, the sampler mode (with Sobol
-// eligibility validated against the engine's draw layout), and the
-// batched-kernel factory when the Fused engine's merged table can use
-// it.
+// the Fused trial kernel, the sampler mode (with Sobol eligibility
+// validated against the system's draw layout), and the batched-kernel
+// factory when the merged table can use it.
 func (c *Compiled) newBlockRunner(cfg Config) (*blockRunner, error) {
-	trial, err := c.trialFunc(cfg)
-	if err != nil {
-		return nil, err
+	if cfg.Engine != Fused {
+		return nil, fmt.Errorf("montecarlo: unknown engine %v", cfg.Engine)
 	}
-	br := &blockRunner{trial: trial, seed: cfg.Seed, reps: 1}
+	maxArrivals := cfg.MaxArrivalsPerTrial
+	if maxArrivals <= 0 {
+		maxArrivals = 100_000_000
+	}
+	fs := c.fusedState()
+	br := &blockRunner{
+		trial: func(ds *drawSource) (float64, error) {
+			return trialFused(fs, ds, maxArrivals)
+		},
+		seed: cfg.Seed,
+		reps: 1,
+	}
 
-	engine := cfg.Engine
-	if engine == 0 {
-		engine = Superposed
-	}
 	if cfg.Sampler == Sobol {
-		dims, err := c.qmcTrialDims(engine)
+		dims, err := fs.qmcTrialDims()
 		if err != nil {
 			return nil, err
 		}
@@ -517,52 +480,11 @@ func (c *Compiled) newBlockRunner(cfg Config) (*blockRunner, error) {
 	if bsz > trialBlock {
 		bsz = trialBlock
 	}
-	if bsz > 1 && engine == Fused {
-		fs := c.fusedState()
-		if fs.batchable() && (cfg.BatchSize > 0 || fs.merged.NumSegments() >= minBatchSegments) {
-			br.batchSize = bsz
-			br.newBatch = newFusedBatchFactory(fs, cfg.Seed, bsz)
-		}
+	if bsz > 1 && fs.batchable() && (cfg.BatchSize > 0 || fs.merged.NumSegments() >= minBatchSegments) {
+		br.batchSize = bsz
+		br.newBatch = newFusedBatchFactory(fs, cfg.Seed, bsz)
 	}
 	return br, nil
-}
-
-// trialFunc resolves the per-engine trial implementation over the
-// precompiled shared state. The closed-form engines (Inverted, Fused)
-// draw through the drawSource so the Sobol sampler can feed them; the
-// arrival-enumerating engines draw straight from its PCG stream, which
-// is the identical stream (the draw source delegates bit-for-bit).
-func (c *Compiled) trialFunc(cfg Config) (func(ds *drawSource) (float64, error), error) {
-	maxArrivals := cfg.MaxArrivalsPerTrial
-	if maxArrivals <= 0 {
-		maxArrivals = 100_000_000
-	}
-	engine := cfg.Engine
-	if engine == 0 {
-		engine = Superposed
-	}
-	components := c.components
-	switch engine {
-	case Naive:
-		return func(ds *drawSource) (float64, error) {
-			return trialNaive(components, &ds.rng, maxArrivals)
-		}, nil
-	case Inverted:
-		return func(ds *drawSource) (float64, error) {
-			return trialInverted(c.inv, ds, maxArrivals)
-		}, nil
-	case Fused:
-		fs := c.fusedState()
-		return func(ds *drawSource) (float64, error) {
-			return trialFused(fs, ds, maxArrivals)
-		}, nil
-	case Superposed:
-		return func(ds *drawSource) (float64, error) {
-			return trialSuperposed(components, c.total, c.alias, &ds.rng, maxArrivals)
-		}, nil
-	default:
-		return nil, fmt.Errorf("montecarlo: unknown engine %v", engine)
-	}
 }
 
 // replicateStats reduces per-replicate accumulators to a point
@@ -856,82 +778,13 @@ func ComponentMTTF(ctx context.Context, c Component, cfg Config) (Result, error)
 	return SystemMTTF(ctx, []Component{c}, cfg)
 }
 
-// trialStream derives the deterministic stream for one trial. Using a
-// per-trial stream makes the estimate independent of scheduling and
-// worker count.
-func trialStream(seed, trial uint64) *xrand.Rand {
-	return xrand.New(seed*0x9e3779b97f4a7c15 + trial + 1)
-}
-
-// reseedTrialStream is trialStream without the allocation: it resets a
-// reused Rand to the identical per-trial stream (xrand.Reseed matches
-// xrand.New bit for bit).
+// reseedTrialStream resets a reused Rand to the deterministic stream of
+// one trial. Deriving every trial's stream from (seed, trial index)
+// makes the estimate independent of scheduling and worker count.
 //
 //soferr:hotpath
 func reseedTrialStream(r *xrand.Rand, seed, trial uint64) {
 	r.Reseed(seed*0x9e3779b97f4a7c15 + trial + 1)
-}
-
-// trialSuperposed simulates the union process: arrivals at the summed
-// rate, each attributed to a component proportionally to its rate and
-// masked by that component's trace.
-//
-//soferr:hotpath
-func trialSuperposed(components []Component, total float64, alias *aliasTable, r *xrand.Rand, maxArrivals int) (float64, error) {
-	t := 0.0
-	for n := 0; n < maxArrivals; n++ {
-		t += r.Exp(total) //soferr:allow floatprec arrival clock; compensated summation would reorder the rounding and change every seeded trial result, and the clock's error is dwarfed by Monte-Carlo error
-		c := pick(components, total, alias, r)
-		if r.Bool(c.Trace.VulnAt(t)) {
-			return t, nil
-		}
-	}
-	//soferr:allow allocfree abort path past the arrival cap; the error formatting boxes its arguments off the steady state
-	return 0, fmt.Errorf("montecarlo: trial exceeded %d arrivals without failure", maxArrivals) //soferr:allow hotpath abort path past the arrival cap; allocating off the steady state is fine
-}
-
-// pick selects a component with probability proportional to its rate,
-// via the alias table when one was built and a linear scan otherwise.
-// Both consume exactly one uniform draw.
-//
-//soferr:hotpath
-func pick(components []Component, total float64, alias *aliasTable, r *xrand.Rand) *Component {
-	if len(components) == 1 {
-		return &components[0]
-	}
-	if alias != nil {
-		return &components[alias.pick(r.Float64())]
-	}
-	u := r.Float64() * total
-	acc := 0.0
-	for i := range components {
-		acc += components[i].Rate //soferr:allow floatprec CDF walk over the component rates; the alias table and this scan must keep making bitwise-identical picks for the seeded streams, and a pick is correct to within one ulp of the rate sum either way
-		if u < acc {
-			return &components[i]
-		}
-	}
-	return &components[len(components)-1]
-}
-
-// trialNaive simulates each component to failure independently and
-// returns the earliest failure time. A trial in which no component
-// fails within the representable horizon reports +Inf, the
-// never-failing answer, rather than an error.
-//
-//soferr:hotpath
-func trialNaive(components []Component, r *xrand.Rand, maxArrivals int) (float64, error) {
-	best := math.Inf(1)
-	for i := range components {
-		c := &components[i]
-		t, failed, err := thinFirstArrival(c, r, best, maxArrivals)
-		if err != nil {
-			return 0, err
-		}
-		if failed && t < best {
-			best = t
-		}
-	}
-	return best, nil
 }
 
 // thinFirstArrival draws raw arrivals for one component and thins them

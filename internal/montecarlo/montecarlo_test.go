@@ -69,20 +69,24 @@ func TestAgainstClosedForm(t *testing.T) {
 }
 
 func TestNaiveMatchesSuperposed(t *testing.T) {
+	// The naive oracle simulates each component separately; Fused
+	// samples the superposition of their thinned processes from one
+	// merged hazard table. The two must agree.
 	a := busyIdle(t, 10, 5)
 	b := busyIdle(t, 10, 3)
 	comps := []Component{
 		{Name: "a", Rate: 0.1, Trace: a},
 		{Name: "b", Rate: 0.05, Trace: b},
 	}
-	sup, err := SystemMTTF(context.Background(), comps, Config{Trials: 120000, Seed: 3, Engine: Superposed})
+	c, err := Compile(comps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nai, err := SystemMTTF(context.Background(), comps, Config{Trials: 120000, Seed: 4, Engine: Naive})
+	sup, err := c.MTTF(context.Background(), Config{Trials: 120000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	nai := naiveMTTF(t, c, 120000, 4)
 	if numeric.RelErr(sup.MTTF, nai.MTTF) > 0.02 {
 		t.Errorf("superposed %v vs naive %v (relerr %v)", sup.MTTF, nai.MTTF, numeric.RelErr(sup.MTTF, nai.MTTF))
 	}
@@ -171,8 +175,8 @@ func TestFractionalVulnerability(t *testing.T) {
 
 func TestNeverFailingSystemReportsInfiniteMTTF(t *testing.T) {
 	// A system in which no component can ever fail has a well-defined
-	// MTTF of +Inf with zero standard error — not an error — from every
-	// engine. Only the sample-collecting path (TTFSamples, which has no
+	// MTTF of +Inf with zero standard error — not an error — from both
+	// engines. Only the sample-collecting path (TTFSamples, which has no
 	// distribution to return) reports ErrNoFailurePossible.
 	never, err := trace.Never(10)
 	if err != nil {
@@ -187,7 +191,7 @@ func TestNeverFailingSystemReportsInfiniteMTTF(t *testing.T) {
 		{Name: "zero-rate", Rate: 0, Trace: always},
 	}
 	for _, comp := range cases {
-		for _, e := range []Engine{Superposed, Naive, Inverted, Fused} {
+		for _, e := range []Engine{Fused, Exact} {
 			res, err := ComponentMTTF(context.Background(), comp, Config{Trials: 10, Engine: e})
 			if err != nil {
 				t.Errorf("%s/%v: err = %v, want nil", comp.Name, e, err)
@@ -253,7 +257,7 @@ func TestLongLoopTraceWorks(t *testing.T) {
 	}
 }
 
-func BenchmarkSuperposedTrial(b *testing.B) {
+func BenchmarkFusedTrial(b *testing.B) {
 	tr, err := trace.BusyIdle(10, 5)
 	if err != nil {
 		b.Fatal(err)
@@ -281,10 +285,10 @@ func TestCompiledReuseMatchesSingleUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgs := []Config{
-		{Trials: 20000, Seed: 1, Engine: Superposed},
-		{Trials: 20000, Seed: 1, Engine: Inverted},
-		{Trials: 5000, Seed: 9, Engine: Naive},
-		{Trials: 20000, Seed: 1, Engine: Superposed}, // repeat of the first
+		{Trials: 20000, Seed: 1},
+		{Trials: 20000, Seed: 1, Engine: Exact},
+		{Trials: 5000, Seed: 9, BatchSize: 1},
+		{Trials: 20000, Seed: 1}, // repeat of the first
 	}
 	for _, cfg := range cfgs {
 		got, err := c.MTTF(context.Background(), cfg)
@@ -321,7 +325,7 @@ func TestContextCancellationMidRun(t *testing.T) {
 		cancel2()
 	}()
 	start := time.Now()
-	_, err := SystemMTTF(ctx, comps, Config{Trials: 500_000_000, Seed: 1, Engine: Inverted})
+	_, err := SystemMTTF(ctx, comps, Config{Trials: 500_000_000, Seed: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("mid-run cancellation returned %v, want context.Canceled", err)
 	}

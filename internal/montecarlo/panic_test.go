@@ -39,7 +39,7 @@ func TestTrialPanicContained(t *testing.T) {
 	for _, collect := range []bool{false, true} {
 		tr := &panicTrace{period: 10, avf: 0.5, after: 100}
 		comp := []Component{{Name: "bad", Rate: 0.1, Trace: tr}}
-		cfg := Config{Trials: 20000, Seed: 1, Engine: Superposed, Workers: 4}
+		cfg := Config{Trials: 20000, Seed: 1, Engine: Fused, Workers: 4}
 		var err error
 		if collect {
 			_, err = func() ([]float64, error) {
@@ -67,7 +67,7 @@ func TestTrialPanicContainedAdaptive(t *testing.T) {
 	tr := &panicTrace{period: 10, avf: 0.5, after: 100}
 	_, err := SystemMTTF(context.Background(),
 		[]Component{{Name: "bad", Rate: 0.1, Trace: tr}},
-		Config{Trials: 20000, Seed: 1, Engine: Superposed, Workers: 4, TargetRelStdErr: 0.01})
+		Config{Trials: 20000, Seed: 1, Engine: Fused, Workers: 4, TargetRelStdErr: 0.01})
 	if !errors.Is(err, ErrTrialPanic) {
 		t.Fatalf("adaptive err = %v, want ErrTrialPanic", err)
 	}
@@ -82,7 +82,7 @@ func TestTrialPanicContainedAdaptive(t *testing.T) {
 func TestInjectedTrialPanicContained(t *testing.T) {
 	tr := busyIdle(t, 10, 5)
 	comp := []Component{{Name: "c", Rate: 0.1, Trace: tr}}
-	cfg := Config{Trials: 20000, Seed: 3, Engine: Inverted, Workers: 4}
+	cfg := Config{Trials: 20000, Seed: 3, Engine: Fused, Workers: 4}
 
 	want, err := SystemMTTF(context.Background(), comp, cfg)
 	if err != nil {
@@ -117,7 +117,7 @@ func TestInjectedTrialPanicContained(t *testing.T) {
 func TestInjectedRelayPanicContained(t *testing.T) {
 	tr := busyIdle(t, 10, 5)
 	comp := []Component{{Name: "c", Rate: 0.1, Trace: tr}}
-	cfg := Config{Trials: 8192, Seed: 1, Engine: Inverted, Workers: 4}
+	cfg := Config{Trials: 8192, Seed: 1, Engine: Fused, Workers: 4}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -154,8 +154,8 @@ func TestInjectedRelayErrorContained(t *testing.T) {
 	tr := busyIdle(t, 10, 5)
 	comp := []Component{{Name: "c", Rate: 0.1, Trace: tr}}
 	for _, cfg := range []Config{
-		{Trials: 8192, Seed: 1, Engine: Inverted},
-		{Trials: 8192, Seed: 1, Engine: Inverted, TargetRelStdErr: 0.05},
+		{Trials: 8192, Seed: 1, Engine: Fused},
+		{Trials: 8192, Seed: 1, Engine: Fused, TargetRelStdErr: 0.05},
 	} {
 		disarm := faultinject.Arm(faultinject.Schedule{Rules: []faultinject.Rule{
 			{Point: "montecarlo.cancelrelay"},
@@ -179,7 +179,7 @@ func TestInjectedTrialErrorContained(t *testing.T) {
 	tr := busyIdle(t, 10, 5)
 	_, err := SystemMTTF(context.Background(),
 		[]Component{{Name: "c", Rate: 0.1, Trace: tr}},
-		Config{Trials: 8192, Seed: 1, Engine: Inverted})
+		Config{Trials: 8192, Seed: 1, Engine: Fused})
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}

@@ -23,19 +23,19 @@ func TestSobolSamplerMatchesExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, engine := range []Engine{Inverted, Fused} {
-		res, err := c.MTTF(ctx, Config{Trials: 2 * trialBlock, Seed: 17, Engine: engine, Sampler: Sobol})
+	for name, sc := range map[string]*Compiled{"per-component": perComponent(t, comps), "merged": c} {
+		res, err := sc.MTTF(ctx, Config{Trials: 2 * trialBlock, Seed: 17, Sampler: Sobol})
 		if err != nil {
-			t.Fatalf("engine %v: %v", engine, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if numeric.RelErr(res.MTTF, want) > 0.01 {
-			t.Errorf("engine %v: QMC MTTF = %v, exact = %v (relerr %v)", engine, res.MTTF, want, numeric.RelErr(res.MTTF, want))
+			t.Errorf("%s: QMC MTTF = %v, exact = %v (relerr %v)", name, res.MTTF, want, numeric.RelErr(res.MTTF, want))
 		}
 		if !(res.StdErr > 0) || math.IsInf(res.StdErr, 0) {
-			t.Errorf("engine %v: replicate stderr = %v, want finite positive", engine, res.StdErr)
+			t.Errorf("%s: replicate stderr = %v, want finite positive", name, res.StdErr)
 		}
 		if math.Abs(res.MTTF-want) > 6*res.StdErr {
-			t.Errorf("engine %v: |est-exact| = %v exceeds 6 stderr (%v)", engine, math.Abs(res.MTTF-want), res.StdErr)
+			t.Errorf("%s: |est-exact| = %v exceeds 6 stderr (%v)", name, math.Abs(res.MTTF-want), res.StdErr)
 		}
 	}
 }
@@ -86,30 +86,27 @@ func TestSobolSamplerDeterminism(t *testing.T) {
 	}
 }
 
-// TestSobolSamplerRejectsUnsupported: arrival-enumerating engines and
-// thinning-fallback systems have no fixed per-trial draw count, so the
-// Sobol sampler must refuse them with the typed error.
+// TestSobolSamplerRejectsUnsupported: thinning-fallback components have
+// no fixed per-trial draw count, so the Sobol sampler must refuse any
+// system holding one — alone or beside a merged table — with the typed
+// error.
 func TestSobolSamplerRejectsUnsupported(t *testing.T) {
 	c, err := Compile(fusedTestSystem(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, engine := range []Engine{Superposed, Naive} {
-		_, err := c.MTTF(ctx, Config{Trials: 64, Engine: engine, Sampler: Sobol})
-		if !errors.Is(err, ErrSamplerUnsupported) {
-			t.Errorf("engine %v: err = %v, want ErrSamplerUnsupported", engine, err)
+	opaque := Component{Name: "opaque", Rate: 0.05, Trace: opaqueTrace{p: busyIdle(t, 1e-3, 0.5e-3)}}
+	for name, comps := range map[string][]Component{
+		"opaque": {opaque}, "merged+opaque": append(fusedTestSystem(t), opaque),
+	} {
+		sc, err := Compile(comps)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	opaque, err := Compile([]Component{{Name: "opaque", Rate: 0.05, Trace: opaqueTrace{p: busyIdle(t, 1e-3, 0.5e-3)}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, engine := range []Engine{Inverted, Fused} {
-		_, err := opaque.MTTF(ctx, Config{Trials: 64, Engine: engine, Sampler: Sobol})
+		_, err = sc.MTTF(ctx, Config{Trials: 64, Sampler: Sobol})
 		if !errors.Is(err, ErrSamplerUnsupported) {
-			t.Errorf("opaque %v: err = %v, want ErrSamplerUnsupported", engine, err)
+			t.Errorf("%s: err = %v, want ErrSamplerUnsupported", name, err)
 		}
 	}
 
@@ -192,16 +189,13 @@ func TestSobolManyComponentsPadsDims(t *testing.T) {
 			Trace: busyIdle(t, 8, float64(1+i%7)),
 		})
 	}
-	c, err := Compile(comps)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := perComponent(t, comps)
 	ctx := context.Background()
-	res1, err := c.MTTF(ctx, Config{Trials: trialBlock, Seed: 3, Engine: Inverted, Sampler: Sobol, Workers: 1})
+	res1, err := c.MTTF(ctx, Config{Trials: trialBlock, Seed: 3, Sampler: Sobol, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res4, err := c.MTTF(ctx, Config{Trials: trialBlock, Seed: 3, Engine: Inverted, Sampler: Sobol, Workers: 4})
+	res4, err := c.MTTF(ctx, Config{Trials: trialBlock, Seed: 3, Sampler: Sobol, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ type Sampler int
 const (
 	// PCG is the default pseudo-random sampler: every trial draws from
 	// its own reseeded PCG stream derived from (Config.Seed, trial
-	// index). Works with every engine; converges at the Monte-Carlo
+	// index). Works on every system; converges at the Monte-Carlo
 	// 1/sqrt(n) rate.
 	PCG Sampler = iota
 	// Sobol replaces the per-trial uniforms with coordinates of an
@@ -22,11 +22,10 @@ const (
 	// inversion kernels integrate over a point set with vanishing
 	// discrepancy and converge at nearly 1/n instead of 1/sqrt(n).
 	//
-	// Only the Inverted and Fused engines qualify: they consume a fixed
-	// number of uniforms per trial (two per closed-form inversion), so
-	// trial i can be assigned point i of a fixed-dimension sequence.
-	// The arrival-enumerating engines (Superposed, Naive) and systems
-	// with thinning-fallback components draw a variable, value-dependent
+	// The Fused kernel qualifies because it consumes a fixed number of
+	// uniforms per trial (two per closed-form inversion), so trial i can
+	// be assigned point i of a fixed-dimension sequence. Systems with
+	// thinning-fallback components draw a variable, value-dependent
 	// number of uniforms per trial, which has no meaningful
 	// low-discrepancy assignment; such runs are refused with
 	// ErrSamplerUnsupported. Trials are striped across qmcReplicates
@@ -62,10 +61,10 @@ func SamplerByName(name string) (Sampler, error) {
 }
 
 // ErrSamplerUnsupported tags a run whose sampler cannot drive the
-// requested engine or system: the Sobol sampler requires a fixed
-// per-trial draw count, which only the closed-form Inverted and Fused
-// kernels (without thinning fallbacks) provide.
-var ErrSamplerUnsupported = errors.New("montecarlo: sampler unsupported for this engine or system")
+// system: the Sobol sampler requires a fixed per-trial draw count,
+// which the closed-form Fused kernel provides unless a component falls
+// back to thinning.
+var ErrSamplerUnsupported = errors.New("montecarlo: sampler unsupported for this system")
 
 // qmcReplicates is the number of independently scrambled Sobol
 // replicates a QMC run stripes its trials across. It divides trialBlock
@@ -83,9 +82,8 @@ type qmcState struct {
 	dims int
 }
 
-// newQMCState validates Sobol eligibility for the engine's draw layout
-// and builds the scrambled replicates. dims is the fixed per-trial
-// uniform count; when it exceeds xrand.MaxSobolDims the trailing draws
+// newQMCState builds the scrambled replicates for trials of dims
+// uniforms each. When dims exceeds xrand.MaxSobolDims the trailing draws
 // are padded from the per-trial PCG stream (still deterministic, and
 // the leading — most variance-carrying — draws keep the
 // low-discrepancy structure).
@@ -174,40 +172,22 @@ func (ds *drawSource) Float64Open() float64 {
 }
 
 // qmcTrialDims returns the fixed per-trial uniform draw count of the
-// engine's kernel over this system, or an ErrSamplerUnsupported-wrapped
-// error when the draw count is not fixed (arrival-enumerating engines,
-// thinning-fallback components).
-func (c *Compiled) qmcTrialDims(engine Engine) (int, error) {
-	switch engine {
-	case Inverted:
-		return qmcInvDims(c.inv)
-	case Fused:
-		fs := c.fusedState()
-		dims, err := qmcInvDims(fs.rest)
-		if err != nil {
-			return 0, err
-		}
-		if fs.merged != nil && fs.totalHaz > 0 {
-			dims += 2
-		}
-		return dims, nil
-	default:
-		return 0, fmt.Errorf("%w: engine %v enumerates a variable number of arrivals per trial; use inverted or fused", ErrSamplerUnsupported, engine)
-	}
-}
-
-// qmcInvDims counts the uniforms consumed by a slice of closed-form
-// component samplers, refusing thinning fallbacks (their draw count
-// depends on the sampled values).
-func qmcInvDims(comps []invComp) (int, error) {
+// Fused kernel over this system, or an ErrSamplerUnsupported-wrapped
+// error when a thinning fallback makes the draw count depend on the
+// sampled values.
+func (fs *fusedState) qmcTrialDims() (int, error) {
 	dims := 0
-	for i := range comps {
-		if comps[i].thinning {
-			return 0, fmt.Errorf("%w: component %q has no exposure table (thinning fallback draws a variable number of uniforms); use the pcg sampler", ErrSamplerUnsupported, comps[i].comp.Name)
+	if fs.merged != nil && fs.totalHaz > 0 {
+		dims = 2
+	}
+	for i := range fs.rest {
+		ic := &fs.rest[i]
+		if ic.thinning {
+			return 0, fmt.Errorf("%w: component %q has no exposure table (thinning fallback draws a variable number of uniforms); use the pcg sampler", ErrSamplerUnsupported, ic.comp.Name)
 		}
 		// Samplers whose per-period exposure underflowed to zero return
 		// +Inf without consuming draws, so they occupy no dimensions.
-		if comps[i].perPeriodExposure > 0 {
+		if ic.perPeriodExposure > 0 {
 			dims += 2
 		}
 	}

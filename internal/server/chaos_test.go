@@ -60,7 +60,7 @@ func referenceMTTF(t *testing.T, spec soferr.Spec, trials int, seed uint64) sofe
 		t.Fatal(err)
 	}
 	want, err := sys.MTTF(context.Background(), soferr.MonteCarlo,
-		soferr.WithTrials(trials), soferr.WithSeed(seed), soferr.WithEngine(soferr.Inverted))
+		soferr.WithTrials(trials), soferr.WithSeed(seed), soferr.WithEngine(soferr.Fused))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func stormMTTF(t *testing.T, srv *httptest.Server, workers, perWorker int) (ok, 
 			for i := 0; i < perWorker; i++ {
 				req := map[string]interface{}{
 					"spec":   testSpec(1e5 + float64(w*perWorker+i)),
-					"trials": 2000, "seed": uint64(i + 1), "engine": "inverted",
+					"trials": 2000, "seed": uint64(i + 1), "engine": "fused",
 				}
 				resp, body := post(t, srv.Client(), srv.URL+"/v1/mttf", req)
 				checkStructured(t, fmt.Sprintf("storm worker %d req %d", w, i), resp.StatusCode, body)
@@ -108,7 +108,7 @@ func postDisarmBitIdentity(t *testing.T, srv *httptest.Server) {
 	spec := testSpec(7.5e5)
 	want := referenceMTTF(t, spec, 3000, 99)
 	resp, body := post(t, srv.Client(), srv.URL+"/v1/mttf", map[string]interface{}{
-		"spec": spec, "trials": 3000, "seed": 99, "engine": "inverted",
+		"spec": spec, "trials": 3000, "seed": 99, "engine": "fused",
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-disarm query: %d %s", resp.StatusCode, body)
@@ -238,7 +238,7 @@ func TestChaosEvictionStorm(t *testing.T) {
 					rate = 2e5 + float64(w*10+i)
 				}
 				resp, body := post(t, srv.Client(), srv.URL+"/v1/mttf", map[string]interface{}{
-					"spec": testSpec(rate), "trials": 1000, "seed": 3, "engine": "inverted",
+					"spec": testSpec(rate), "trials": 1000, "seed": 3, "engine": "fused",
 				})
 				checkStructured(t, fmt.Sprintf("evict storm %d/%d", w, i), resp.StatusCode, body)
 				if resp.StatusCode != http.StatusOK {
@@ -348,8 +348,8 @@ func TestChaosSlowCompileDeadline(t *testing.T) {
 	disarm := faultinject.Arm(faultinject.Schedule{Rules: []faultinject.Rule{
 		{Point: "server.compile", Hits: []int{1}, Delay: 300 * time.Millisecond, Err: nil},
 	}})
-	req := map[string]interface{}{"spec": spec, "trials": 2000, "seed": 12, "engine": "inverted"}
-	slow := map[string]interface{}{"spec": spec, "trials": 2000, "seed": 12, "engine": "inverted", "timeout_ms": 30}
+	req := map[string]interface{}{"spec": spec, "trials": 2000, "seed": 12, "engine": "fused"}
+	slow := map[string]interface{}{"spec": spec, "trials": 2000, "seed": 12, "engine": "fused", "timeout_ms": 30}
 	resp, body := post(t, srv.Client(), srv.URL+"/v1/mttf", slow)
 	disarm()
 	if resp.StatusCode != http.StatusGatewayTimeout {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,7 +13,7 @@ import (
 
 // TestSamplerServed covers the sampler field end to end: a Sobol
 // estimate over HTTP is bit-identical to the direct query, unknown
-// sampler names and sampler-incompatible engines are 422s, and the
+// sampler names and sampler-unsupported systems are 422s, and the
 // per-endpoint sampler counters show up in /metrics.
 func TestSamplerServed(t *testing.T) {
 	s := New(Config{})
@@ -58,14 +59,11 @@ func TestSamplerServed(t *testing.T) {
 		t.Errorf("unknown-sampler error does not name the sampler: %s", body)
 	}
 
-	// Sobol on an arrival-enumerating engine maps ErrSamplerUnsupported
-	// to 422 — answerable with pcg, not as asked.
-	resp, body = post(t, srv.Client(), srv.URL+"/v1/mttf", map[string]interface{}{
-		"spec": spec, "method": "montecarlo",
-		"trials": 64, "engine": "superposed", "sampler": "sobol",
-	})
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Errorf("sobol+superposed: status %d, want 422: %s", resp.StatusCode, body)
+	// Sobol on a system with a thinning fallback (a custom trace, which
+	// no Spec kind produces) maps ErrSamplerUnsupported to 422 —
+	// answerable with pcg, not as asked.
+	if st := statusFor(fmt.Errorf("query: %w", soferr.ErrSamplerUnsupported)); st != http.StatusUnprocessableEntity {
+		t.Errorf("ErrSamplerUnsupported: status %d, want 422", st)
 	}
 
 	// The sweep endpoint threads the same field through every cell.
@@ -98,12 +96,12 @@ func TestSamplerServed(t *testing.T) {
 		t.Fatalf("default-sampler status %d: %s", resp.StatusCode, body)
 	}
 
-	// /metrics labels the endpoint's queries by sampler: two sobol mttf
-	// queries resolved above (the halton one failed before resolving),
+	// /metrics labels the endpoint's queries by sampler: one sobol mttf
+	// query resolved above (the halton one failed before resolving),
 	// one pcg-by-default, and one sobol sweep.
 	m := s.Metrics()
-	if got := m.Samplers["mttf"]; got.Sobol != 2 || got.PCG != 1 {
-		t.Errorf("mttf sampler counts = %+v, want {PCG:1 Sobol:2}", got)
+	if got := m.Samplers["mttf"]; got.Sobol != 1 || got.PCG != 1 {
+		t.Errorf("mttf sampler counts = %+v, want {PCG:1 Sobol:1}", got)
 	}
 	if got := m.Samplers["sweep"]; got.Sobol != 1 {
 		t.Errorf("sweep sampler counts = %+v, want Sobol:1", got)

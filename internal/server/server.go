@@ -341,12 +341,12 @@ func statusFor(err error) int {
 		// The client asked the exact engine about a system whose hazard
 		// cannot be tabulated (incommensurate periods, over-cap merge,
 		// lazy trace mixtures): semantically unanswerable as asked, not
-		// a server fault. Retrying with a sampling engine succeeds.
+		// a server fault. Retrying with the fused engine succeeds.
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, soferr.ErrSamplerUnsupported):
-		// The client asked for the Sobol sampler on an engine or system
-		// without a fixed per-trial draw count: unanswerable as asked,
-		// answerable with the PCG sampler.
+		// The client asked for the Sobol sampler on a system without a
+		// fixed per-trial draw count: unanswerable as asked, answerable
+		// with the PCG sampler.
 		return http.StatusUnprocessableEntity
 	default:
 		return http.StatusInternalServerError
@@ -466,11 +466,13 @@ func compileStatus(err error) int {
 type estimateOptions struct {
 	Trials int    `json:"trials,omitempty"`
 	Seed   uint64 `json:"seed,omitempty"`
+	// Engine names the Monte-Carlo engine: "fused" (the default) or
+	// "exact". Unknown names are 400s.
 	Engine string `json:"engine,omitempty"`
 	// Sampler selects the Monte-Carlo draw source ("pcg", the default,
-	// or "sobol" for quasi-Monte-Carlo on the inverted and fused
-	// engines). Unknown names are 422s; Sobol on an incompatible
-	// engine/system maps soferr.ErrSamplerUnsupported to 422 too.
+	// or "sobol" for quasi-Monte-Carlo on the fused engine). Unknown
+	// names are 422s; Sobol on an incompatible system maps
+	// soferr.ErrSamplerUnsupported to 422 too.
 	Sampler string `json:"sampler,omitempty"`
 	// TargetRelStdErr switches Monte-Carlo queries to adaptive
 	// precision targeting: trials run until the relative standard

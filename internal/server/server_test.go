@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/soferr/soferr"
+	"github.com/soferr/soferr/internal/faultinject"
 )
 
 func testSpec(rate float64) soferr.Spec {
@@ -67,7 +68,7 @@ func TestServedEstimateBitIdenticalToDirectQuery(t *testing.T) {
 		"method": "montecarlo",
 		"trials": 5000,
 		"seed":   3,
-		"engine": "inverted",
+		"engine": "fused",
 	}
 	resp, body := post(t, srv.Client(), srv.URL+"/v1/mttf", req)
 	if resp.StatusCode != http.StatusOK {
@@ -81,7 +82,7 @@ func TestServedEstimateBitIdenticalToDirectQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, err := sys.MTTF(context.Background(), soferr.MonteCarlo,
-		soferr.WithTrials(5000), soferr.WithSeed(3), soferr.WithEngine(soferr.Inverted))
+		soferr.WithTrials(5000), soferr.WithSeed(3), soferr.WithEngine(soferr.Fused))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestCompareEndpoint(t *testing.T) {
 		"methods": []string{"AVF+SOFR", "MC", "softarch"}, // case-insensitive, aliased
 		"trials":  2000,
 		"seed":    1,
-		"engine":  "Inverted",
+		"engine":  "Fused",
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -144,7 +145,7 @@ func TestCompareEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	direct, err := sys.CompareWith(context.Background(), []soferr.EstimateOption{
-		soferr.WithTrials(2000), soferr.WithSeed(1), soferr.WithEngine(soferr.Inverted),
+		soferr.WithTrials(2000), soferr.WithSeed(1), soferr.WithEngine(soferr.Fused),
 	}, wantMethods...)
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +239,7 @@ func TestSweepEndpointMatchesDirectSweep(t *testing.T) {
 		"methods":        []string{"avf+sofr", "montecarlo"},
 		"seed":           5,
 		"trials":         2000,
-		"engine":         "inverted",
+		"engine":         "fused",
 	}
 	resp, body := post(t, srv.Client(), srv.URL+"/v1/sweep", req)
 	if resp.StatusCode != http.StatusOK {
@@ -267,7 +268,7 @@ func TestSweepEndpointMatchesDirectSweep(t *testing.T) {
 		Counts:       []int{1, 16},
 		Methods:      []soferr.Method{soferr.AVFSOFR, soferr.MonteCarlo},
 		Seed:         5,
-	}, soferr.WithTrials(2000), soferr.WithEngine(soferr.Inverted))
+	}, soferr.WithTrials(2000), soferr.WithEngine(soferr.Fused))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,15 +399,18 @@ func TestErrorResponses(t *testing.T) {
 func TestRequestDeadline(t *testing.T) {
 	srv := httptest.NewServer(New(Config{}))
 	defer srv.Close()
-	// A low-AVF trace on the arrival-enumerating engine with a huge
-	// trial count cannot finish in 1ms; the deadline must map onto the
-	// query and come back as 504.
+	// Every trial block of this query sleeps 50ms (an injected delay on
+	// the trial point), so it cannot finish in 1ms; the deadline must
+	// map onto the query and come back as 504.
+	defer faultinject.Arm(faultinject.Schedule{Rules: []faultinject.Rule{
+		{Point: "montecarlo.trial", Delay: 50 * time.Millisecond},
+	}})()
 	spec := soferr.Spec{Components: []soferr.ComponentSpec{{
 		RatePerYear: 1e4,
 		Trace:       soferr.TraceSpec{Kind: soferr.TraceKindBusyIdle, PeriodSeconds: 86400, BusySeconds: 3600},
 	}}}
 	resp, body := post(t, srv.Client(), srv.URL+"/v1/mttf", map[string]interface{}{
-		"spec": spec, "method": "montecarlo", "engine": "superposed",
+		"spec": spec, "method": "montecarlo",
 		"trials": 50_000_000, "timeout_ms": 1,
 	})
 	if resp.StatusCode != http.StatusGatewayTimeout {
@@ -541,8 +545,12 @@ func TestServedAdaptiveTarget(t *testing.T) {
 
 // TestGracefulShutdownMidQuery drives a real http.Server: a query is in
 // flight when Shutdown is called, and both the query (complete answer)
-// and the shutdown (nil) must succeed.
+// and the shutdown (nil) must succeed. An injected 20ms delay on every
+// trial block keeps the query in flight long enough.
 func TestGracefulShutdownMidQuery(t *testing.T) {
+	defer faultinject.Arm(faultinject.Schedule{Rules: []faultinject.Rule{
+		{Point: "montecarlo.trial", Delay: 20 * time.Millisecond},
+	}})()
 	s := New(Config{MaxTimeout: -1})
 	httpSrv := &http.Server{Handler: s}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -562,7 +570,7 @@ func TestGracefulShutdownMidQuery(t *testing.T) {
 	go func() {
 		data, _ := json.Marshal(map[string]interface{}{
 			"spec": testSpec(1e4), "method": "montecarlo",
-			"engine": "superposed", "trials": 3_000_000, "seed": 1,
+			"trials": 100_000, "seed": 1,
 		})
 		resp, err := http.Post(url+"/v1/mttf", "application/json", bytes.NewReader(data))
 		if err != nil {

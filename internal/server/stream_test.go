@@ -27,7 +27,7 @@ func sweepBody() map[string]interface{} {
 		"methods":        []string{"montecarlo"},
 		"seed":           7,
 		"trials":         1000,
-		"engine":         "inverted",
+		"engine":         "fused",
 	}
 }
 

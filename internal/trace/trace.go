@@ -210,9 +210,10 @@ func (p *Piecewise) TotalExposure() float64 { return p.cumExp[len(p.segs)] }
 // this O(log S).
 //
 // Exposure inversion is what lets a Monte-Carlo trial sample the first
-// unmasked arrival in closed form (package montecarlo's Inverted
-// engine): the thinned arrival process has cumulative hazard
-// rate*m(t), so equating it to an Exp(1) draw reduces to inverting m.
+// unmasked arrival in closed form (package montecarlo's per-component
+// sampler, the Fused engine's fallback): the thinned arrival process
+// has cumulative hazard rate*m(t), so equating it to an Exp(1) draw
+// reduces to inverting m.
 //
 //soferr:hotpath
 func (p *Piecewise) InvertExposure(e float64) float64 {

@@ -171,27 +171,19 @@ func SOFRMTTF(componentMTTFs []float64) (float64, error) {
 	return sofr.SystemMTTF(componentMTTFs)
 }
 
-// Engine selects the Monte-Carlo trial implementation.
+// Engine selects the Monte-Carlo trial implementation. The zero value
+// is Fused.
 type Engine = montecarlo.Engine
 
 const (
-	// Superposed simulates the union Poisson process and thins every
-	// raw arrival (the package's historical default; exact, but cost
-	// grows with the masked-arrival count).
-	Superposed = montecarlo.Superposed
-	// Naive simulates each component separately, mirroring the paper's
-	// Section 4.3 description literally.
-	Naive = montecarlo.Naive
-	// Inverted samples each component's first unmasked arrival in
-	// closed form by inverting the trace's cumulative exposure:
-	// O(log S) per trial, independent of rate and AVF.
-	Inverted = montecarlo.Inverted
 	// Fused samples the whole system's failure time from one merged
 	// cumulative-hazard table (the superposition of the components'
 	// thinned processes, aligned on their hyperperiod): one Exp(1) draw
 	// plus one binary search per trial, O(log S_total), independent of
-	// the component count. Components whose traces cannot join the
-	// merge fall back to per-component sampling inside the same trial.
+	// rate, AVF, and the component count. Components whose traces
+	// cannot join the merge fall back to per-component sampling inside
+	// the same trial: exposure inversion, or literal thinning for a
+	// custom Trace without an exposure table. The default engine.
 	Fused = montecarlo.Fused
 	// EngineFused is an alias for Fused, matching the engine's wire
 	// name ("fused") as the server and CLI docs spell it.
@@ -226,21 +218,19 @@ const (
 	// zero value, so existing callers are unchanged.
 	PCG = montecarlo.PCG
 	// Sobol is the quasi-Monte-Carlo sampler: an Owen-scrambled Sobol
-	// sequence feeds the closed-form draws of the Inverted and Fused
-	// engines, typically reaching a precision target in far fewer
-	// trials than PCG. The standard error comes from independent
-	// scrambled replicates, so adaptive precision targeting works
-	// unchanged. Engines without a fixed per-trial draw count
-	// (Superposed, Naive, or any system with thinning-fallback
+	// sequence feeds the Fused engine's closed-form draws, typically
+	// reaching a precision target in far fewer trials than PCG. The
+	// standard error comes from independent scrambled replicates, so
+	// adaptive precision targeting works unchanged. Systems without a
+	// fixed per-trial draw count (any system with thinning-fallback
 	// components) reject it with ErrSamplerUnsupported.
 	Sobol = montecarlo.Sobol
 )
 
-// ErrSamplerUnsupported tags Sobol-sampler queries on engine/system
-// combinations without a fixed per-trial draw count (the Superposed and
-// Naive engines, or systems whose components fall back to literal
-// thinning). Callers branch with errors.Is and fall back to the PCG
-// sampler.
+// ErrSamplerUnsupported tags Sobol-sampler queries on systems without a
+// fixed per-trial draw count (systems whose components fall back to
+// literal thinning). Callers branch with errors.Is and fall back to the
+// PCG sampler.
 var ErrSamplerUnsupported = montecarlo.ErrSamplerUnsupported
 
 // MonteCarloOptions tunes MonteCarloMTTF.
@@ -249,11 +239,10 @@ type MonteCarloOptions struct {
 	Trials int
 	// Seed makes runs reproducible; equal seeds give identical results.
 	Seed uint64
-	// Engine selects the trial implementation (default Superposed; use
-	// Inverted for rate- and AVF-independent trial cost).
+	// Engine selects the trial implementation (default Fused).
 	Engine Engine
 	// Sampler selects the uniform-draw source (default PCG; Sobol for
-	// quasi-Monte-Carlo convergence on the Inverted and Fused engines).
+	// quasi-Monte-Carlo convergence on the Fused engine).
 	Sampler Sampler
 }
 

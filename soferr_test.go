@@ -236,31 +236,29 @@ func TestErrorPaths(t *testing.T) {
 
 func TestMonteCarloEngines(t *testing.T) {
 	// The public Engine option must select working engines whose
-	// estimates agree within combined Monte-Carlo noise.
+	// estimates agree within Monte-Carlo noise: the Fused sample with
+	// its standard error, the Exact closed form with none.
 	tr, err := soferr.BusyIdleTrace(10, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	comps := []soferr.Component{{Name: "c", RatePerYear: 3e6, Trace: tr}}
-	var results []soferr.MonteCarloResult
-	for _, e := range []soferr.Engine{soferr.Superposed, soferr.Naive, soferr.Inverted} {
+	results := make(map[soferr.Engine]soferr.MonteCarloResult)
+	for _, e := range []soferr.Engine{soferr.Fused, soferr.Exact} {
 		res, err := soferr.MonteCarloMTTF(comps, soferr.MonteCarloOptions{
 			Trials: 60000, Seed: 5 + uint64(e), Engine: e,
 		})
 		if err != nil {
 			t.Fatalf("engine %v: %v", e, err)
 		}
-		if res.MTTF <= 0 || res.StdErr <= 0 {
+		wantSpread := e == soferr.Fused
+		if res.MTTF <= 0 || (res.StdErr > 0) != wantSpread {
 			t.Fatalf("engine %v: degenerate result %+v", e, res)
 		}
-		results = append(results, res)
+		results[e] = res
 	}
-	for i := 1; i < len(results); i++ {
-		diff := math.Abs(results[i].MTTF - results[0].MTTF)
-		bound := 3 * math.Hypot(results[i].StdErr, results[0].StdErr)
-		if diff > bound {
-			t.Errorf("engines disagree: %v vs %v (diff %v > %v)",
-				results[i].MTTF, results[0].MTTF, diff, bound)
-		}
+	fused, exact := results[soferr.Fused], results[soferr.Exact]
+	if diff, bound := math.Abs(fused.MTTF-exact.MTTF), 3*math.Hypot(fused.StdErr, exact.StdErr); diff > bound {
+		t.Errorf("engines disagree: %v vs %v (diff %v > %v)", fused.MTTF, exact.MTTF, diff, bound)
 	}
 }

@@ -62,7 +62,7 @@ func TestSpecCompileMatchesHandBuiltSystem(t *testing.T) {
 	}
 
 	opts := []soferr.EstimateOption{
-		soferr.WithTrials(5000), soferr.WithSeed(11), soferr.WithEngine(soferr.Inverted),
+		soferr.WithTrials(5000), soferr.WithSeed(11), soferr.WithEngine(soferr.Fused),
 	}
 	a, err := fromSpec.CompareWith(ctx, opts)
 	if err != nil {

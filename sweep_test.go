@@ -29,7 +29,7 @@ func sweepTestGrid(t *testing.T) soferr.Grid {
 func sweepOpts(extra ...soferr.EstimateOption) []soferr.EstimateOption {
 	return append([]soferr.EstimateOption{
 		soferr.WithTrials(2000),
-		soferr.WithEngine(soferr.Inverted),
+		soferr.WithEngine(soferr.Fused),
 	}, extra...)
 }
 

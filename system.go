@@ -124,8 +124,9 @@ type Estimate struct {
 	// the deterministic methods.
 	Trials int
 	Seed   uint64
-	// Engine is the Monte-Carlo trial implementation used (zero
-	// otherwise).
+	// Engine is the Monte-Carlo trial implementation used. It is
+	// meaningful only for MonteCarlo estimates: the deterministic
+	// methods leave the zero value, and the JSON encoding omits it.
 	Engine Engine
 	// Sampler is the uniform-draw source the Monte-Carlo run used (PCG,
 	// the zero value, unless WithSampler selected another). For Sobol
@@ -192,10 +193,10 @@ func (e *Estimate) UnmarshalJSON(data []byte) error {
 		return nil
 	}
 	var raw struct {
-		Method string    `json:"method"`
-		MTTF   JSONFloat `json:"mttf_seconds"`
-		FIT    JSONFloat `json:"fit"`
-		StdErr JSONFloat `json:"stderr_seconds"`
+		Method  string    `json:"method"`
+		MTTF    JSONFloat `json:"mttf_seconds"`
+		FIT     JSONFloat `json:"fit"`
+		StdErr  JSONFloat `json:"stderr_seconds"`
 		Trials  int       `json:"trials"`
 		Seed    uint64    `json:"seed"`
 		Engine  string    `json:"engine"`
@@ -342,20 +343,18 @@ func WithSeed(seed uint64) EstimateOption {
 	return func(s *estimateSettings) { s.seed = seed }
 }
 
-// WithEngine selects the Monte-Carlo trial implementation (default
-// Superposed; use Inverted for rate- and AVF-independent trial cost,
-// Fused for component-count-independent trial cost, or Exact for the
-// trial-free closed-form answer with zero standard error).
+// WithEngine selects the Monte-Carlo trial implementation: Fused (the
+// default) samples, Exact gives the trial-free closed-form answer with
+// zero standard error.
 func WithEngine(e Engine) EstimateOption {
 	return func(s *estimateSettings) { s.engine = e }
 }
 
 // WithSampler selects the Monte-Carlo uniform-draw source (default
-// PCG). Sobol switches the Inverted and Fused engines to Owen-scrambled
+// PCG). Sobol switches the Fused engine to Owen-scrambled
 // quasi-Monte-Carlo points: variance falls near O(1/n) instead of
 // O(1/sqrt n), so adaptive precision targets are reached in far fewer
-// trials. Sampler-incompatible engines (Superposed, Naive, or systems
-// with thinning-fallback components) reject Sobol with
+// trials. Systems with thinning-fallback components reject Sobol with
 // ErrSamplerUnsupported; the Exact engine ignores samplers entirely.
 func WithSampler(s Sampler) EstimateOption {
 	return func(set *estimateSettings) { set.sampler = s }
@@ -401,8 +400,9 @@ type exposureTrace interface {
 // System is an immutable, precompiled series system: NewSystem
 // validates the components once, converts units, and precomputes the
 // state every estimator shares — per-second rates, per-component AVF
-// MTTFs, the Monte-Carlo alias table and exposure-inversion samplers,
-// and the rate-weighted union trace behind the distribution queries.
+// MTTFs, the compiled Monte-Carlo system (whose merged hazard table is
+// built by the first query that needs it), and the rate-weighted union
+// trace behind the distribution queries.
 // All queries are safe for concurrent use, and deterministic queries
 // (plus seeded Monte-Carlo runs, which are deterministic too) are
 // memoized, so a long-lived System answers repeated traffic at
@@ -676,9 +676,6 @@ func (s *System) monteCarlo(ctx context.Context, set estimateSettings) (Estimate
 	// only the wall time, never the value.
 	if set.trials <= 0 {
 		set.trials = DefaultTrials
-	}
-	if set.engine == 0 {
-		set.engine = Superposed
 	}
 	if set.targetRSE < 0 || set.targetRSE >= 1 || math.IsNaN(set.targetRSE) {
 		return Estimate{}, fmt.Errorf("soferr: Monte-Carlo target relative standard error %v outside [0, 1): %w",

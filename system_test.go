@@ -88,7 +88,7 @@ func TestCompareAgreesWithFlatFunctionsBitForBit(t *testing.T) {
 	}
 
 	// Per-method metadata.
-	if ests[1].Method != soferr.MonteCarlo || ests[1].Seed != seed || ests[1].Engine != soferr.Superposed {
+	if ests[1].Method != soferr.MonteCarlo || ests[1].Seed != seed || ests[1].Engine != soferr.Fused {
 		t.Errorf("MonteCarlo estimate metadata wrong: %+v", ests[1])
 	}
 	for _, e := range ests {
@@ -105,7 +105,7 @@ func TestSystemQueryCacheIsTransparent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := []soferr.EstimateOption{soferr.WithTrials(20000), soferr.WithSeed(7), soferr.WithEngine(soferr.Inverted)}
+	opts := []soferr.EstimateOption{soferr.WithTrials(20000), soferr.WithSeed(7), soferr.WithEngine(soferr.Fused)}
 	first, err := sys.MTTF(ctx, soferr.MonteCarlo, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestSystemQueryCacheIsTransparent(t *testing.T) {
 
 	// Different settings miss the cache and differ statistically.
 	other, err := sys.MTTF(ctx, soferr.MonteCarlo,
-		soferr.WithTrials(20000), soferr.WithSeed(8), soferr.WithEngine(soferr.Inverted))
+		soferr.WithTrials(20000), soferr.WithSeed(8), soferr.WithEngine(soferr.Fused))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestCompiledSystemRepeatedQuerySpeedup(t *testing.T) {
 	)
 	tr := mustBusyIdle(t, 86400, 3600)
 	comps := []soferr.Component{{Name: "batch", RatePerYear: 3000, Trace: tr}}
-	opt := soferr.MonteCarloOptions{Trials: trials, Seed: 1, Engine: soferr.Inverted}
+	opt := soferr.MonteCarloOptions{Trials: trials, Seed: 1, Engine: soferr.Fused}
 
 	start := time.Now()
 	for i := 0; i < n; i++ {
@@ -186,7 +186,7 @@ func TestCompiledSystemRepeatedQuerySpeedup(t *testing.T) {
 	start = time.Now()
 	for i := 0; i < n; i++ {
 		if _, err := sys.MTTF(context.Background(), soferr.MonteCarlo,
-			soferr.WithTrials(trials), soferr.WithSeed(1), soferr.WithEngine(soferr.Inverted)); err != nil {
+			soferr.WithTrials(trials), soferr.WithSeed(1), soferr.WithEngine(soferr.Fused)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -487,7 +487,7 @@ func TestNeverFailingSystem(t *testing.T) {
 			t.Errorf("%v on never-failing system has nonzero spread: %+v", m, est)
 		}
 	}
-	for _, e := range []soferr.Engine{soferr.Superposed, soferr.Naive, soferr.Inverted, soferr.Fused} {
+	for _, e := range []soferr.Engine{soferr.Fused, soferr.Exact} {
 		est, err := sys.MTTF(ctx, soferr.MonteCarlo, soferr.WithTrials(100), soferr.WithEngine(e))
 		if err != nil {
 			t.Fatalf("engine %v: %v", e, err)
@@ -521,7 +521,7 @@ func TestMethodNamesAndJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	est, err := sys.MTTF(context.Background(), soferr.MonteCarlo,
-		soferr.WithTrials(2000), soferr.WithSeed(9), soferr.WithEngine(soferr.Inverted))
+		soferr.WithTrials(2000), soferr.WithSeed(9), soferr.WithEngine(soferr.Fused))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +529,7 @@ func TestMethodNamesAndJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"method":"montecarlo"`, `"engine":"inverted"`, `"trials":2000`, `"seed":9`} {
+	for _, want := range []string{`"method":"montecarlo"`, `"engine":"fused"`, `"trials":2000`, `"seed":9`} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("estimate JSON missing %s: %s", want, data)
 		}
@@ -632,7 +632,7 @@ func TestSystemConcurrentQueries(t *testing.T) {
 }
 
 // TestFusedEngineThroughSystem: the fused engine is reachable through
-// the public query surface and statistically agrees with the inverted
+// the public query surface and statistically agrees with the exact
 // engine on a multi-component system.
 func TestFusedEngineThroughSystem(t *testing.T) {
 	ctx := context.Background()
@@ -653,13 +653,12 @@ func TestFusedEngineThroughSystem(t *testing.T) {
 	if fused.Engine != soferr.Fused {
 		t.Errorf("estimate engine = %v, want fused", fused.Engine)
 	}
-	inv, err := sys.MTTF(ctx, soferr.MonteCarlo,
-		soferr.WithTrials(60000), soferr.WithSeed(2), soferr.WithEngine(soferr.Inverted))
+	exact, err := sys.MTTF(ctx, soferr.MonteCarlo, soferr.WithEngine(soferr.Exact))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff, bound := math.Abs(fused.MTTF-inv.MTTF), 5*(fused.StdErr+inv.StdErr); diff > bound {
-		t.Errorf("fused %v vs inverted %v (|diff| %v > %v)", fused.MTTF, inv.MTTF, diff, bound)
+	if diff, bound := math.Abs(fused.MTTF-exact.MTTF), 5*(fused.StdErr+exact.StdErr); diff > bound {
+		t.Errorf("fused %v vs exact engine %v (|diff| %v > %v)", fused.MTTF, exact.MTTF, diff, bound)
 	}
 	// The deterministic SoftArch answer is exact: fused must be within
 	// a few standard errors of it too.
