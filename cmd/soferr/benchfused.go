@@ -23,24 +23,6 @@ type fusedScalingEntry struct {
 	FusedAlloc int64   `json:"fused_allocs_per_trial"`
 }
 
-// batchedBlockEntry records per-trial cost of the Fused engine's
-// batched inversion kernel at one block size B on the N=64 profile,
-// framed against the scalar fused kernel (BatchSize 1): what batching
-// alone buys.
-type batchedBlockEntry struct {
-	BlockSize    int     `json:"block_size"`
-	BatchedNsOp  float64 `json:"batched_ns_per_trial"`
-	SpeedupFused float64 `json:"speedup_vs_scalar_fused"`
-}
-
-// batchedReport is the `batched` section of BENCH_fused.json: the
-// scalar baseline at N=64 plus one row per block size.
-type batchedReport struct {
-	Components    int                 `json:"components"`
-	ScalarFusedNs float64             `json:"scalar_fused_ns_per_trial"`
-	Blocks        []batchedBlockEntry `json:"blocks"`
-}
-
 // qmcReport is the `qmc` section of BENCH_fused.json: adaptive
 // trials-to-target under the PCG sampler vs the scrambled-Sobol
 // sampler on the paper's SPEC-trace profile.
@@ -70,13 +52,11 @@ type fusedAdaptiveReport struct {
 
 // fusedBenchReport is the schema of BENCH_fused.json: trial-cost
 // scaling in the component count N (flat: one merged-table draw per
-// trial), the batched kernel, the QMC sampler, and the
-// adaptive-precision comparison.
+// trial), the QMC sampler, and the adaptive-precision comparison.
 type fusedBenchReport struct {
 	GoVersion string              `json:"go_version"`
 	GOARCH    string              `json:"goarch"`
 	Scaling   []fusedScalingEntry `json:"scaling"`
-	Batched   batchedReport       `json:"batched"`
 	QMC       qmcReport           `json:"qmc"`
 	Adaptive  fusedAdaptiveReport `json:"adaptive"`
 }
@@ -104,9 +84,8 @@ func fusedBenchComponents(n int) []montecarlo.Component {
 
 // runFusedBench measures the Fused engine and writes BENCH_fused.json:
 // per-trial ns for N in {1, 4, 16, 64, 256} components (expect flat),
-// the batched inversion kernel at B in {16, 64, 256} vs the scalar
-// kernel at N=64, adaptive trials-to-target vs the fixed-200k default
-// on the SPEC trace, and PCG-vs-Sobol trials to the same target.
+// adaptive trials-to-target vs the fixed-200k default on the SPEC
+// trace, and PCG-vs-Sobol trials to the same target.
 func runFusedBench(ctx context.Context, stdout, stderr io.Writer, outPath string, verbose bool) error {
 	logf := func(format string, args ...interface{}) {
 		if verbose {
@@ -119,10 +98,10 @@ func runFusedBench(ctx context.Context, stdout, stderr io.Writer, outPath string
 	}
 
 	// measure returns single-threaded ns and allocations per trial of
-	// the compiled system at the given batch size, after a warm-up run
-	// so the lazily built merged table is not billed to the trials.
-	measure := func(c *montecarlo.Compiled, batchSize int) (float64, int64, error) {
-		cfg := montecarlo.Config{Trials: 64, Seed: 1, Workers: 1, BatchSize: batchSize}
+	// the compiled system, after a warm-up run so the lazily built
+	// merged table is not billed to the trials.
+	measure := func(c *montecarlo.Compiled) (float64, int64, error) {
+		cfg := montecarlo.Config{Trials: 64, Seed: 1, Workers: 1}
 		if _, err := c.MTTF(ctx, cfg); err != nil {
 			return 0, 0, err
 		}
@@ -144,54 +123,19 @@ func runFusedBench(ctx context.Context, stdout, stderr io.Writer, outPath string
 		return float64(r.T.Nanoseconds()) / float64(r.N), r.AllocsPerOp(), nil
 	}
 
-	var n64 *montecarlo.Compiled
 	for _, n := range []int{1, 4, 16, 64, 256} {
 		compiled, err := montecarlo.Compile(fusedBenchComponents(n))
 		if err != nil {
 			return err
 		}
 		logf("bench fused scaling N=%d", n)
-		ns, allocs, err := measure(compiled, 0)
+		ns, allocs, err := measure(compiled)
 		if err != nil {
 			return fmt.Errorf("bench fused scaling N=%d: %w", n, err)
 		}
 		report.Scaling = append(report.Scaling, fusedScalingEntry{Components: n, FusedNsOp: ns, FusedAlloc: allocs})
 		fmt.Fprintf(stdout, "%-22s N=%-4d fused %8.1f ns/trial\n", "FusedScaling", n, ns)
-		if n == 64 {
-			n64 = compiled
-		}
 	}
-
-	// Batched inversion kernel on the N=64 profile: the scalar fused
-	// kernel (BatchSize 1) isolates what batching alone buys.
-	batched := batchedReport{Components: 64}
-	measureFused := func(batchSize int) (float64, error) {
-		logf("bench batched N=64 B=%d", batchSize)
-		ns, _, err := measure(n64, batchSize)
-		if err != nil {
-			return 0, fmt.Errorf("bench batched B=%d: %w", batchSize, err)
-		}
-		return ns, nil
-	}
-	scalarFused, err := measureFused(1)
-	if err != nil {
-		return err
-	}
-	batched.ScalarFusedNs = scalarFused
-	for _, bsz := range []int{16, 64, 256} {
-		ns, err := measureFused(bsz)
-		if err != nil {
-			return err
-		}
-		batched.Blocks = append(batched.Blocks, batchedBlockEntry{
-			BlockSize:    bsz,
-			BatchedNsOp:  ns,
-			SpeedupFused: scalarFused / ns,
-		})
-		fmt.Fprintf(stdout, "%-22s N=64 B=%-4d %8.1f ns/trial  %5.2fx vs scalar fused\n",
-			"BatchedScaling", bsz, ns, scalarFused/ns)
-	}
-	report.Batched = batched
 
 	// Adaptive precision on the paper's SPEC-trace profile: the gzip
 	// processor trace at 1e6 errors/year, as the acceptance benchmarks

@@ -34,7 +34,7 @@
 //	-sampler NAME    run <spec.json>: Monte-Carlo sampler: pcg (default) or sobol (quasi-Monte-Carlo)
 //	-target-rse T    run <spec.json>: adaptive precision target (rel stderr; -trials caps it)
 //	-methods LIST    run <spec.json>: methods to compare (default all)
-//	-quick           run: shrink grids and trial counts
+//	-quick           run <id>|all: shrink grids and trial counts
 //	-csv             run: emit CSV instead of aligned text
 //	-json            run: emit JSON (tables plus typed estimates)
 //	-v               log progress to stderr
@@ -113,7 +113,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		samplerName  = fs.String("sampler", "", "run <spec.json>: Monte-Carlo sampler: pcg (default) or sobol")
 		targetRSE    = fs.Float64("target-rse", 0, "run <spec.json>: adaptive precision target (relative standard error; trials become the cap)")
 		methodsFlag  = fs.String("methods", "", "run <spec.json>: comma-separated methods to compare (default all)")
-		quick        = fs.Bool("quick", false, "shrink grids and trial counts")
+		quick        = fs.Bool("quick", false, "run <id>|all: shrink grids and trial counts")
 		asCSV        = fs.Bool("csv", false, "emit CSV instead of text")
 		asJSON       = fs.Bool("json", false, "emit JSON (tables plus typed estimates) instead of text")
 		verbose      = fs.Bool("v", false, "log progress to stderr")
@@ -145,12 +145,20 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if *asCSV && *asJSON {
 			return fmt.Errorf("run: -csv and -json are mutually exclusive")
 		}
+		// Some flags apply to only one kind of argument. Reject a set flag
+		// the argument cannot use instead of silently ignoring it; Visit
+		// sees only flags given on the command line, never defaults.
+		set := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 		// A Spec JSON file compiles through the same soferr.Spec path the
 		// sweep CLI and the HTTP server use, so file- and HTTP-supplied
 		// systems share one code path. Experiment ids always win: a file
 		// in the working directory named "fig5" or "all" must not shadow
 		// the experiment.
 		if _, idErr := experiments.ByID(id); id != "all" && idErr != nil && isSpecFile(id) {
+			if set["quick"] {
+				return fmt.Errorf("run: -quick applies to experiments, not to Spec file %s", id)
+			}
 			return runSpecFile(ctx, id, stdout, stderr, specFileOptions{
 				trials:       *trials,
 				instructions: *instructions,
@@ -163,6 +171,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 				asJSON:       *asJSON,
 				verbose:      *verbose,
 			})
+		}
+		for _, name := range []string{"sampler", "target-rse", "methods"} {
+			if set[name] {
+				return fmt.Errorf("run: -%s applies to Spec files, not to experiment %q", name, id)
+			}
 		}
 		opt := experiments.Options{
 			Trials:       *trials,

@@ -162,6 +162,26 @@ func TestRunEngineFlag(t *testing.T) {
 	}
 }
 
+// TestRunExtdistExactEngine: extdist collects failure-time samples,
+// which only a sampler can draw, so under -engine exact it samples with
+// the fused engine and prints the same table as -engine fused.
+func TestRunExtdistExactEngine(t *testing.T) {
+	fused, _, err := runCLI(t, "run", "extdist", "-quick", "-engine", "fused")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, _, err := runCLI(t, "run", "extdist", "-quick", "-engine", "exact")
+	if err != nil {
+		t.Fatalf("-engine exact: %v", err)
+	}
+	if !strings.Contains(fused, "extdist") || !strings.Contains(fused, "KS vs exp") {
+		t.Errorf("extdist output malformed:\n%s", fused)
+	}
+	if exact != fused {
+		t.Errorf("-engine exact table differs from -engine fused:\n%s\nvs\n%s", exact, fused)
+	}
+}
+
 func TestRunEngineFlagUnknown(t *testing.T) {
 	_, _, err := runCLI(t, "run", "fig4", "-quick", "-engine", "warp")
 	if err == nil {

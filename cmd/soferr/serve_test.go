@@ -308,6 +308,42 @@ func TestRunSpecFileSamplerFlag(t *testing.T) {
 	}
 }
 
+// TestRunRejectsInapplicableFlags: `run` refuses a flag its argument
+// cannot use, naming the flag, instead of silently ignoring it: the
+// Spec-only flags on an experiment id (or all), and -quick on a Spec
+// file. The same flags still work where they apply.
+func TestRunRejectsInapplicableFlags(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "system.json")
+	data, err := json.Marshal(busyIdleSpecJSON(1e6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"run", "fig3", "-sampler", "sobol"}, "-sampler"},
+		{[]string{"run", "fig3", "-target-rse", "0.5"}, "-target-rse"},
+		{[]string{"run", "fig3", "-methods", "bogus"}, "-methods"},
+		{[]string{"run", "all", "-quick", "-methods", "mc"}, "-methods"},
+		{[]string{"run", path, "-quick"}, "-quick"},
+	} {
+		if _, _, err := runCLI(t, tc.args...); err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%v: err = %v, want rejection naming %s", tc.args[1:], err, tc.flag)
+		}
+	}
+	if _, _, err := runCLI(t, "run", path, "-trials", "2000", "-sampler", "sobol", "-target-rse", "0.5", "-methods", "mc"); err != nil {
+		t.Errorf("Spec-file flags on a Spec file: %v", err)
+	}
+	if _, _, err := runCLI(t, "run", "fig4", "-quick"); err != nil {
+		t.Errorf("-quick on an experiment: %v", err)
+	}
+}
+
 // TestRunExperimentIDWinsOverFile: a stray file in the working
 // directory named after an experiment id must not shadow the
 // experiment.

@@ -32,7 +32,7 @@ type Header struct {
 // stale report generated by an older harness fails validation instead
 // of silently dropping a section.
 var RequiredSections = map[string][]string{
-	"BENCH_fused.json": {"scaling", "batched", "qmc", "adaptive"},
+	"BENCH_fused.json": {"scaling", "qmc", "adaptive"},
 }
 
 // Validate checks one report document against the shared schema:

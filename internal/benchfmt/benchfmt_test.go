@@ -65,7 +65,7 @@ func TestValidateFile(t *testing.T) {
 }
 
 // TestRequiredSections covers the per-basename section pinning: a
-// BENCH_fused.json without its batched/qmc sections is a stale report
+// BENCH_fused.json without its qmc section is a stale report
 // from an older harness and must fail, while the same document under
 // an unregistered name still passes the plain envelope.
 func TestRequiredSections(t *testing.T) {
@@ -76,8 +76,8 @@ func TestRequiredSections(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := ValidateFile(stale)
-	if err == nil || !strings.Contains(err.Error(), "batched") {
-		t.Errorf("ValidateFile(stale fused report) = %v, want missing-section error naming batched", err)
+	if err == nil || !strings.Contains(err.Error(), "qmc") {
+		t.Errorf("ValidateFile(stale fused report) = %v, want missing-section error naming qmc", err)
 	}
 	other := filepath.Join(dir, "BENCH_other.json")
 	if err := os.WriteFile(other, doc, 0o644); err != nil {

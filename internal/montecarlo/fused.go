@@ -122,77 +122,3 @@ func trialFused(fs *fusedState, ds *drawSource, maxArrivals int) (float64, error
 	}
 	return best, nil
 }
-
-// batchable reports whether the batched inversion kernel can serve
-// this fused state: it needs a live merged table (the thing the sweep
-// amortizes) and a thinning-free remainder (thinning's draw count
-// depends on the running minimum, which the deferred sweep does not
-// have yet).
-func (fs *fusedState) batchable() bool {
-	if fs.merged == nil || fs.totalHaz <= 0 {
-		return false
-	}
-	for i := range fs.rest {
-		if fs.rest[i].thinning {
-			return false
-		}
-	}
-	return true
-}
-
-// newFusedBatchFactory returns a factory building per-worker batched
-// fused kernels of the given batch size. The kernel resolves a batch
-// in four phases — draw, sort, sweep, emit — and returns per-trial
-// values bit-identical to trialFused under the same (seed, trial)
-// streams:
-//
-//  1. Per trial (in trial order, each on its own reseeded stream): the
-//     hyperperiod count k and the within-period hazard target h from
-//     the same two uniforms trialFused draws, then the closed-form
-//     fallback samples for components outside the merge, folded to
-//     their running min. Only the merged-table inversion is deferred.
-//  2. The batch's hazard targets are argsorted (allocation-free,
-//     worker-local scratch).
-//  3. One forward sweep over the merged table resolves every target
-//     (trace.MergedExposure.InvertSortedInto): identical segment,
-//     identical arithmetic as the scalar Invert, but a monotone
-//     galloping cursor instead of B independent binary searches —
-//     O(log gap) per element, O(B) total when targets cluster.
-//  4. Results are emitted in trial order as min(k*period + x, rest),
-//     the same min trialFused computes (the fallback min never depends
-//     on the merged draw, so deferring the inversion is observationally
-//     identical).
-func newFusedBatchFactory(fs *fusedState, seed uint64, batchSize int) func() batchFn {
-	return func() batchFn {
-		base := make([]float64, batchSize) // k*period per trial
-		hs := make([]float64, batchSize)   // hazard targets, sorted in place
-		restm := make([]float64, batchSize)
-		res := make([]float64, batchSize)
-		idx := make([]int, batchSize)
-		return func(ds *drawSource, lo, n int, out []float64) {
-			for j := 0; j < n; j++ {
-				ds.beginTrial(seed, lo+j)
-				k := math.Floor(numeric.ExpInvCDF(ds.Float64Open()) / fs.totalHaz)
-				hs[j] = numeric.TruncExpInvCDF(ds.Float64(), fs.pFail)
-				base[j] = k * fs.period
-				rm := math.Inf(1)
-				for i := range fs.rest {
-					if t := fs.rest[i].sample(ds); t < rm {
-						rm = t
-					}
-				}
-				restm[j] = rm
-				idx[j] = j
-			}
-			numeric.SortWithIndex(hs[:n], idx[:n])
-			fs.merged.InvertSortedInto(hs[:n], idx[:n], res[:n])
-			for j := 0; j < n; j++ {
-				v := base[j] + res[j]
-				if restm[j] < v {
-					v = restm[j]
-				}
-				out[j] = v
-			}
-		}
-	}
-}

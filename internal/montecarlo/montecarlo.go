@@ -152,16 +152,6 @@ type Config struct {
 	// invertible system (no thinning fallback); see Sampler and
 	// ErrSamplerUnsupported.
 	Sampler Sampler
-	// BatchSize tunes the batched inversion kernel of the Fused engine:
-	// the number of trials whose hazard draws are sorted and resolved
-	// in one forward sweep over the merged table. 0 means
-	// DefaultBatchSize, applied only when the merged table has at least
-	// minBatchSegments segments (below that the argsort costs more than
-	// the searches it replaces); an explicit size is always honored.
-	// 1 forces the scalar kernel (the conformance oracle); larger
-	// values are capped at one trial block. Results are bit-identical
-	// for every batch size — the knob only moves throughput.
-	BatchSize int
 }
 
 // DefaultTrials matches the precision regime of the paper's 1,000,000
@@ -169,19 +159,11 @@ type Config struct {
 // keeping the full design-space sweep laptop-sized.
 const DefaultTrials = 200000
 
-// DefaultBatchSize is the batched inversion kernel's default block of
-// deferred hazard draws: large enough that the sorted forward sweep
-// amortizes the merged table walk and stays branch-predictable, small
-// enough that the per-worker scratch lives in L1.
+// DefaultBatchSize is the block of sorted hazard targets the benchmark
+// module (perfbench) hands to trace.MergedExposure.InvertSortedInto
+// when it times sorted inversion. No trial in this package batches;
+// the constant stays only because the benchmark reads it.
 const DefaultBatchSize = 64
-
-// minBatchSegments gates the *default* batch kernel by merged-table
-// size: below this many segments a scalar binary search is one or two
-// comparisons, cheaper than the ~log(B) argsort comparisons batching
-// spends per trial (measured crossover is between ~5 and ~18 segments
-// on the bench profiles). An explicit Config.BatchSize bypasses the
-// gate.
-const minBatchSegments = 8
 
 // Result is a Monte-Carlo MTTF estimate.
 type Result struct {
@@ -293,7 +275,7 @@ func (c *Compiled) MTTF(ctx context.Context, cfg Config) (Result, error) {
 }
 
 // TTFSamples runs the engine and returns the raw per-trial failure
-// times sorted ascending; see SystemTTFSamples.
+// times in trial order; SystemTTFSamples returns them sorted.
 func (c *Compiled) TTFSamples(ctx context.Context, cfg Config) ([]float64, error) {
 	_, samples, err := c.run(ctx, cfg, true)
 	return samples, err
@@ -370,33 +352,18 @@ func (c *Compiled) run(ctx context.Context, cfg Config, collect bool) (Result, [
 	stopRelay := br.startCancelRelay(ctx)
 	defer stopRelay()
 
-	if cfg.TargetRelStdErr > 0 && !collect {
-		res, err := c.runAdaptive(ctx, br, cfg.TargetRelStdErr, trials, workers)
-		// Join the relay before deciding the outcome, so a relay-side
-		// failure (today only an injected chaos fault) is never lost to
-		// a round boundary that happened to precede it.
-		stopRelay()
-		if err == nil {
-			err = br.err()
-		}
-		if err != nil {
-			return Result{}, nil, err
-		}
-		return res, nil, nil
-	}
-
+	var res Result
 	var samples []float64
-	var accs []numeric.Welford
-	numBlocks := (trials + trialBlock - 1) / trialBlock
 	if collect {
 		samples = make([]float64, trials)
+		br.runRange(0, trials, workers, nil, samples)
 	} else {
-		accs = make([]numeric.Welford, numBlocks*br.reps)
+		res = br.runRounds(ctx, cfg.TargetRelStdErr, trials, workers)
 	}
-	br.runRange(0, trials, workers, accs, samples)
 	// Join the relay before reading the error state: its failure path
-	// writes trialErr, and stopping it here makes the read race-free
-	// and the injected-fault tests deterministic.
+	// writes trialErr, and stopping it here makes the read race-free,
+	// the injected-fault tests deterministic, and a relay-side failure
+	// impossible to lose to a round boundary that preceded it.
 	stopRelay()
 	// Context cancellation wins over trial errors: the caller asked the
 	// run to stop, and partial-trial errors after that are moot.
@@ -406,14 +373,11 @@ func (c *Compiled) run(ctx context.Context, cfg Config, collect bool) (Result, [
 	if err := br.err(); err != nil {
 		return Result{}, nil, err
 	}
-
 	if collect {
 		mean, se := numeric.MeanStdErr(samples)
-		return Result{MTTF: mean, StdErr: se, Trials: trials}, samples, nil
+		res = Result{MTTF: mean, StdErr: se, Trials: trials}
 	}
-	merged := make([]numeric.Welford, br.reps)
-	mergeBlockAccs(merged, accs)
-	return finishResult(merged, trials), nil, nil
+	return res, samples, nil
 }
 
 // mergeBlockAccs folds per-block accumulators (reps consecutive
@@ -430,9 +394,8 @@ func mergeBlockAccs(merged, accs []numeric.Welford) {
 }
 
 // newBlockRunner resolves a Config into a ready-to-run blockRunner:
-// the Fused trial kernel, the sampler mode (with Sobol eligibility
-// validated against the system's draw layout), and the batched-kernel
-// factory when the merged table can use it.
+// the Fused trial kernel and the sampler mode (with Sobol eligibility
+// validated against the system's draw layout).
 func (c *Compiled) newBlockRunner(cfg Config) (*blockRunner, error) {
 	if cfg.Engine != Fused {
 		return nil, fmt.Errorf("montecarlo: unknown engine %v", cfg.Engine)
@@ -468,21 +431,6 @@ func (c *Compiled) newBlockRunner(cfg Config) (*blockRunner, error) {
 		}
 	} else if cfg.Sampler != PCG {
 		return nil, fmt.Errorf("montecarlo: unknown sampler %v", cfg.Sampler)
-	}
-
-	if cfg.BatchSize < 0 {
-		return nil, fmt.Errorf("montecarlo: invalid BatchSize %d", cfg.BatchSize)
-	}
-	bsz := cfg.BatchSize
-	if bsz == 0 {
-		bsz = DefaultBatchSize
-	}
-	if bsz > trialBlock {
-		bsz = trialBlock
-	}
-	if bsz > 1 && fs.batchable() && (cfg.BatchSize > 0 || fs.merged.NumSegments() >= minBatchSegments) {
-		br.batchSize = bsz
-		br.newBatch = newFusedBatchFactory(fs, cfg.Seed, bsz)
 	}
 	return br, nil
 }
@@ -538,70 +486,56 @@ func adaptiveConverged(reps []numeric.Welford, target float64) bool {
 	return se <= target*math.Abs(mean)
 }
 
-// runAdaptive executes doubling rounds of trials until the streamed
-// relative standard error crosses target, the trial cap is reached, or
-// the run is canceled. The rounds cover the same absolute trial-index
-// space as a fixed run (per-trial streams from (seed, index), blocks
-// merged in index order), so the result at a given stop point is
-// bit-identical for any worker count; the stop decision itself depends
-// only on round-boundary statistics, which are equally deterministic.
-func (c *Compiled) runAdaptive(ctx context.Context, br *blockRunner, target float64, cap, workers int) (Result, error) {
+// runRounds executes the summary trials [0, cap) in rounds. A fixed
+// run (target 0) is a single round of cap trials. An adaptive run
+// starts with one trialBlock and doubles each round until the streamed
+// relative standard error crosses target or the cap is reached. Every
+// round covers the absolute trial-index space (per-trial streams from
+// (seed, index), blocks merged in index order), so the result at a
+// given stop point is bit-identical for any worker count, and an
+// adaptive run that stops at the cap equals the fixed run of the same
+// length; the stop decision depends only on round-boundary statistics,
+// which are equally deterministic. A failed or canceled round ends the
+// run with a zero Result; the caller reports the error.
+func (br *blockRunner) runRounds(ctx context.Context, target float64, cap, workers int) Result {
 	merged := make([]numeric.Welford, br.reps)
 	done := 0
-	round := trialBlock
-	if round > cap {
-		round = cap
+	round := cap
+	if target > 0 {
+		round = min(trialBlock, cap)
 	}
 	for {
 		numBlocks := (round - done + trialBlock - 1) / trialBlock
 		accs := make([]numeric.Welford, numBlocks*br.reps)
 		br.runRange(done, round, workers, accs, nil)
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		if err := br.err(); err != nil {
-			return Result{}, err
+		if ctx.Err() != nil || br.err() != nil {
+			return Result{}
 		}
 		mergeBlockAccs(merged, accs)
 		done = round
-		if adaptiveConverged(merged, target) || done >= cap {
-			return finishResult(merged, done), nil
+		if done >= cap || adaptiveConverged(merged, target) {
+			return finishResult(merged, done)
 		}
-		round *= 2
-		if round > cap {
-			round = cap
-		}
+		round = min(2*round, cap)
 	}
 }
 
-// batchFn resolves per-trial failure times for trials
-// [base, base+n) of the absolute index space into out[:n], using the
-// worker's draw source for the per-trial streams. Batch kernels are
-// restricted to configurations that cannot produce trial errors (no
-// thinning fallbacks), so the signature carries none.
-type batchFn func(ds *drawSource, base, n int, out []float64)
-
-// blockRunner executes trial blocks across a worker pool. Workers
-// reuse one draw source (a Rand value reseeded per trial, plus the
-// shared Sobol replicates in QMC mode), so the steady-state trial loop
-// performs no allocations (asserted by TestTrialLoopDoesNotAllocate);
-// per-run setup (accumulator slices, per-worker batch scratch,
+// blockRunner executes trial blocks across a worker pool, one trial at
+// a time. Workers reuse one draw source (a Rand value reseeded per
+// trial, plus the shared Sobol replicates in QMC mode), so the
+// steady-state trial loop performs no allocations (asserted by
+// TestTrialLoopDoesNotAllocate); per-run setup (accumulator slices,
 // goroutines) stays O(workers + blocks).
 type blockRunner struct {
 	trial func(ds *drawSource) (float64, error)
 	seed  uint64
 	// qmc is non-nil for the Sobol sampler; reps is the number of
 	// interleaved replicate accumulators per block (1 for PCG).
-	qmc  *qmcState
-	reps int
-	// newBatch, when non-nil, builds a per-worker batched kernel with
-	// its own scratch (size batchSize); the worker then resolves each
-	// claimed block in batched sub-ranges instead of per-trial calls.
-	newBatch  func() batchFn
-	batchSize int
-	canceled  atomic.Bool
-	mu        sync.Mutex
-	trialErr  error
+	qmc      *qmcState
+	reps     int
+	canceled atomic.Bool
+	mu       sync.Mutex
+	trialErr error
 }
 
 func (br *blockRunner) fail(err error) {
@@ -700,17 +634,10 @@ func (br *blockRunner) runRange(lo, hi, workers int, accs []numeric.Welford, sam
 			}()
 			var ds drawSource
 			br.initDrawSource(&ds)
-			// reps accumulators and the batch kernel's scratch are
-			// per-worker, allocated once per runRange: the per-trial
-			// steady state stays allocation-free.
+			// reps accumulators are per-worker, allocated once per
+			// runRange: the per-trial steady state stays allocation-free.
 			reps := br.reps
 			accLocal := make([]numeric.Welford, reps)
-			var batch batchFn
-			var bout []float64
-			if br.newBatch != nil {
-				batch = br.newBatch()
-				bout = make([]float64, br.batchSize)
-			}
 			for {
 				b := baseBlock + int(next.Add(1)-1)
 				if b >= endBlock || br.canceled.Load() {
@@ -728,40 +655,20 @@ func (br *blockRunner) runRange(lo, hi, workers int, accs []numeric.Welford, sam
 				for r := range accLocal {
 					accLocal[r] = numeric.Welford{}
 				}
-				if batch != nil {
-					for sub := blo; sub < bhi; sub += br.batchSize {
-						if br.canceled.Load() {
-							return
-						}
-						n := bhi - sub
-						if n > br.batchSize {
-							n = br.batchSize
-						}
-						batch(&ds, sub, n, bout)
-						for j := 0; j < n; j++ {
-							if samples != nil {
-								samples[sub+j] = bout[j]
-							} else {
-								accLocal[(sub+j)%reps].Add(bout[j])
-							}
-						}
+				for i := blo; i < bhi; i++ {
+					if br.canceled.Load() {
+						return
 					}
-				} else {
-					for i := blo; i < bhi; i++ {
-						if br.canceled.Load() {
-							return
-						}
-						ds.beginTrial(br.seed, i)
-						v, err := br.trial(&ds)
-						if err != nil {
-							br.fail(err)
-							return
-						}
-						if samples != nil {
-							samples[i] = v
-						} else {
-							accLocal[i%reps].Add(v)
-						}
+					ds.beginTrial(br.seed, i)
+					v, err := br.trial(&ds)
+					if err != nil {
+						br.fail(err)
+						return
+					}
+					if samples != nil {
+						samples[i] = v
+					} else {
+						accLocal[i%reps].Add(v)
 					}
 				}
 				if samples == nil {

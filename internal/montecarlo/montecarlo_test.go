@@ -287,7 +287,7 @@ func TestCompiledReuseMatchesSingleUse(t *testing.T) {
 	cfgs := []Config{
 		{Trials: 20000, Seed: 1},
 		{Trials: 20000, Seed: 1, Engine: Exact},
-		{Trials: 5000, Seed: 9, BatchSize: 1},
+		{Trials: 5000, Seed: 9},
 		{Trials: 20000, Seed: 1}, // repeat of the first
 	}
 	for _, cfg := range cfgs {

@@ -18,7 +18,7 @@
 //
 // Endpoints:
 //
-//	POST /v1/mttf        one estimate: {spec, method, trials, seed, engine, workers, timeout_ms}
+//	POST /v1/mttf        one estimate: {spec, method, trials, seed, engine, sampler, target_rel_stderr, workers, timeout_ms}
 //	POST /v1/compare     several methods on one compiled system: {spec, methods, ...}
 //	POST /v1/reliability survival probability: {spec, t_seconds, ...}
 //	POST /v1/quantile    failure-time quantile: {spec, p, ...}

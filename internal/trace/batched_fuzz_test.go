@@ -1,11 +1,12 @@
 package trace
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
-	"github.com/soferr/soferr/internal/numeric"
 	"github.com/soferr/soferr/internal/xrand"
 )
 
@@ -13,8 +14,8 @@ import (
 // busy/idle components, draws a fuzzed batch of hazard targets
 // (including out-of-range and duplicate values), and asserts that the
 // batched forward sweep returns bit-identical results to a loop of
-// scalar Invert calls — the equivalence the Monte-Carlo batched trial
-// kernel relies on for its determinism contract.
+// scalar Invert calls — the equivalence the benchmark's sorted-inversion
+// timing relies on.
 func FuzzBatchedInversion(f *testing.F) {
 	f.Add(1.0, 0.5, 1.0, 0.25, 3.0, 7.0, uint64(1), uint8(16))
 	f.Add(86400.0, 28800.0, 604800.0, 432000.0, 1e-8, 2e-8, uint64(42), uint8(64))
@@ -74,9 +75,15 @@ func FuzzBatchedInversion(f *testing.F) {
 			want[i] = m.Invert(h)
 		}
 
-		numeric.SortWithIndex(hs, idx)
+		// Argsort: idx[p] becomes the original position of the p-th
+		// smallest target.
+		slices.SortFunc(idx, func(a, b int) int { return cmp.Compare(hs[a], hs[b]) })
+		sorted := make([]float64, batch)
+		for p, i := range idx {
+			sorted[p] = hs[i]
+		}
 		got := make([]float64, batch)
-		m.InvertSortedInto(hs, idx, got)
+		m.InvertSortedInto(sorted, idx, got)
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("batched sweep diverged at %d: got %v, want %v (batch %d, segments %d)",

@@ -365,9 +365,11 @@ func (m *MergedExposure) Invert(h float64) float64 {
 // each element costs O(log gap) where gap is the segment distance to
 // the previous target — O(B) total when sorted targets cluster, and
 // never worse than B fresh O(log S) searches when they spread across a
-// segment-rich table. This is the kernel behind the Monte-Carlo
-// batched trial path; FuzzBatchedInversion asserts the equivalence on
-// random tables.
+// segment-rich table. No trial path uses it: a batched Monte-Carlo
+// trial kernel built on this sweep measured no faster than scalar
+// Invert calls and was removed. It stays because the benchmark module
+// (perfbench) times sorted inversion with it; FuzzBatchedInversion
+// asserts the equivalence on random tables.
 //
 // hs and idx must have equal length and res must be at least as long as
 // every idx entry requires; unsorted input silently produces values for

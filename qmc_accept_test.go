@@ -1,6 +1,6 @@
-// Non-short acceptance tests for the batched-kernel + QMC PR, run on
-// the paper's SPEC-trace profile (the gzip processor trace at 1e6
-// errors/year, as BENCH_fused.json records).
+// Non-short acceptance tests for the QMC sampler, run on the paper's
+// SPEC-trace profile (the gzip processor trace at 1e6 errors/year, as
+// BENCH_fused.json records).
 package soferr_test
 
 import (

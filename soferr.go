@@ -214,8 +214,8 @@ type Sampler = montecarlo.Sampler
 
 const (
 	// PCG is the default pseudo-random sampler: per-trial reseeded PCG
-	// streams, bit-identical for any worker count or batch size. The
-	// zero value, so existing callers are unchanged.
+	// streams, bit-identical for any worker count. The zero value, so
+	// existing callers are unchanged.
 	PCG = montecarlo.PCG
 	// Sobol is the quasi-Monte-Carlo sampler: an Owen-scrambled Sobol
 	// sequence feeds the Fused engine's closed-form draws, typically
