@@ -78,11 +78,13 @@ lint-fix-baseline:
 # fuzz-smoke gives each native fuzz target a short budget on top of its
 # committed seed corpus (testdata/fuzz). CI runs the same step; longer
 # local sessions: go test -fuzz FuzzSpecDecode -fuzztime 5m .
+# FuzzExactEngine runs last: it still finds the known FailureQuantile
+# rounding inputs (ROADMAP), and make stops at the first failing target.
 fuzz-smoke:
 	$(GO) test -run FuzzSpecDecode -fuzz FuzzSpecDecode -fuzztime 15s .
-	$(GO) test -run FuzzExactEngine -fuzz FuzzExactEngine -fuzztime 15s .
 	$(GO) test -run FuzzMergedExposure -fuzz FuzzMergedExposure -fuzztime 15s ./internal/trace
 	$(GO) test -run FuzzBatchedInversion -fuzz FuzzBatchedInversion -fuzztime 15s ./internal/trace
+	$(GO) test -run FuzzExactEngine -fuzz FuzzExactEngine -fuzztime 15s .
 
 # bench-go runs the full go-test benchmark suite (experiments +
 # substrates) without writing the JSON report.

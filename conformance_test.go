@@ -11,6 +11,7 @@ import (
 
 	"github.com/soferr/soferr"
 	"github.com/soferr/soferr/internal/montecarlo"
+	"github.com/soferr/soferr/internal/softarch"
 	"github.com/soferr/soferr/internal/units"
 )
 
@@ -170,6 +171,11 @@ func TestEngineConformance(t *testing.T) {
 				if !errors.Is(exactErr, soferr.ErrExactUnavailable) {
 					t.Fatalf("exact err = %v, want ErrExactUnavailable", exactErr)
 				}
+				// SoftArch answers from the Exact engine's state, so it
+				// refuses with the same typed error.
+				if _, err := sys.MTTF(ctx, soferr.SoftArch); !errors.Is(err, soferr.ErrExactUnavailable) {
+					t.Errorf("SoftArch err = %v, want ErrExactUnavailable", err)
+				}
 			} else {
 				if exactErr != nil {
 					t.Fatalf("exact MTTF: %v", exactErr)
@@ -205,17 +211,18 @@ func TestEngineConformance(t *testing.T) {
 					t.Errorf("exact cache normalization broken: %+v vs %+v", cached, exactEst)
 				}
 				// Compare integration: the Monte-Carlo row of a method
-				// comparison under the Exact engine is the exact value.
-				// (AVF+SOFR is the second method because it answers on
-				// every system here; SoftArch rejects unequal periods.)
+				// comparison under the Exact engine is the exact value,
+				// and the SoftArch row, which reads the same closed-form
+				// state, is bit-equal to it on every system here, unequal
+				// periods included.
 				ests, err := sys.CompareWith(ctx, []soferr.EstimateOption{soferr.WithEngine(soferr.Exact)},
-					soferr.AVFSOFR, soferr.MonteCarlo)
+					soferr.AVFSOFR, soferr.MonteCarlo, soferr.SoftArch)
 				if err != nil {
 					t.Fatalf("CompareWith(exact): %v", err)
 				}
 				for _, est := range ests {
-					if est.Method == soferr.MonteCarlo && est.MTTF != exactEst.MTTF {
-						t.Errorf("CompareWith MC row = %v, exact = %v", est.MTTF, exactEst.MTTF)
+					if est.Method != soferr.AVFSOFR && est.MTTF != exactEst.MTTF {
+						t.Errorf("CompareWith %v row = %v, exact = %v", est.Method, est.MTTF, exactEst.MTTF)
 					}
 				}
 			}
@@ -340,7 +347,8 @@ func TestExactMatchesDerivationOneProperty(t *testing.T) {
 		}
 
 		// Equal-period heterogeneous system vs the independent SoftArch
-		// union-integral implementation.
+		// union-integral implementation (package softarch, which takes
+		// per-second rates).
 		tr2, err := soferr.BusyIdleTrace(period, period*(0.1+0.8*rng.Float64()))
 		if err != nil {
 			t.Fatal(err)
@@ -349,7 +357,11 @@ func TestExactMatchesDerivationOneProperty(t *testing.T) {
 			{Name: "a", RatePerYear: rate, Trace: tr},
 			{Name: "b", RatePerYear: rate * (0.1 + rng.Float64()), Trace: tr2},
 		}
-		want2, err := soferr.SoftArchMTTF(comps)
+		sas := make([]softarch.Component, len(comps))
+		for j, c := range comps {
+			sas[j] = softarch.Component{Name: c.Name, Rate: units.PerYearToPerSecond(c.RatePerYear), Trace: c.Trace}
+		}
+		want2, err := softarch.SystemMTTF(sas)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,12 +10,13 @@ import (
 )
 
 // ErrExactUnavailable is returned by Exact-engine queries on systems
-// whose cumulative hazard cannot be tabulated in closed form: the
-// merged table was refused (it wraps trace.ErrIncommensurate or
-// trace.ErrMergedTooLarge, so errors.Is sees both the umbrella and the
-// cause), or a non-materialized trace appears alongside other failing
-// components. Callers fall back to a sampling engine — the sweep
-// planner retries such cells with Fused.
+// of two or more failing components whose cumulative hazard cannot be
+// tabulated in closed form: the merged table was refused (it wraps
+// trace.ErrIncommensurate or trace.ErrMergedTooLarge, so errors.Is sees
+// both the umbrella and the cause), or a non-materialized trace appears
+// alongside other failing components. A single failing component is
+// never refused. Callers fall back to a sampling engine (Fused answers
+// every system).
 var ErrExactUnavailable = errors.New("montecarlo: exact engine cannot tabulate this system's hazard")
 
 // ErrExactNoSamples is returned by sample-collecting runs (TTFSamples)
@@ -24,7 +25,7 @@ var ErrExactUnavailable = errors.New("montecarlo: exact engine cannot tabulate t
 // queries are unaffected.
 var ErrExactNoSamples = errors.New("montecarlo: exact engine is deterministic and has no failure-time samples to collect")
 
-// exactExposure is the capability a single non-materialized trace must
+// exactExposure is the capability a single component's trace must
 // provide for the distribution queries (Reliability, FailureQuantile):
 // an evaluable and invertible cumulative exposure. trace.Piecewise and
 // the lazy trace.LongLoop both provide it.
@@ -58,9 +59,9 @@ type exactState struct {
 	integral float64 // int_0^P exp(-H(s)) ds
 	mttf     float64
 	// cumHaz evaluates H on [0, P]; invert is its right-continuous
-	// generalized inverse. nil (with err nil) only for a single lazy
-	// trace that can integrate survival but not evaluate exposure; MTTF
-	// still works, the distribution queries refuse.
+	// generalized inverse. nil (with err nil) only for a single trace
+	// that can integrate survival but not evaluate exposure (a custom
+	// Trace); MTTF still works, the distribution queries refuse.
 	cumHaz func(x float64) float64
 	invert func(h float64) float64
 }
@@ -83,43 +84,15 @@ func newExactState(components []Component) *exactState {
 		}
 		live = append(live, comp)
 	}
-	if len(live) == 0 {
+	switch len(live) {
+	case 0:
 		return &exactState{infinite: true}
-	}
-
-	// All-materialized sets integrate on the merged system table, which
-	// aligns every component on the common hyperperiod.
-	rates := make([]float64, 0, len(live))
-	pieces := make([]*trace.Piecewise, 0, len(live))
-	for _, comp := range live {
-		p, ok := comp.Trace.(*trace.Piecewise)
-		if !ok {
-			pieces = nil
-			break
-		}
-		rates = append(rates, comp.Rate)
-		pieces = append(pieces, p)
-	}
-	if pieces != nil {
-		m, err := trace.NewMergedExposure(rates, pieces, 0)
-		if err != nil {
-			return &exactState{err: fmt.Errorf("%w: %w", ErrExactUnavailable, err)}
-		}
-		es := &exactState{
-			period:   m.Period(),
-			totalHaz: m.Total(),
-			integral: m.SurvivalIntegral(),
-			cumHaz:   m.CumHazard,
-			invert:   m.Invert,
-		}
-		es.finish()
-		return es
-	}
-
-	// A single live component needs no merge: its trace's own survival
-	// integral is the system integral, and H(t) = rate * m(t). This
-	// covers lazy traces (LongLoop) that cannot join a merge.
-	if len(live) == 1 {
+	case 1:
+		// A single live component needs no merge: its trace's own
+		// survival integral is the system integral, and H(t) = rate *
+		// m(t). This covers every trace kind, lazy LongLoops and
+		// tables beyond the merge cap included, so a one-component
+		// system is never refused.
 		comp := live[0]
 		integral, exposure := comp.Trace.SurvivalIntegral(comp.Rate)
 		es := &exactState{
@@ -135,7 +108,32 @@ func newExactState(components []Component) *exactState {
 		es.finish()
 		return es
 	}
-	return &exactState{err: fmt.Errorf("%w: non-materialized trace in a %d-component system", ErrExactUnavailable, len(live))}
+
+	// Two or more live components integrate on the merged system table,
+	// which aligns every component on the common hyperperiod and so
+	// needs materialized traces.
+	rates := make([]float64, len(live))
+	pieces := make([]*trace.Piecewise, len(live))
+	for i, comp := range live {
+		p, ok := comp.Trace.(*trace.Piecewise)
+		if !ok {
+			return &exactState{err: fmt.Errorf("%w: non-materialized trace in a %d-component system", ErrExactUnavailable, len(live))}
+		}
+		rates[i], pieces[i] = comp.Rate, p
+	}
+	m, err := trace.NewMergedExposure(rates, pieces, 0)
+	if err != nil {
+		return &exactState{err: fmt.Errorf("%w: %w", ErrExactUnavailable, err)}
+	}
+	es := &exactState{
+		period:   m.Period(),
+		totalHaz: m.Total(),
+		integral: m.SurvivalIntegral(),
+		cumHaz:   m.CumHazard,
+		invert:   m.Invert,
+	}
+	es.finish()
+	return es
 }
 
 // finish derives the MTTF from the integral and the geometric tail,

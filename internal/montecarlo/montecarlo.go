@@ -28,10 +28,11 @@
 //     int exp(-H(t)) dt within one hyperperiod, geometric tail
 //     exp(-H(P)) across hyperperiods — and answers MTTF, Reliability,
 //     and FailureQuantile with no RNG, no trials, and zero standard
-//     error. Systems the table cannot represent (incommensurate
-//     periods, over-cap merges, lazy traces alongside others) are
-//     refused with the typed ErrExactUnavailable so callers can fall
-//     back to the fused engine.
+//     error. A single failing component integrates on its own trace,
+//     with no merge. Multi-component systems the table cannot
+//     represent (incommensurate periods, over-cap merges, lazy traces
+//     alongside others) are refused with the typed ErrExactUnavailable
+//     so callers can fall back to the fused engine.
 //
 // Both engines are property-tested against each other, against the
 // closed forms in package analytic, and against the paper's literal

@@ -338,10 +338,11 @@ func statusFor(err error) int {
 	case errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, soferr.ErrExactUnavailable):
-		// The client asked the exact engine about a system whose hazard
+		// The client asked a closed-form query (the exact engine,
+		// SoftArch, reliability, quantile) about a system whose hazard
 		// cannot be tabulated (incommensurate periods, over-cap merge,
 		// lazy trace mixtures): semantically unanswerable as asked, not
-		// a server fault. Retrying with the fused engine succeeds.
+		// a server fault. A fused-engine MTTF query answers it.
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, soferr.ErrSamplerUnsupported):
 		// The client asked for the Sobol sampler on a system without a

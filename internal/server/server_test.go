@@ -628,7 +628,10 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 // stderr/trials/seed) and, because exact queries are seed- and
 // trial-free, any sampling options on a repeat request hit the same
 // query-cache entry. An untabulatable spec (incommensurate periods) is
-// a well-typed 422, not a 500.
+// a well-typed 422, not a 500, on every closed-form query: the exact
+// engine, SoftArch (alone and in a compare), reliability, and quantile
+// all answer from one state. A commensurate unequal-period spec
+// answers SoftArch with the exact engine's MTTF, bit for bit.
 func TestExactEngineServed(t *testing.T) {
 	srv := httptest.NewServer(New(Config{}))
 	defer srv.Close()
@@ -693,6 +696,47 @@ func TestExactEngineServed(t *testing.T) {
 	mustUnmarshal(t, body, &env)
 	if !strings.Contains(env.Error.Message, "exact engine") {
 		t.Errorf("422 message %q does not name the exact engine", env.Error.Message)
+	}
+	for _, q := range []struct {
+		path string
+		body map[string]interface{}
+	}{
+		{"/v1/mttf", map[string]interface{}{"spec": incomm, "method": "softarch"}},
+		{"/v1/compare", map[string]interface{}{"spec": incomm, "methods": []string{"avf+sofr", "softarch"}}},
+		{"/v1/reliability", map[string]interface{}{"spec": incomm, "t_seconds": 5.0}},
+		{"/v1/quantile", map[string]interface{}{"spec": incomm, "p": 0.5}},
+	} {
+		resp, body = post(t, client, srv.URL+q.path, q.body)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("incommensurate %s: status %d, want 422 (%s)", q.path, resp.StatusCode, body)
+			continue
+		}
+		env.Error = httpError{}
+		mustUnmarshal(t, body, &env)
+		if !strings.Contains(env.Error.Message, "exact engine") {
+			t.Errorf("%s 422 message %q does not name the exact engine", q.path, env.Error.Message)
+		}
+	}
+
+	// Commensurate unequal periods: SoftArch answers, from the exact
+	// engine's state.
+	comm := soferr.Spec{Components: []soferr.ComponentSpec{
+		{RatePerYear: 1e6, Trace: soferr.TraceSpec{Kind: soferr.TraceKindBusyIdle, PeriodSeconds: 10, BusySeconds: 4}},
+		{RatePerYear: 1e6, Trace: soferr.TraceSpec{Kind: soferr.TraceKindBusyIdle, PeriodSeconds: 20, BusySeconds: 4}},
+	}}
+	var commEst [2]mttfResponse
+	for i, req := range []map[string]interface{}{
+		{"spec": comm, "method": "softarch"},
+		{"spec": comm, "method": "montecarlo", "engine": "exact"},
+	} {
+		resp, body = post(t, client, srv.URL+"/v1/mttf", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("commensurate %v: status %d, want 200 (%s)", req["method"], resp.StatusCode, body)
+		}
+		mustUnmarshal(t, body, &commEst[i])
+	}
+	if sa, ex := commEst[0].Estimate.MTTF, commEst[1].Estimate.MTTF; sa != ex || !(sa > 0) {
+		t.Errorf("commensurate SoftArch MTTF = %v, exact = %v; want bit-equal and positive", sa, ex)
 	}
 
 	// The same system under a sampling engine still answers 200.

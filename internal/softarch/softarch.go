@@ -1,32 +1,21 @@
-// Package softarch implements a SoftArch-style first-principles MTTF
-// model (Li et al., DSN 2005; Section 5.4 of the reproduced paper).
+// Package softarch is an independent implementation of the SoftArch
+// first-principles MTTF model (Li et al., DSN 2005; Section 5.4 of the
+// reproduced paper), kept as the reference the Exact engine is checked
+// against. Only tests import it: the library answers the SoftArch
+// method from the Exact engine's state (package montecarlo).
 //
-// SoftArch tracks the probability that each value produced during
-// execution is erroneous (error generation, proportional to the raw
-// error rate and the time a structure holds live state) and when such
-// values affect program output, and from these derives the mean time to
-// first failure directly — without the AVF step's uniform-vulnerability
-// assumption or the SOFR step's exponential-time-to-failure assumption.
-//
-// Under the masking model of Section 4 (an unmasked raw error is a
-// failure at its arrival time), the SoftArch bookkeeping collapses to an
-// exact survival computation over the masking trace. For a component
-// with raw error rate r and cumulative vulnerability exposure m(t), the
-// probability that no failure has occurred by time t is
-//
-//	S(t) = exp(-r * m(t))
-//
-// because unmasked errors form an inhomogeneous Poisson process with
-// intensity r * vuln(t). The MTTF is the integral of S over [0, inf),
-// which the periodic structure of the workload reduces to a single
-// period (the geometric tail sums in closed form):
+// A component with raw error rate r and cumulative exposure m(t)
+// survives to t with probability S(t) = exp(-r * m(t)), and
 //
 //	MTTF = (int_0^L exp(-r*m(s)) ds) / (1 - exp(-r*m(L)))
 //
-// For a series system the survival functions multiply, which is the
-// superposition of the components' error processes. No exponential or
-// uniform assumption is made anywhere: this is the same quantity the
-// Monte-Carlo engine estimates, computed in closed form.
+// over one period L. For one component both this package and the Exact
+// engine call the trace's own SurvivalIntegral. A series system of
+// equal-period components is integrated here as one rate-weighted
+// union trace (trace.WeightedUnion), where the Exact engine merges the
+// components' hazard tables instead, so the multi-component answers
+// are computed independently. See DESIGN.md, "Exact engine", for the
+// derivation.
 package softarch
 
 import (

@@ -55,7 +55,8 @@ type Trace interface {
 	// where m(s) is the expected unmasked-error exposure accumulated by
 	// time s (the integral of the vulnerability). These two numbers are
 	// sufficient to compute the exact first-principles MTTF of the
-	// component (see package softarch) without enumerating periods.
+	// component (see the Exact engine in package montecarlo) without
+	// enumerating periods.
 	SurvivalIntegral(rate float64) (integral, exposure float64)
 }
 

@@ -34,7 +34,7 @@ type Trace interface {
 	VulnAt(t float64) float64
 	// SurvivalIntegral returns the one-period survival integral and
 	// total exposure for a raw error process of the given rate in
-	// errors/second; see the softarch documentation for the math.
+	// errors/second; see DESIGN.md's Exact-engine section for the math.
 	SurvivalIntegral(rate float64) (integral, exposure float64)
 }
 
@@ -191,22 +191,27 @@ const (
 	// Exact integrates the merged cumulative-hazard table in closed
 	// form instead of sampling it: zero trials, zero standard error,
 	// microsecond queries. Estimates record Trials = 0 and Seed = 0;
-	// WithTrials, WithSeed, and WithTargetRelStdErr are ignored.
-	// Systems whose hazard cannot be tabulated (incommensurate periods,
-	// over-cap merges, lazy traces alongside other components) return
-	// ErrExactUnavailable; the sweep planner falls back to Fused on it.
+	// WithTrials, WithSeed, and WithTargetRelStdErr are ignored. A
+	// single failing component integrates on its own trace and is
+	// always answered. Multi-component systems whose hazard cannot be
+	// tabulated (incommensurate periods, over-cap merges, lazy traces
+	// alongside other components) return ErrExactUnavailable. The same
+	// state answers SoftArch, Reliability, and FailureQuantile.
 	Exact = montecarlo.Exact
 	// EngineExact is an alias for Exact, matching the engine's wire
 	// name ("exact") as the server and CLI docs spell it.
 	EngineExact = montecarlo.Exact
 )
 
-// ErrExactUnavailable tags Exact-engine queries on systems whose
-// cumulative hazard cannot be tabulated in closed form (incommensurate
-// periods, an over-cap merged table, or non-materialized traces
-// alongside other failing components). Callers branch with errors.Is
-// and fall back to a sampling engine; it also wraps the underlying
-// cause, so errors.Is against the specific merge refusal still works.
+// ErrExactUnavailable tags closed-form queries on systems whose
+// cumulative hazard cannot be tabulated (incommensurate periods, an
+// over-cap merged table, or non-materialized traces alongside other
+// failing components; a single failing component is never refused).
+// The Exact engine, SoftArch, Reliability, and FailureQuantile all
+// return it, since they answer from one state. Callers branch with
+// errors.Is and fall back to a sampling engine; it also wraps the
+// underlying cause, so errors.Is against the specific merge refusal
+// still works.
 var ErrExactUnavailable = montecarlo.ErrExactUnavailable
 
 // Sampler selects the uniform-draw source behind a Monte-Carlo query.

@@ -2,7 +2,6 @@ package soferr
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 
@@ -216,17 +215,7 @@ func SweepCells(ctx context.Context, sources []TraceSource, cells []Cell, method
 		func(ctx context.Context, sys *System, c Cell) ([]Estimate, error) {
 			cellOpts := append(append([]EstimateOption(nil), baseOpts...),
 				WithSeed(c.Seed), WithWorkers(innerWorkers))
-			ests, err := sys.CompareWith(ctx, cellOpts, methods...)
-			if err != nil && set.engine == Exact && errors.Is(err, ErrExactUnavailable) {
-				// The cell's hazard cannot be tabulated (incommensurate
-				// periods, over-cap merge, lazy trace mixtures): degrade
-				// this cell — and only this cell — to the Fused sampler,
-				// which handles any trace mixture exactly. The switch is
-				// observable: the cell's estimates record Engine = Fused.
-				fallback := append(cellOpts, WithEngine(Fused))
-				return sys.CompareWith(ctx, fallback, methods...)
-			}
-			return ests, err
+			return sys.CompareWith(ctx, cellOpts, methods...)
 		})
 	if err != nil {
 		return nil, err

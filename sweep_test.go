@@ -254,12 +254,13 @@ func TestSweepExactEngine(t *testing.T) {
 	}
 }
 
-// TestSweepExactFallbackToFused: a cell whose merged hazard table is
-// refused (here: a single trace over the segment cap, so even the
-// one-component merge exceeds DefaultMaxMergedSegments) degrades to the
-// Fused sampler for that cell only, observably via Estimate.Engine; the
-// tabulatable cell in the same sweep stays exact.
-func TestSweepExactFallbackToFused(t *testing.T) {
+// TestSweepExactAnswersOverCapSingleTrace: a single trace over the
+// merged-table segment cap (DefaultMaxMergedSegments) is still answered
+// by the Exact engine, because a one-component system integrates on
+// its own trace and never builds a merged table. Every sweep system has
+// one component, so no sweep cell falls back to Fused. SoftArch on the
+// same cell reads the same state and equals the exact MTTF bit for bit.
+func TestSweepExactAnswersOverCapSingleTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a >4M-segment trace")
 	}
@@ -276,13 +277,13 @@ func TestSweepExactFallbackToFused(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := soferr.Grid{
-		Name: "fallback",
+		Name: "over-cap",
 		Sources: []soferr.TraceSource{
 			{Name: "huge", Trace: huge},
 			{Name: "small", Trace: small},
 		},
 		RatesPerYear: []float64{1e6},
-		Methods:      []soferr.Method{soferr.MonteCarlo},
+		Methods:      []soferr.Method{soferr.MonteCarlo, soferr.SoftArch},
 		Seed:         1,
 	}
 	res, err := soferr.Sweep(context.Background(), g,
@@ -293,11 +294,16 @@ func TestSweepExactFallbackToFused(t *testing.T) {
 	if len(res) != 2 {
 		t.Fatalf("got %d cells, want 2", len(res))
 	}
-	hugeEst, smallEst := res[0].Estimates[0], res[1].Estimates[0]
-	if hugeEst.Engine != soferr.Fused || hugeEst.Trials != 500 || !(hugeEst.StdErr > 0) {
-		t.Errorf("over-cap cell did not fall back to Fused sampling: %+v", hugeEst)
-	}
-	if smallEst.Engine != soferr.Exact || smallEst.StdErr != 0 || smallEst.Trials != 0 {
-		t.Errorf("tabulatable cell lost the exact engine: %+v", smallEst)
+	for i, r := range res {
+		exact, sa := r.Estimates[0], r.Estimates[1]
+		if exact.Engine != soferr.Exact || exact.StdErr != 0 || exact.Trials != 0 {
+			t.Errorf("cell %d (%s) did not answer exactly: %+v", i, g.Sources[i].Name, exact)
+		}
+		if !(exact.MTTF > 0) || math.IsInf(exact.MTTF, 1) {
+			t.Errorf("cell %d exact MTTF = %v, want finite positive", i, exact.MTTF)
+		}
+		if sa.MTTF != exact.MTTF {
+			t.Errorf("cell %d SoftArch MTTF = %v, exact = %v; want bit-equal", i, sa.MTTF, exact.MTTF)
+		}
 	}
 }

@@ -15,8 +15,6 @@ import (
 	"github.com/soferr/soferr/internal/avf"
 	"github.com/soferr/soferr/internal/montecarlo"
 	"github.com/soferr/soferr/internal/sofr"
-	"github.com/soferr/soferr/internal/softarch"
-	"github.com/soferr/soferr/internal/trace"
 	"github.com/soferr/soferr/internal/units"
 )
 
@@ -34,7 +32,10 @@ const (
 	// bit-identical results.
 	MonteCarlo
 	// SoftArch computes the same first-principles quantity in closed
-	// form via the survival integral (Section 5.4). Deterministic.
+	// form via the survival integral (Section 5.4). Deterministic. It
+	// answers from the Exact engine's state, so its MTTF equals the
+	// Exact engine's bit for bit, and it refuses with
+	// ErrExactUnavailable exactly where the Exact engine does.
 	SoftArch
 )
 
@@ -386,23 +387,13 @@ func WithTargetRelStdErr(target float64) EstimateOption {
 	return func(s *estimateSettings) { s.targetRSE = target }
 }
 
-// exposureTrace is the capability the distribution-level queries need:
-// a trace whose cumulative exposure m(t) can be evaluated and inverted.
-// Both materialized trace kinds (Piecewise and the lazy LongLoop that
-// backs CombinedWorkload) provide it.
-type exposureTrace interface {
-	Trace
-	TotalExposure() float64
-	Exposure(x float64) float64
-	InvertExposure(e float64) float64
-}
-
 // System is an immutable, precompiled series system: NewSystem
 // validates the components once, converts units, and precomputes the
 // state every estimator shares — per-second rates, per-component AVF
-// MTTFs, the compiled Monte-Carlo system (whose merged hazard table is
-// built by the first query that needs it), and the rate-weighted union
-// trace behind the distribution queries.
+// MTTFs, and the compiled Monte-Carlo system. Its Exact-engine state,
+// built by the first query that needs it, is the one closed-form
+// integrator: it answers the Exact engine, SoftArch, Reliability, and
+// FailureQuantile alike.
 // All queries are safe for concurrent use, and deterministic queries
 // (plus seeded Monte-Carlo runs, which are deterministic too) are
 // memoized, so a long-lived System answers repeated traffic at
@@ -417,22 +408,6 @@ type System struct {
 	// avfSofr is the precomputed AVF+SOFR estimate (deterministic).
 	avfSofr float64
 	avfErr  error
-
-	// Union of the live components (rate-weighted), for SoftArch and
-	// the distribution queries. It is compiled lazily (unionOnce) so
-	// Monte-Carlo-only users — including the flat MonteCarloMTTF
-	// wrapper — never pay the O(segments) merge. unionErr defers
-	// union-impossible configurations (mismatched periods,
-	// non-materialized traces in a multi-component system) to the
-	// queries that need the union.
-	unionOnce  sync.Once
-	unionRate  float64 // errors/second, live components only
-	unionTrace exposureTrace
-	unionErr   error
-
-	softArchOnce sync.Once
-	softArchMTTF float64
-	softArchErr  error
 
 	mcCache     sync.Map // mcCacheKey -> Estimate
 	mcCacheSize atomic.Int64
@@ -509,59 +484,6 @@ func NewSystem(components []Component, opts ...SystemOption) (*System, error) {
 	return s, nil
 }
 
-// ensureUnion compiles the union on first use by a query that needs it.
-func (s *System) ensureUnion() {
-	s.unionOnce.Do(s.compileUnion)
-}
-
-// compileUnion builds the rate-weighted union of the live components
-// that backs SoftArch and the distribution queries. Configurations
-// without a usable union record the error instead of failing the
-// build: the per-method MTTF queries do not all need it.
-func (s *System) compileUnion() {
-	var live []Component
-	for _, c := range s.components {
-		if c.RatePerYear > 0 && c.Trace.AVF() > 0 {
-			live = append(live, c)
-		}
-	}
-	if len(live) == 0 {
-		return // never fails; Reliability is identically 1
-	}
-	for _, c := range live {
-		s.unionRate += units.PerYearToPerSecond(c.RatePerYear)
-	}
-	if len(live) == 1 {
-		et, ok := live[0].Trace.(exposureTrace)
-		if !ok {
-			s.unionErr = fmt.Errorf("soferr: distribution queries need materialized traces, got %T", live[0].Trace)
-			return
-		}
-		s.unionTrace = et
-		return
-	}
-	// Per-second weights match package softarch's internal union
-	// exactly, so the SoftArch query through this union is
-	// bit-identical to the flat softarch.SystemMTTF path.
-	weights := make([]float64, len(live))
-	pieces := make([]*trace.Piecewise, len(live))
-	for i, c := range live {
-		p, ok := c.Trace.(*trace.Piecewise)
-		if !ok {
-			s.unionErr = fmt.Errorf("soferr: component %s: multi-component distribution queries need materialized traces, got %T", c.Name, c.Trace)
-			return
-		}
-		pieces[i] = p
-		weights[i] = units.PerYearToPerSecond(c.RatePerYear)
-	}
-	u, err := trace.WeightedUnion(weights, pieces)
-	if err != nil {
-		s.unionErr = fmt.Errorf("soferr: %w", err)
-		return
-	}
-	s.unionTrace = u
-}
-
 // Name returns the system's label (empty unless WithName was given).
 func (s *System) Name() string { return s.name }
 
@@ -605,13 +527,13 @@ func (s *System) MTTF(ctx context.Context, method Method, opts ...EstimateOption
 		}
 		return newEstimate(AVFSOFR, s.avfSofr, 0, estimateSettings{}), nil
 	case SoftArch:
-		s.softArchOnce.Do(func() {
-			s.softArchMTTF, s.softArchErr = s.computeSoftArch()
-		})
-		if s.softArchErr != nil {
-			return Estimate{}, s.softArchErr
+		// Section 5.4's survival model is the quantity the Exact engine
+		// integrates, so SoftArch reads the same compiled state.
+		mttf, err := s.mc.ExactMTTF()
+		if err != nil {
+			return Estimate{}, err
 		}
-		return newEstimate(SoftArch, s.softArchMTTF, 0, estimateSettings{}), nil
+		return newEstimate(SoftArch, mttf, 0, estimateSettings{}), nil
 	case MonteCarlo:
 		return s.monteCarlo(ctx, set)
 	default:
@@ -643,31 +565,6 @@ func (s *System) CompareWith(ctx context.Context, opts []EstimateOption, methods
 		out = append(out, est)
 	}
 	return out, nil
-}
-
-func (s *System) computeSoftArch() (float64, error) {
-	// Reuse the compiled union instead of rebuilding it per query; the
-	// per-second weights make this identical to softarch.SystemMTTF on
-	// the raw components.
-	s.ensureUnion()
-	if s.unionRate == 0 {
-		return math.Inf(1), nil
-	}
-	if s.unionErr == nil {
-		return softarch.ComponentMTTF(s.unionRate, s.unionTrace)
-	}
-	// No precompiled union (e.g. a single live component whose trace is
-	// not materialized): fall back to the flat path, which handles any
-	// single Trace and reports precise errors otherwise.
-	sas := make([]softarch.Component, len(s.components))
-	for i, c := range s.components {
-		sas[i] = softarch.Component{
-			Name:  c.Name,
-			Rate:  units.PerYearToPerSecond(c.RatePerYear),
-			Trace: c.Trace,
-		}
-	}
-	return softarch.SystemMTTF(sas)
 }
 
 func (s *System) monteCarlo(ctx context.Context, set estimateSettings) (Estimate, error) {
@@ -747,10 +644,10 @@ func newEstimate(m Method, mttf, stderr float64, set estimateSettings) Estimate 
 // Reliability returns the exact probability that the system survives
 // (suffers no unmasked error) through [0, t]: the first-principles
 // survival function S(t) = exp(-sum_i rate_i * m_i(t)) the flat MTTF
-// API cannot express. All failing components must have materialized
-// traces; systems with several failing components need a shared period
-// or commensurate periods (the latter answer from the merged hazard
-// table that also backs the Exact engine).
+// API cannot express. It answers from the Exact engine's state, so it
+// covers the systems the Exact engine covers: one failing component
+// with any trace, or several with materialized traces on commensurate
+// periods. Other systems return ErrExactUnavailable.
 func (s *System) Reliability(ctx context.Context, t float64) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -758,26 +655,7 @@ func (s *System) Reliability(ctx context.Context, t float64) (float64, error) {
 	if t < 0 || math.IsNaN(t) {
 		return 0, fmt.Errorf("soferr: Reliability at invalid time %v: %w", t, ErrInvalidArgument)
 	}
-	s.ensureUnion()
-	if s.unionRate == 0 {
-		return 1, nil // no component can ever fail
-	}
-	if s.unionErr != nil {
-		// The equal-period union is not the only exact route: the
-		// merged hazard table (the Exact engine's state) covers
-		// commensurate unequal periods too. Only if both refuse is the
-		// query unanswerable, and the union's error names the cause.
-		if r, exErr := s.mc.ExactReliability(t); exErr == nil {
-			return r, nil
-		}
-		return 0, s.unionErr
-	}
-	if math.IsInf(t, 1) {
-		// exposureAt would compute Inf - Inf; a failing periodic system
-		// accumulates unbounded hazard, so survival forever is zero.
-		return 0, nil
-	}
-	return math.Exp(-s.unionRate * exposureAt(s.unionTrace, t)), nil
+	return s.mc.ExactReliability(t)
 }
 
 // FailureQuantile returns the time by which the system has failed with
@@ -785,7 +663,9 @@ func (s *System) Reliability(ctx context.Context, t float64) (float64, error) {
 // is the earliest instant at which the failure probability exceeds p
 // (failures only land at vulnerable instants, so quantiles jump across
 // idle spans). p = 0 returns the first vulnerable instant; p = 1 and
-// systems that can never fail return +Inf.
+// systems that can never fail return +Inf. Like Reliability it answers
+// from the Exact engine's state and refuses with ErrExactUnavailable
+// where that state does not exist.
 func (s *System) FailureQuantile(ctx context.Context, p float64) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -796,42 +676,5 @@ func (s *System) FailureQuantile(ctx context.Context, p float64) (float64, error
 	if p == 1 {
 		return math.Inf(1), nil
 	}
-	s.ensureUnion()
-	if s.unionRate == 0 {
-		return math.Inf(1), nil
-	}
-	if s.unionErr != nil {
-		// As in Reliability: commensurate unequal periods invert on the
-		// merged hazard table instead.
-		if q, exErr := s.mc.ExactFailureQuantile(p); exErr == nil {
-			return q, nil
-		}
-		return 0, s.unionErr
-	}
-	// F(t) = 1 - exp(-R*m(t)) > p  <=>  m(t) > -log1p(-p)/R.
-	target := -math.Log1p(-p) / s.unionRate
-	tr := s.unionTrace
-	total := tr.TotalExposure()
-	period := tr.Period()
-	k := math.Floor(target / total)
-	rem := target - k*total
-	if rem < 0 {
-		rem = 0
-	}
-	// Float roundoff can push rem to exactly total; fold it into one
-	// more whole period so the inner inversion stays in-range.
-	if rem >= total {
-		k++
-		rem -= total
-	}
-	return k*period + tr.InvertExposure(rem), nil
-}
-
-// exposureAt evaluates the cumulative exposure m(t) for any t >= 0:
-// whole periods contribute multiples of the one-period exposure and the
-// remainder is one table lookup.
-func exposureAt(tr exposureTrace, t float64) float64 {
-	period := tr.Period()
-	k := math.Floor(t / period)
-	return k*tr.TotalExposure() + tr.Exposure(t-k*period)
+	return s.mc.ExactFailureQuantile(p)
 }

@@ -215,9 +215,9 @@ func TestNewSystemErrorPaths(t *testing.T) {
 		t.Error("negative rate accepted")
 	}
 
-	// Mismatched but commensurate periods: the equal-period union does
-	// not exist (SoftArch still errors), but the distribution queries
-	// now answer from the merged hazard table instead of failing.
+	// Mismatched but commensurate periods: the merged hazard table
+	// exists, so SoftArch and the distribution queries answer from it,
+	// and SoftArch is the Exact engine's MTTF bit for bit.
 	mixed := []soferr.Component{
 		{Name: "a", RatePerYear: 10, Trace: tr},
 		{Name: "b", RatePerYear: 10, Trace: mustBusyIdle(t, 20, 4)},
@@ -226,8 +226,16 @@ func TestNewSystemErrorPaths(t *testing.T) {
 	if err != nil {
 		t.Fatalf("mismatched periods should compile, got %v", err)
 	}
-	if _, err := sys.MTTF(context.Background(), soferr.SoftArch); err == nil {
-		t.Error("SoftArch on mismatched periods succeeded")
+	sa, err := sys.MTTF(context.Background(), soferr.SoftArch)
+	if err != nil {
+		t.Errorf("SoftArch on commensurate mismatched periods failed: %v", err)
+	}
+	ex, err := sys.MTTF(context.Background(), soferr.MonteCarlo, soferr.WithEngine(soferr.Exact))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sa.MTTF != ex.MTTF || !(sa.MTTF > 0) || math.IsInf(sa.MTTF, 1) {
+		t.Errorf("SoftArch MTTF = %v, Exact = %v; want equal, finite and positive", sa.MTTF, ex.MTTF)
 	}
 	if r, err := sys.Reliability(context.Background(), 5); err != nil {
 		t.Errorf("Reliability on commensurate mismatched periods failed: %v", err)
@@ -244,8 +252,9 @@ func TestNewSystemErrorPaths(t *testing.T) {
 	}
 
 	// Incommensurate periods (the exact LCM of 10 and pi is beyond any
-	// usable repetition count): neither the union nor the merged table
-	// exists, so the distribution queries surface the union's error.
+	// usable repetition count): the merged table does not exist, so
+	// SoftArch and the distribution queries refuse with the Exact
+	// engine's typed error.
 	incomm := []soferr.Component{
 		{Name: "a", RatePerYear: 10, Trace: tr},
 		{Name: "b", RatePerYear: 10, Trace: mustBusyIdle(t, math.Pi, 1)},
@@ -254,11 +263,14 @@ func TestNewSystemErrorPaths(t *testing.T) {
 	if err != nil {
 		t.Fatalf("incommensurate periods should compile, got %v", err)
 	}
-	if _, err := isys.Reliability(context.Background(), 5); err == nil {
-		t.Error("Reliability on incommensurate periods succeeded")
+	if _, err := isys.MTTF(context.Background(), soferr.SoftArch); !errors.Is(err, soferr.ErrExactUnavailable) {
+		t.Errorf("SoftArch on incommensurate periods: err = %v, want ErrExactUnavailable", err)
 	}
-	if _, err := isys.FailureQuantile(context.Background(), 0.5); err == nil {
-		t.Error("FailureQuantile on incommensurate periods succeeded")
+	if _, err := isys.Reliability(context.Background(), 5); !errors.Is(err, soferr.ErrExactUnavailable) {
+		t.Errorf("Reliability on incommensurate periods: err = %v, want ErrExactUnavailable", err)
+	}
+	if _, err := isys.FailureQuantile(context.Background(), 0.5); !errors.Is(err, soferr.ErrExactUnavailable) {
+		t.Errorf("FailureQuantile on incommensurate periods: err = %v, want ErrExactUnavailable", err)
 	}
 
 	// Unknown method.
