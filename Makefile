@@ -78,8 +78,9 @@ lint-fix-baseline:
 # fuzz-smoke gives each native fuzz target a short budget on top of its
 # committed seed corpus (testdata/fuzz). CI runs the same step; longer
 # local sessions: go test -fuzz FuzzSpecDecode -fuzztime 5m .
-# FuzzExactEngine runs last: it still finds the known FailureQuantile
-# rounding inputs (ROADMAP), and make stops at the first failing target.
+# FuzzExactEngine's corpus holds the two FailureQuantile rounding inputs
+# it once found (a 1e70/yr gzip trace; a 2.1e8 s busy/idle period), so
+# they are replayed on every run.
 fuzz-smoke:
 	$(GO) test -run FuzzSpecDecode -fuzz FuzzSpecDecode -fuzztime 15s .
 	$(GO) test -run FuzzMergedExposure -fuzz FuzzMergedExposure -fuzztime 15s ./internal/trace

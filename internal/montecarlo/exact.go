@@ -188,6 +188,16 @@ func (c *Compiled) ExactReliability(t float64) (float64, error) {
 	if math.IsInf(t, 1) {
 		return 0, nil
 	}
+	// H(t) can overflow to +Inf for astronomically large t; ExpNeg
+	// clamps it to the correct limit 0.
+	return numeric.ExpNeg(es.hazard(t)), nil
+}
+
+// hazard evaluates the cumulative hazard at a finite t >= 0 by the
+// periodic fold H(t) = k*H(P) + H(t - k*P), k = floor(t/P). Reliability
+// and FailureQuantile both evaluate H through it, so a quantile checked
+// against it is checked against the survival function callers see.
+func (es *exactState) hazard(t float64) float64 {
 	k := math.Floor(t / es.period)
 	rem := t - k*es.period
 	if rem < 0 {
@@ -201,16 +211,16 @@ func (c *Compiled) ExactReliability(t float64) (float64, error) {
 			rem = 0
 		}
 	}
-	// k*H(P) can overflow to +Inf for astronomically large t; ExpNeg
-	// clamps it to the correct limit 0.
-	return numeric.ExpNeg(k*es.totalHaz + es.cumHaz(rem)), nil
+	return k*es.totalHaz + es.cumHaz(rem)
 }
 
 // ExactFailureQuantile returns the exact generalized inverse of
 // 1 - Reliability: the earliest instant at which the failure
 // probability exceeds p. Failures only land at vulnerable instants, so
 // quantiles jump across idle spans; p = 0 returns the first vulnerable
-// instant, p = 1 and never-failing systems return +Inf.
+// instant, p = 1 and never-failing systems return +Inf. At float
+// resolution the answer satisfies F(t) >= p as ExactReliability
+// evaluates F.
 func (c *Compiled) ExactFailureQuantile(p float64) (float64, error) {
 	if p < 0 || p > 1 || math.IsNaN(p) {
 		return 0, fmt.Errorf("montecarlo: ExactFailureQuantile of invalid probability %v", p)
@@ -241,5 +251,13 @@ func (c *Compiled) ExactFailureQuantile(p float64) (float64, error) {
 			rem = 0
 		}
 	}
-	return k*es.period + es.invert(rem), nil
+	t := k*es.period + es.invert(rem)
+	// Rounding k*P + H^-1(rem) to a float can land t an ulp or two short
+	// of the crossing (onto the start of a vulnerable span, or inside a
+	// span narrower than the float spacing at t), where F(t) < p. Step up
+	// to the first float at which the folded hazard reaches the target.
+	for es.hazard(t) < h {
+		t = math.Nextafter(t, math.Inf(1))
+	}
+	return t, nil
 }
