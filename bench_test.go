@@ -123,7 +123,7 @@ func BenchmarkMonteCarloSPECTrace(b *testing.B) {
 	comp := soferr.Component{Name: "int", RatePerYear: 1e6, Trace: res.Int}
 	b.ResetTimer()
 	if _, err := soferr.MonteCarloMTTF([]soferr.Component{comp},
-		soferr.MonteCarloOptions{Trials: b.N, Seed: 1}); err != nil {
+		soferr.Query{Trials: b.N, Seed: 1}); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -156,7 +156,7 @@ func BenchmarkRepeatedMonteCarloQuery(b *testing.B) {
 	})
 	b.Run("flat", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := soferr.MonteCarloMTTF(comps, soferr.MonteCarloOptions{
+			if _, err := soferr.MonteCarloMTTF(comps, soferr.Query{
 				Trials: trials, Seed: 1,
 			}); err != nil {
 				b.Fatal(err)

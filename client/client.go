@@ -135,20 +135,11 @@ func (e *APIError) Error() string {
 // permanent problem.
 func (e *APIError) retryable() bool { return e.Status == http.StatusServiceUnavailable }
 
-// Options are the estimate options shared by MTTF and Compare,
-// mirroring the server's wire fields.
+// Options are the estimate options shared by MTTF and Compare: the
+// Monte-Carlo Query the server answers at, plus the request deadline.
 type Options struct {
-	Trials int    `json:"trials,omitempty"`
-	Seed   uint64 `json:"seed,omitempty"`
-	// Engine is the Monte-Carlo engine: "fused" (the server default
-	// when empty) or "exact"; unknown names are permanent 400s.
-	Engine string `json:"engine,omitempty"`
-	// Sampler is the Monte-Carlo draw source ("pcg" default, "sobol"
-	// for quasi-Monte-Carlo); unknown names are permanent 422s.
-	Sampler         string  `json:"sampler,omitempty"`
-	TargetRelStdErr float64 `json:"target_rel_stderr,omitempty"`
-	Workers         int     `json:"workers,omitempty"`
-	TimeoutMS       int64   `json:"timeout_ms,omitempty"`
+	soferr.Query
+	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
 // MTTFResult is the /v1/mttf response.
@@ -215,25 +206,21 @@ func (c *Client) Quantile(ctx context.Context, spec soferr.Spec, p float64) (flo
 	return float64(out.TSeconds), err
 }
 
-// SweepRequest mirrors the server's /v1/sweep request body. Cursor and
-// Limit select a window of the grid (both zero = the whole grid); the
-// paging the client does on top never changes per-cell seeds, because
-// the server derives them from absolute grid indices.
+// SweepRequest mirrors the server's /v1/sweep request body. The Query
+// applies to every cell, and its Seed is the grid's base seed. Cursor
+// and Limit select a window of the grid (both zero = the whole grid);
+// the paging the client does on top never changes per-cell seeds,
+// because the server derives them from absolute grid indices.
 type SweepRequest struct {
-	Name            string              `json:"name,omitempty"`
-	Sources         []soferr.SourceSpec `json:"sources"`
-	RatesPerYear    []float64           `json:"rates_per_year"`
-	Counts          []int               `json:"counts,omitempty"`
-	Methods         []string            `json:"methods,omitempty"`
-	Seed            uint64              `json:"seed,omitempty"`
-	Trials          int                 `json:"trials,omitempty"`
-	Engine          string              `json:"engine,omitempty"`
-	Sampler         string              `json:"sampler,omitempty"`
-	TargetRelStdErr float64             `json:"target_rel_stderr,omitempty"`
-	Workers         int                 `json:"workers,omitempty"`
-	TimeoutMS       int64               `json:"timeout_ms,omitempty"`
-	Cursor          int64               `json:"cursor,omitempty"`
-	Limit           int64               `json:"limit,omitempty"`
+	Name         string              `json:"name,omitempty"`
+	Sources      []soferr.SourceSpec `json:"sources"`
+	RatesPerYear []float64           `json:"rates_per_year"`
+	Counts       []int               `json:"counts,omitempty"`
+	Methods      []string            `json:"methods,omitempty"`
+	soferr.Query
+	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+	Cursor    int64 `json:"cursor,omitempty"`
+	Limit     int64 `json:"limit,omitempty"`
 }
 
 // SweepResult is the collected sweep outcome: every requested cell in

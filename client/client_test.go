@@ -33,9 +33,7 @@ func sweepReq() SweepRequest {
 		RatesPerYear: []float64{1e4, 1e6},
 		Counts:       []int{1, 16},
 		Methods:      []string{"montecarlo"},
-		Seed:         7,
-		Trials:       1000,
-		Engine:       "fused",
+		Query:        soferr.Query{Seed: 7, Trials: 1000, Engine: soferr.Fused},
 	}
 }
 
@@ -94,7 +92,7 @@ func TestMTTFBitIdenticalToDirect(t *testing.T) {
 
 	spec := testSpec(1e6)
 	got, err := c.MTTF(context.Background(), spec, "montecarlo",
-		Options{Trials: 5000, Seed: 3, Engine: "fused"})
+		Options{Query: soferr.Query{Trials: 5000, Seed: 3, Engine: soferr.Fused}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +138,7 @@ func TestRetriesOverloadNotClientErrors(t *testing.T) {
 
 	c := New(Config{BaseURL: proxy.URL, HTTPClient: proxy.Client(),
 		BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond})
-	got, err := c.MTTF(context.Background(), testSpec(1e6), "montecarlo", Options{Trials: 500, Seed: 1})
+	got, err := c.MTTF(context.Background(), testSpec(1e6), "montecarlo", Options{Query: soferr.Query{Trials: 500, Seed: 1}})
 	if err != nil {
 		t.Fatalf("overload retries failed: %v", err)
 	}

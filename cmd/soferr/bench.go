@@ -79,7 +79,7 @@ func runBench(ctx context.Context, stdout, stderr io.Writer, outPath string, ver
 	logf("bench RepeatedMonteCarloQuery/flat")
 	rFlat := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := soferr.MonteCarloMTTF(comps, soferr.MonteCarloOptions{
+			if _, err := soferr.MonteCarloMTTF(comps, soferr.Query{
 				Trials: trials, Seed: 1,
 			}); err != nil {
 				queryErr = err

@@ -77,7 +77,7 @@ func TestDefaultEngineIsFusedEverywhere(t *testing.T) {
 	check("POST /v1/mttf", served.Estimate, want)
 
 	res, err := client.New(client.Config{BaseURL: url}).MTTF(ctx, spec, "montecarlo",
-		client.Options{Trials: trials, Seed: seed})
+		client.Options{Query: soferr.Query{Trials: trials, Seed: seed}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,9 +23,13 @@
 //	-counts LIST     component-count axis C (default 1)
 //	-methods LIST    estimator axis (default avf+sofr,montecarlo,softarch)
 //	-trials N -seed N -engine NAME -sampler NAME -target-rse T -workers N -instructions N
+//	-server URL      evaluate on a running `soferr serve`, sending the same query
+//	-cursor K        with -server: resume from absolute cell K
 //	-csv | -json     output format (default aligned text, streamed)
 //
-// Flags for run / workloads:
+// The query flags -trials, -seed, -engine, -sampler and -target-rse fill
+// one soferr.Query, registered the same way for run and sweep (names are
+// case-insensitive). Flags for run / workloads:
 //
 //	-trials N        run: Monte-Carlo trials per point (default 200000)
 //	-instructions N  simulated instructions per benchmark (default 300000)
@@ -105,13 +109,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	q := soferr.Query{Seed: 1}
+	queryFlags(fs, &q)
 	var (
-		trials       = fs.Int("trials", 0, "Monte-Carlo trials per point (0 = default)")
 		instructions = fs.Int("instructions", 0, "instructions per simulated benchmark (0 = default)")
-		seed         = fs.Uint64("seed", 1, "deterministic seed")
-		engineName   = fs.String("engine", "", "Monte-Carlo engine: fused (default) or exact")
-		samplerName  = fs.String("sampler", "", "run <spec.json>: Monte-Carlo sampler: pcg (default) or sobol")
-		targetRSE    = fs.Float64("target-rse", 0, "run <spec.json>: adaptive precision target (relative standard error; trials become the cap)")
 		methodsFlag  = fs.String("methods", "", "run <spec.json>: comma-separated methods to compare (default all)")
 		quick        = fs.Bool("quick", false, "run <id>|all: shrink grids and trial counts")
 		asCSV        = fs.Bool("csv", false, "emit CSV instead of text")
@@ -159,13 +160,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			if set["quick"] {
 				return fmt.Errorf("run: -quick applies to experiments, not to Spec file %s", id)
 			}
-			return runSpecFile(ctx, id, stdout, stderr, specFileOptions{
-				trials:       *trials,
+			return runSpecFile(ctx, id, stdout, stderr, q, specFileOptions{
 				instructions: *instructions,
-				seed:         *seed,
-				engineName:   *engineName,
-				samplerName:  *samplerName,
-				targetRSE:    *targetRSE,
 				methods:      *methodsFlag,
 				asCSV:        *asCSV,
 				asJSON:       *asJSON,
@@ -178,17 +174,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			}
 		}
 		opt := experiments.Options{
-			Trials:       *trials,
+			Trials:       q.Trials,
 			Instructions: *instructions,
-			Seed:         *seed,
+			Seed:         q.Seed,
+			Engine:       q.Engine,
 			Quick:        *quick,
-		}
-		if *engineName != "" {
-			engine, err := soferr.EngineByName(*engineName)
-			if err != nil {
-				return err
-			}
-			opt.Engine = engine
 		}
 		if *verbose {
 			opt.Log = stderr
@@ -244,7 +234,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if n == 0 {
 			n = 100000
 		}
-		return runWorkloads(stdout, n, *seed)
+		return runWorkloads(stdout, n, q.Seed)
 
 	case "sweep":
 		// sweep has its own axis flags; see cmd/soferr/sweep.go.
@@ -297,6 +287,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		usage(stderr)
 		return fmt.Errorf("unknown command %q", cmd)
 	}
+}
+
+// queryFlags registers the Monte-Carlo query flags -trials, -seed,
+// -engine, -sampler and -target-rse on fs, writing into q; q's values
+// on entry are the defaults. run and sweep both register through it,
+// and sweep -server sends the same Query, so no entry point restates a
+// setting or parses an engine or sampler name itself.
+func queryFlags(fs *flag.FlagSet, q *soferr.Query) {
+	fs.IntVar(&q.Trials, "trials", q.Trials, "Monte-Carlo trials per query, the cap under -target-rse (0 = default)")
+	fs.Uint64Var(&q.Seed, "seed", q.Seed, "deterministic seed (sweep: the base seed; per-cell streams derive from (seed, cell index))")
+	fs.TextVar(&q.Engine, "engine", q.Engine, "Monte-Carlo engine `name`: fused or exact")
+	fs.TextVar(&q.Sampler, "sampler", q.Sampler, "Monte-Carlo sampler `name`: pcg or sobol (quasi-Monte-Carlo)")
+	fs.Float64Var(&q.TargetRelStdErr, "target-rse", q.TargetRelStdErr, "adaptive precision target (relative standard error; 0 = fixed trials)")
 }
 
 // validateBenchReports checks BENCH_*.json files against the shared
@@ -356,12 +359,14 @@ commands:
   config       print the Table 1 machine configuration
   bench        micro-benchmark the engines; write BENCH_mc.json + BENCH_fused.json + BENCH_exact.json + BENCH_sweep.json + BENCH_serve.json
 
+query flags (run and sweep; one soferr.Query):
+  -trials N -seed N -engine fused|exact -sampler pcg|sobol -target-rse T
 flags for run:
-  -trials N -instructions N -seed N -engine fused|exact -sampler pcg|sobol -target-rse T -methods LIST -quick -csv -json -v
+  -instructions N -methods LIST -quick -csv -json -v
 flags for sweep:
   -workloads day,week,combined -duty LIST -period S -bench LIST
   -ns LIST -rates LIST -counts LIST -methods LIST
-  -trials N -seed N -engine NAME -sampler NAME -target-rse T -workers N -instructions N -csv -json -v
+  -workers N -instructions N -server URL -cursor K -csv -json -v
 flags for serve:
   -addr HOST:PORT -cache N -max-concurrent N -trials N -timeout D -grace D
   -instructions N -sim-seed N -v

@@ -503,6 +503,24 @@ func TestSweepServerMode(t *testing.T) {
 		t.Errorf("-server output differs from local:\n--- local ---\n%s--- served ---\n%s", local, served)
 	}
 
+	// Every query flag reaches the server: the same grid under the Sobol
+	// sampler is byte-identical served and local, and differs from PCG.
+	sobolArgs := append(append([]string(nil), gridArgs...), "-sampler", "sobol")
+	localSobol, _, err := runCLI(t, sobolArgs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servedSobol, _, err := runCLI(t, append(sobolArgs, "-server", url)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if servedSobol != localSobol {
+		t.Errorf("-server -sampler sobol output differs from local:\n--- local ---\n%s--- served ---\n%s", localSobol, servedSobol)
+	}
+	if localSobol == local {
+		t.Error("-sampler sobol output equals the PCG output; the sampler did not reach the query")
+	}
+
 	// -cursor K resumes at absolute cell K: header plus the tail of the
 	// full run (4 cells x 2 method rows; cursor 2 keeps the last 2 cells).
 	resumed, _, err := runCLI(t, append(gridArgs, "-server", url, "-cursor", "2")...)

@@ -12,15 +12,11 @@ import (
 	"github.com/soferr/soferr"
 )
 
-// specFileOptions carries the `soferr run` flags that apply when the
-// argument is a Spec JSON file rather than an experiment id.
+// specFileOptions carries the `soferr run` flags beyond the Query that
+// apply when the argument is a Spec JSON file rather than an experiment
+// id.
 type specFileOptions struct {
-	trials       int
 	instructions int
-	seed         uint64
-	engineName   string
-	samplerName  string
-	targetRSE    float64
 	methods      string
 	asCSV        bool
 	asJSON       bool
@@ -39,9 +35,9 @@ func isSpecFile(arg string) bool {
 
 // runSpecFile loads a soferr.Spec from a JSON file, compiles it through
 // the same Compiler path the sweep CLI and the HTTP server use, and
-// prints a method comparison. File-supplied and HTTP-supplied systems
-// therefore share one code path end to end.
-func runSpecFile(ctx context.Context, path string, stdout, stderr io.Writer, opt specFileOptions) error {
+// prints a method comparison at one Query. File-supplied and
+// HTTP-supplied systems therefore share one code path end to end.
+func runSpecFile(ctx context.Context, path string, stdout, stderr io.Writer, q soferr.Query, opt specFileOptions) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -57,7 +53,7 @@ func runSpecFile(ctx context.Context, path string, stdout, stderr io.Writer, opt
 		return fmt.Errorf("%s: %w", path, err)
 	}
 
-	comp := &soferr.Compiler{Instructions: opt.instructions, SimSeed: opt.seed}
+	comp := &soferr.Compiler{Instructions: opt.instructions, SimSeed: q.Seed}
 	if opt.verbose {
 		comp.Log = stderr
 	}
@@ -74,29 +70,9 @@ func runSpecFile(ctx context.Context, path string, stdout, stderr io.Writer, opt
 		}
 		methods = append(methods, mm)
 	}
-	opts := []soferr.EstimateOption{soferr.WithSeed(opt.seed)}
-	if opt.trials > 0 {
-		opts = append(opts, soferr.WithTrials(opt.trials))
-	}
-	// Zero means "no adaptive mode"; anything else (including a
-	// sign-typo negative) goes through so the query layer can reject
-	// out-of-domain targets instead of silently running fixed trials.
-	if opt.targetRSE != 0 {
-		opts = append(opts, soferr.WithTargetRelStdErr(opt.targetRSE))
-	}
-	if opt.engineName != "" {
-		engine, err := soferr.EngineByName(opt.engineName)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, soferr.WithEngine(engine))
-	}
-	sampler, err := soferr.SamplerByName(opt.samplerName)
-	if err != nil {
-		return err
-	}
-	opts = append(opts, soferr.WithSampler(sampler))
-	ests, err := sys.CompareWith(ctx, opts, methods...)
+	// An out-of-domain target (a sign-typo negative included) reaches
+	// the query layer, which rejects it instead of running fixed trials.
+	ests, err := sys.CompareWith(ctx, []soferr.EstimateOption{soferr.WithQuery(q)}, methods...)
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}

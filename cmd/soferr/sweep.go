@@ -23,6 +23,9 @@ import (
 func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	q := soferr.Query{Seed: 1}
+	queryFlags(fs, &q)
+	fs.IntVar(&q.Workers, "workers", 0, "total sweep parallelism (0 = GOMAXPROCS)")
 	var (
 		workloads    = fs.String("workloads", "", "schedule sources: comma-separated day,week,combined")
 		duty         = fs.String("duty", "", "duty-cycle sources: comma-separated busy fractions in [0,1] over -period")
@@ -32,12 +35,6 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		rates        = fs.String("rates", "", "raw-rate axis in errors/year (alternative or addition to -ns)")
 		counts       = fs.String("counts", "1", "component-count axis C")
 		methods      = fs.String("methods", "", "estimator axis: comma-separated avf+sofr,montecarlo,softarch (default all)")
-		trials       = fs.Int("trials", 0, "Monte-Carlo trials per cell (0 = default)")
-		seed         = fs.Uint64("seed", 1, "base seed; per-cell streams derive from (seed, cell index)")
-		engineName   = fs.String("engine", "", "Monte-Carlo engine: fused (default) or exact")
-		samplerName  = fs.String("sampler", "", "Monte-Carlo sampler: pcg (default) or sobol")
-		targetRSE    = fs.Float64("target-rse", 0, "adaptive precision target per cell (relative standard error; -trials becomes the cap)")
-		workers      = fs.Int("workers", 0, "total sweep parallelism (0 = GOMAXPROCS)")
 		instructions = fs.Int("instructions", 0, "instructions per simulated benchmark source (0 = default)")
 		asCSV        = fs.Bool("csv", false, "emit CSV instead of text")
 		asJSON       = fs.Bool("json", false, "emit JSON instead of text")
@@ -58,7 +55,7 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	// point builds identical traces. Sources are lazy: nothing simulates
 	// unless its axis point is actually swept, and benchmark simulations
 	// are shared compiler-wide.
-	comp := &soferr.Compiler{Instructions: *instructions, SimSeed: *seed}
+	comp := &soferr.Compiler{Instructions: *instructions, SimSeed: q.Seed}
 	if *verbose {
 		comp.Log = stderr
 	}
@@ -137,29 +134,6 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		methodAxis = soferr.Methods()
 	}
 
-	opts := []soferr.EstimateOption{soferr.WithWorkers(*workers)}
-	if *trials > 0 {
-		opts = append(opts, soferr.WithTrials(*trials))
-	}
-	// Zero means "no adaptive mode"; anything else (including a
-	// sign-typo negative) goes through so the query layer can reject
-	// out-of-domain targets instead of silently running fixed trials.
-	if *targetRSE != 0 {
-		opts = append(opts, soferr.WithTargetRelStdErr(*targetRSE))
-	}
-	if *engineName != "" {
-		engine, err := soferr.EngineByName(*engineName)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, soferr.WithEngine(engine))
-	}
-	sampler, err := soferr.SamplerByName(*samplerName)
-	if err != nil {
-		return err
-	}
-	opts = append(opts, soferr.WithSampler(sampler))
-
 	if *cursor != 0 && *serverURL == "" {
 		return fmt.Errorf("sweep: -cursor requires -server (local sweeps always run whole)")
 	}
@@ -231,25 +205,22 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 
 	if *serverURL != "" {
 		// Client mode: stream the same grid from a running server over
-		// NDJSON. The server derives per-cell seeds from absolute grid
-		// indices, so the answers are bit-identical to the local path,
-		// and a cut stream resumes automatically (or manually via
-		// -cursor) without changing them.
+		// NDJSON, sending the same Query the local path runs. The server
+		// derives per-cell seeds from absolute grid indices, so the
+		// answers are bit-identical to the local path, and a cut stream
+		// resumes automatically (or manually via -cursor) without
+		// changing them.
 		if *instructions != 0 {
 			fmt.Fprintln(stderr, "sweep: -instructions is ignored with -server (the server bounds simulation itself)")
 		}
 		req := client.SweepRequest{
-			Name:            "sweep",
-			Sources:         srcSpecs,
-			RatesPerYear:    ratesPerYear,
-			Counts:          countAxis,
-			Methods:         splitList(*methods),
-			Seed:            *seed,
-			Trials:          *trials,
-			Engine:          *engineName,
-			TargetRelStdErr: *targetRSE,
-			Workers:         *workers,
-			Cursor:          *cursor,
+			Name:         "sweep",
+			Sources:      srcSpecs,
+			RatesPerYear: ratesPerYear,
+			Counts:       countAxis,
+			Methods:      splitList(*methods),
+			Query:        q,
+			Cursor:       *cursor,
 		}
 		c := client.New(client.Config{BaseURL: *serverURL})
 		err := c.SweepStream(ctx, req, func(sc client.SweepCell) error {
@@ -270,7 +241,7 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		RatesPerYear: ratesPerYear,
 		Counts:       countAxis,
 		Methods:      methodAxis,
-		Seed:         *seed,
+		Seed:         q.Seed,
 	}
 	cells, err := grid.Cells()
 	if err != nil {
@@ -286,7 +257,7 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	// SweepStream's channel must be drained or its context cancelled.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	ch, err := soferr.SweepStream(ctx, grid, opts...)
+	ch, err := soferr.SweepStream(ctx, grid, soferr.WithQuery(q))
 	if err != nil {
 		return err
 	}

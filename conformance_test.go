@@ -62,6 +62,12 @@ func conformanceCases(t *testing.T) []conformanceCase {
 	if err != nil {
 		t.Fatal(err)
 	}
+	multiInterval10, err := soferr.PeriodicTrace(10, []soferr.Interval{
+		{Start: 1, End: 3}, {Start: 5, End: 5.5}, {Start: 8, End: 9.5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	levels, err := soferr.TraceFromLevels([]float64{0.8, 0.1, 0.6, 0, 0.3}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -105,6 +111,16 @@ func conformanceCases(t *testing.T) []conformanceCase {
 		},
 		{
 			name: "multi-component equal period",
+			comps: []soferr.Component{
+				{Name: "a", RatePerYear: 4e5, Trace: mustSys(10, 3)},
+				{Name: "b", RatePerYear: 2e5, Trace: multiInterval10},
+				{Name: "c", RatePerYear: 6e5, Trace: mustSys(10, 7)},
+			},
+			exactOK:        true,
+			distributionOK: true,
+		},
+		{
+			name: "multi-component commensurate 10 s and 12 s mix",
 			comps: []soferr.Component{
 				{Name: "a", RatePerYear: 4e5, Trace: mustSys(10, 3)},
 				{Name: "b", RatePerYear: 2e5, Trace: multiInterval},

@@ -80,10 +80,14 @@
 //	p01, _ := sys.FailureQuantile(ctx, 0.01)
 //	fmt.Printf("P(survive 1yr) = %.4f; 1%% of fleets fail by %.0fs\n", surviveYear, p01)
 //
-// Monte-Carlo queries take functional options (WithTrials, WithSeed,
-// WithEngine, WithWorkers, WithTimeLimit) and honor context
-// cancellation mid-run. Seeded runs are deterministic, so repeated
-// identical queries are served from a transparent cache.
+// A Monte-Carlo query's settings are one Query (engine, sampler,
+// trials, seed, precision target, workers), passed whole with WithQuery
+// or field by field with WithTrials, WithSeed, WithEngine, WithSampler,
+// WithTargetRelStdErr and WithWorkers; WithTimeLimit bounds the wall
+// time. Queries honor context cancellation mid-run. Seeded runs are
+// deterministic, so queries whose settings normalize equal are served
+// from one transparent memo entry. The same Query is the body of the
+// query server's requests and the target of the CLI's query flags.
 //
 // To evaluate a whole design space rather than one system, sweep a
 // grid — every cell's methods run against one shared compiled System,

@@ -288,3 +288,164 @@ func TestInvalidArgumentSentinel(t *testing.T) {
 		t.Errorf("valid query tagged: %v", err)
 	}
 }
+
+// randomQuery draws a Query over every field's domain: both engines and
+// samplers, default and explicit trials, and valid adaptive targets.
+func randomQuery(rng *rand.Rand) soferr.Query {
+	q := soferr.Query{
+		Engine:  []soferr.Engine{soferr.Fused, soferr.Exact}[rng.Intn(2)],
+		Sampler: []soferr.Sampler{soferr.PCG, soferr.Sobol}[rng.Intn(2)],
+		Trials:  rng.Intn(8192) - 1024,
+		Seed:    rng.Uint64(),
+		Workers: rng.Intn(9),
+	}
+	if rng.Intn(2) == 0 {
+		q.TargetRelStdErr = rng.Float64() * 0.1
+	}
+	return q
+}
+
+// TestQueryJSONRoundTrip: a Query survives its wire form exactly, and
+// the wire form spells engines and samplers by name.
+func TestQueryJSONRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 500; i++ {
+		q := randomQuery(rng)
+		data, err := json.Marshal(q)
+		if err != nil {
+			t.Fatalf("marshal %+v: %v", q, err)
+		}
+		var back soferr.Query
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatalf("unmarshal %s: %v", data, err)
+		}
+		if back != q {
+			t.Fatalf("round trip changed the query:\n in  %+v\n out %+v\n via %s", q, back, data)
+		}
+		if q.Engine == soferr.Exact && !strings.Contains(string(data), `"engine":"exact"`) {
+			t.Fatalf("exact engine not spelled by name: %s", data)
+		}
+		if q.Sampler == soferr.Sobol && !strings.Contains(string(data), `"sampler":"sobol"`) {
+			t.Fatalf("sobol sampler not spelled by name: %s", data)
+		}
+	}
+	// Names decode case-insensitively; "" and absent fields are the
+	// defaults; unknown names are errors that name them.
+	var q soferr.Query
+	if err := json.Unmarshal([]byte(`{"engine":"EXACT","sampler":"Sobol"}`), &q); err != nil ||
+		q != (soferr.Query{Engine: soferr.Exact, Sampler: soferr.Sobol}) {
+		t.Errorf("upper-case names decoded to %+v, %v", q, err)
+	}
+	q = soferr.Query{Engine: soferr.Exact, Sampler: soferr.Sobol}
+	if err := json.Unmarshal([]byte(`{"engine":"","sampler":""}`), &q); err != nil || q != (soferr.Query{}) {
+		t.Errorf(`"" names decoded to %+v, %v; want the defaults`, q, err)
+	}
+	for doc, name := range map[string]string{`{"engine":"quantum"}`: "quantum", `{"sampler":"halton"}`: "halton"} {
+		if err := json.Unmarshal([]byte(doc), &q); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: err = %v, want one naming %q", doc, err, name)
+		}
+	}
+	if _, err := json.Marshal(soferr.Query{Engine: soferr.Engine(9)}); err == nil {
+		t.Error("an out-of-range engine marshaled")
+	}
+}
+
+// TestQueryNormalizeIdempotent: the memo-key normalization is a
+// projection, and it keeps exactly the settings that can change the
+// answer.
+func TestQueryNormalizeIdempotent(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for i := 0; i < 1000; i++ {
+		q := randomQuery(rng)
+		n := soferr.NormalizeQuery(q)
+		if again := soferr.NormalizeQuery(n); again != n {
+			t.Fatalf("normalize(%+v) = %+v, normalized again %+v", q, n, again)
+		}
+		if n.Workers != 0 {
+			t.Fatalf("normalize(%+v) kept workers: %+v", q, n)
+		}
+		switch {
+		case q.Engine == soferr.Exact:
+			if n != (soferr.Query{Engine: soferr.Exact}) {
+				t.Fatalf("normalize(%+v) = %+v; want every exact query on one key", q, n)
+			}
+		case q.Trials <= 0 && n.Trials != soferr.DefaultTrials:
+			t.Fatalf("normalize(%+v) trials = %d, want DefaultTrials", q, n.Trials)
+		}
+	}
+}
+
+// TestQueryEqualKeyEqualAnswer: Queries with equal normalizations hit
+// one memo entry and get a bit-identical, Cached estimate; unequal
+// ones do not share an entry.
+func TestQueryEqualKeyEqualAnswer(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < 40; i++ {
+		sys, err := soferr.NewSystem([]soferr.Component{{Name: "c", RatePerYear: 1e6, Trace: mustBusyIdle(t, 10, 4)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := randomQuery(rng)
+		q.Trials = 1 + rng.Intn(4096)
+		// twin differs from q only in settings the key drops.
+		twin := q
+		twin.Workers = 1 + rng.Intn(4)
+		if q.Engine == soferr.Exact {
+			twin.Trials, twin.Seed = rng.Intn(5000)-1000, rng.Uint64()
+			twin.Sampler = []soferr.Sampler{soferr.PCG, soferr.Sobol}[rng.Intn(2)]
+			twin.TargetRelStdErr = rng.Float64() * 0.1
+		}
+		if soferr.NormalizeQuery(q) != soferr.NormalizeQuery(twin) {
+			t.Fatalf("twins %+v and %+v normalize apart", q, twin)
+		}
+		first, err := sys.MTTF(ctx, soferr.MonteCarlo, soferr.WithQuery(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := sys.MTTF(ctx, soferr.MonteCarlo, soferr.WithQuery(twin))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Cached || !second.Cached {
+			t.Fatalf("query %+v then twin %+v: cached %v, %v; want false, true", q, twin, first.Cached, second.Cached)
+		}
+		second.Cached = false
+		if !estimatesEqual(first, second) {
+			t.Fatalf("twin answer differs:\n q    %+v -> %+v\n twin %+v -> %+v", q, first, twin, second)
+		}
+		if q.Engine == soferr.Exact {
+			continue
+		}
+		// A different seed is a different key: recomputed, not cached.
+		other := q
+		other.Seed++
+		est, err := sys.MTTF(ctx, soferr.MonteCarlo, soferr.WithQuery(other))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.Cached {
+			t.Fatalf("query %+v answered from the entry of %+v", other, q)
+		}
+	}
+
+	// Trials <= 0 means DefaultTrials: one entry for both spellings.
+	sys, err := soferr.NewSystem([]soferr.Component{{Name: "c", RatePerYear: 1e6, Trace: mustBusyIdle(t, 10, 4)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := soferr.Query{Trials: -5, Seed: 3, TargetRelStdErr: 0.05}
+	first, err := sys.MTTF(ctx, soferr.MonteCarlo, soferr.WithQuery(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Trials = soferr.DefaultTrials
+	second, err := sys.MTTF(ctx, soferr.MonteCarlo, soferr.WithQuery(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second.Cached = !second.Cached
+	if !estimatesEqual(first, second) {
+		t.Errorf("trials -5 and DefaultTrials split the memo:\n %+v\n %+v", first, second)
+	}
+}

@@ -121,6 +121,31 @@ func EngineByName(name string) (Engine, error) {
 	}
 }
 
+// MarshalText encodes the engine by its CLI name, so JSON documents and
+// flag defaults spell engines as EngineByName reads them.
+func (e Engine) MarshalText() ([]byte, error) {
+	name := e.String()
+	if _, err := EngineByName(name); err != nil {
+		return nil, err
+	}
+	return []byte(name), nil
+}
+
+// UnmarshalText parses an engine name with EngineByName; the empty name
+// is the default Fused engine.
+func (e *Engine) UnmarshalText(text []byte) error {
+	if len(text) == 0 {
+		*e = Fused
+		return nil
+	}
+	v, err := EngineByName(string(text))
+	if err != nil {
+		return err
+	}
+	*e = v
+	return nil
+}
+
 // Config controls a Monte-Carlo run. The zero value is usable: it means
 // DefaultTrials trials, seed 0, the Fused engine, and the PCG sampler.
 type Config struct {

@@ -47,6 +47,10 @@ func (s Sampler) String() string {
 	}
 }
 
+// ErrUnknownSampler tags a name SamplerByName cannot parse, so a
+// decoder can tell an unknown sampler from other malformed input.
+var ErrUnknownSampler = errors.New("montecarlo: unknown sampler")
+
 // SamplerByName parses a CLI sampler name, case-insensitively. The
 // empty string is the default PCG sampler.
 func SamplerByName(name string) (Sampler, error) {
@@ -56,8 +60,29 @@ func SamplerByName(name string) (Sampler, error) {
 	case "sobol":
 		return Sobol, nil
 	default:
-		return 0, fmt.Errorf("montecarlo: unknown sampler %q (want pcg or sobol)", name)
+		return 0, fmt.Errorf("%w %q (want pcg or sobol)", ErrUnknownSampler, name)
 	}
+}
+
+// MarshalText encodes the sampler by its CLI name, so JSON documents
+// and flag defaults spell samplers as SamplerByName reads them.
+func (s Sampler) MarshalText() ([]byte, error) {
+	name := s.String()
+	if _, err := SamplerByName(name); err != nil {
+		return nil, err
+	}
+	return []byte(name), nil
+}
+
+// UnmarshalText parses a sampler name with SamplerByName; the empty
+// name is the default PCG sampler.
+func (s *Sampler) UnmarshalText(text []byte) error {
+	v, err := SamplerByName(string(text))
+	if err != nil {
+		return err
+	}
+	*s = v
+	return nil
 }
 
 // ErrSamplerUnsupported tags a run whose sampler cannot drive the

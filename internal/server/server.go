@@ -12,18 +12,22 @@
 //     a System memoizes its own deterministic and seeded-Monte-Carlo
 //     queries, a repeated identical Spec+query is served entirely from
 //     cache — bit-identical to recomputation.
+//   - The estimate and sweep requests embed soferr.Query, the one
+//     definition of a Monte-Carlo query's settings; after the server's
+//     clamp it is handed whole to the System, whose memo it keys.
 //   - Every query endpoint runs under a server-wide concurrency limit
-//     and a per-request deadline mapped onto the query's context (and
-//     soferr.WithTimeLimit for estimate queries).
+//     and a per-request deadline carried by one request context.
 //
-// Endpoints:
+// Endpoints (query = the soferr.Query fields engine, sampler, trials,
+// seed, target_rel_stderr, workers):
 //
-//	POST /v1/mttf        one estimate: {spec, method, trials, seed, engine, sampler, target_rel_stderr, workers, timeout_ms}
-//	POST /v1/compare     several methods on one compiled system: {spec, methods, ...}
-//	POST /v1/reliability survival probability: {spec, t_seconds, ...}
-//	POST /v1/quantile    failure-time quantile: {spec, p, ...}
-//	POST /v1/sweep       a design-space grid: {sources, rates_per_year, counts, methods, seed, ...};
-//	                     supports cursor/limit pagination and ?stream=ndjson streaming (resumable)
+//	POST /v1/mttf        one estimate: {spec, method, query..., timeout_ms}
+//	POST /v1/compare     several methods on one compiled system: {spec, methods, query..., timeout_ms}
+//	POST /v1/reliability survival probability: {spec, t_seconds, timeout_ms}
+//	POST /v1/quantile    failure-time quantile: {spec, p, timeout_ms}
+//	POST /v1/sweep       a design-space grid: {sources, rates_per_year, counts, methods, query..., ...},
+//	                     whose seed is the grid's base seed; supports cursor/limit
+//	                     pagination and ?stream=ndjson streaming (resumable)
 //	GET  /healthz        liveness (200 while the process runs)
 //	GET  /readyz         readiness (503 once draining; load balancers stop routing here)
 //	GET  /metrics        query counts, cache hits, compile time, error classes, recovered panics (JSON)
@@ -52,6 +56,7 @@ import (
 
 	"github.com/soferr/soferr"
 	"github.com/soferr/soferr/internal/faultinject"
+	"github.com/soferr/soferr/internal/montecarlo"
 )
 
 // Defaults for Config zero values.
@@ -83,16 +88,6 @@ const (
 	// work one request can demand.
 	minTargetRelStdErr = 1e-4
 )
-
-// errTargetOutOfDomain tags a target_rel_stderr outside [0, 1): the
-// request is well-formed JSON but semantically unanswerable, so it maps
-// to 422 rather than the 400 of a malformed body.
-var errTargetOutOfDomain = errors.New("target_rel_stderr must be in [0, 1)")
-
-// errUnknownSampler tags an unparseable sampler name. Like
-// errTargetOutOfDomain it maps to 422: the body is well-formed JSON,
-// the named sampler just does not exist.
-var errUnknownSampler = errors.New("unknown sampler")
 
 // Config tunes a Server. The zero value serves with sane defaults.
 type Config struct {
@@ -330,7 +325,7 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 // options are the client's fault, deadlines are 504, everything else
 // is 500. (A system that cannot fail is no longer an error anywhere
 // the server queries — MTTF answers 200 with "+Inf" — and
-// out-of-domain options map to 422 via optionsStatus/queryStatus.)
+// out-of-domain query settings map to 422 in decode and clamp.)
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -408,14 +403,22 @@ func (s *Server) observeLatency(ep endpoint, d time.Duration) {
 
 // decode strictly parses the request body into v: unknown fields are
 // rejected so typoed options fail loudly instead of silently meaning
-// their defaults.
-func decode(w http.ResponseWriter, r *http.Request, v interface{}) error {
+// their defaults. Engine and sampler names parse here too (the Query's
+// text decoding): an unknown engine is a 400 like any malformed body,
+// an unknown sampler a 422, since the body is well-formed JSON and the
+// named sampler just does not exist.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("invalid request: %v", err)
+		status := http.StatusBadRequest
+		if errors.Is(err, montecarlo.ErrUnknownSampler) {
+			status = http.StatusUnprocessableEntity
+		}
+		s.writeError(w, r, status, fmt.Sprintf("invalid request: %v", err))
+		return false
 	}
-	return nil
+	return true
 }
 
 // timeout resolves the effective per-request deadline: the request's
@@ -462,106 +465,36 @@ func compileStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// estimateOptions are the option fields shared by /v1/mttf and
-// /v1/compare.
-type estimateOptions struct {
-	Trials int    `json:"trials,omitempty"`
-	Seed   uint64 `json:"seed,omitempty"`
-	// Engine names the Monte-Carlo engine: "fused" (the default) or
-	// "exact". Unknown names are 400s.
-	Engine string `json:"engine,omitempty"`
-	// Sampler selects the Monte-Carlo draw source ("pcg", the default,
-	// or "sobol" for quasi-Monte-Carlo on the fused engine). Unknown
-	// names are 422s; Sobol on an incompatible system maps
-	// soferr.ErrSamplerUnsupported to 422 too.
-	Sampler string `json:"sampler,omitempty"`
-	// TargetRelStdErr switches Monte-Carlo queries to adaptive
-	// precision targeting: trials run until the relative standard
-	// error reaches the target (Trials, clamped as usual, is the cap).
-	// Values in (0, minTargetRelStdErr) are clamped up; values outside
-	// [0, 1) are rejected with 422.
-	TargetRelStdErr float64 `json:"target_rel_stderr,omitempty"`
-	Workers         int     `json:"workers,omitempty"`
-	TimeoutMS       int64   `json:"timeout_ms,omitempty"`
-}
-
-// options lowers the wire fields onto soferr.EstimateOptions and
-// counts the endpoint's query under its sampler label. The request
-// deadline is not applied here: single-query endpoints append
-// WithTimeLimit themselves, and the sweep endpoint deliberately puts
-// its one deadline on the whole-request context instead of every cell.
-func (s *Server) options(ep endpoint, o estimateOptions) ([]soferr.EstimateOption, error) {
-	trials := o.Trials
-	if trials <= 0 {
-		trials = s.cfg.DefaultTrials
+// clamp applies the server's policy to a request's Query and counts
+// the endpoint's query under its sampler: trials default to
+// Config.DefaultTrials and are capped at maxRequestTrials (compute
+// time; the deadline bounds it too, but keep requests sane), workers
+// are clamped to [0, GOMAXPROCS] (goroutines spawned before any
+// deadline can fire), and a target outside [0, 1) is a 422 (well-formed
+// JSON, semantically unanswerable) while one below minTargetRelStdErr is
+// clamped up.
+func (s *Server) clamp(w http.ResponseWriter, r *http.Request, ep endpoint, q *soferr.Query) bool {
+	if q.Trials <= 0 {
+		q.Trials = s.cfg.DefaultTrials
 	}
-	// Clamp untrusted resource knobs: trials is compute time (the
-	// deadline bounds it, but keep requests sane) and workers is
-	// goroutines spawned before any deadline can fire.
-	if trials > maxRequestTrials {
-		trials = maxRequestTrials
-	}
-	workers := o.Workers
-	if workers < 0 {
-		workers = 0
-	}
-	if max := runtime.GOMAXPROCS(0); workers > max {
-		workers = max
-	}
-	opts := []soferr.EstimateOption{
-		soferr.WithTrials(trials),
-		soferr.WithSeed(o.Seed),
-		soferr.WithWorkers(workers),
-	}
-	if o.Engine != "" {
-		engine, err := soferr.EngineByName(o.Engine)
-		if err != nil {
-			return nil, err
+	q.Trials = min(q.Trials, maxRequestTrials)
+	q.Workers = max(0, min(q.Workers, runtime.GOMAXPROCS(0)))
+	s.samplerQueries[ep][q.Sampler].Add(1)
+	if t := q.TargetRelStdErr; t != 0 {
+		if t < 0 || t >= 1 || math.IsNaN(t) {
+			s.writeError(w, r, http.StatusUnprocessableEntity, fmt.Sprintf("target_rel_stderr must be in [0, 1) (got %v)", t))
+			return false
 		}
-		opts = append(opts, soferr.WithEngine(engine))
+		q.TargetRelStdErr = max(t, minTargetRelStdErr)
 	}
-	sampler, err := soferr.SamplerByName(o.Sampler)
-	if err != nil {
-		return nil, fmt.Errorf("%w %q (want pcg or sobol)", errUnknownSampler, o.Sampler)
-	}
-	opts = append(opts, soferr.WithSampler(sampler))
-	s.samplerQueries[ep][sampler].Add(1)
-	if o.TargetRelStdErr != 0 {
-		target := o.TargetRelStdErr
-		if target < 0 || target >= 1 || math.IsNaN(target) {
-			return nil, fmt.Errorf("%w (got %v)", errTargetOutOfDomain, target)
-		}
-		if target < minTargetRelStdErr {
-			target = minTargetRelStdErr
-		}
-		opts = append(opts, soferr.WithTargetRelStdErr(target))
-	}
-	return opts, nil
-}
-
-// optionsStatus maps an options() failure: out-of-domain targets and
-// unknown sampler names are semantically unanswerable (422),
-// everything else is a malformed request (400).
-func optionsStatus(err error) int {
-	if errors.Is(err, errTargetOutOfDomain) || errors.Is(err, errUnknownSampler) {
-		return http.StatusUnprocessableEntity
-	}
-	return http.StatusBadRequest
-}
-
-// withDeadline appends the request deadline as a WithTimeLimit option
-// (clamped by the whole-request context the handlers also create).
-func (s *Server) withDeadline(opts []soferr.EstimateOption, timeoutMS int64) []soferr.EstimateOption {
-	if d := s.timeout(timeoutMS); d > 0 {
-		opts = append(opts, soferr.WithTimeLimit(d))
-	}
-	return opts
+	return true
 }
 
 type mttfRequest struct {
 	Spec   soferr.Spec `json:"spec"`
 	Method string      `json:"method,omitempty"`
-	estimateOptions
+	soferr.Query
+	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
 type mttfResponse struct {
@@ -573,8 +506,7 @@ type mttfResponse struct {
 
 func (s *Server) handleMTTF(w http.ResponseWriter, r *http.Request) {
 	var req mttfRequest
-	if err := decode(w, r, &req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err.Error())
+	if !s.decode(w, r, &req) {
 		return
 	}
 	methodName := req.Method
@@ -586,12 +518,9 @@ func (s *Server) handleMTTF(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	opts, err := s.options(epMTTF, req.estimateOptions)
-	if err != nil {
-		s.writeError(w, r, optionsStatus(err), err.Error())
+	if !s.clamp(w, r, epMTTF, &req.Query) {
 		return
 	}
-	opts = s.withDeadline(opts, req.TimeoutMS)
 	// One deadline governs the whole request — compile wait plus query.
 	ctx, cancel := s.queryContext(r, req.TimeoutMS)
 	defer cancel()
@@ -600,7 +529,7 @@ func (s *Server) handleMTTF(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, compileStatus(err), err.Error())
 		return
 	}
-	est, err := sys.MTTF(ctx, method, opts...)
+	est, err := sys.MTTF(ctx, method, soferr.WithQuery(req.Query))
 	if err != nil {
 		s.writeError(w, r, statusFor(err), err.Error())
 		return
@@ -616,7 +545,8 @@ func (s *Server) handleMTTF(w http.ResponseWriter, r *http.Request) {
 type compareRequest struct {
 	Spec    soferr.Spec `json:"spec"`
 	Methods []string    `json:"methods,omitempty"`
-	estimateOptions
+	soferr.Query
+	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
 type compareResponse struct {
@@ -628,8 +558,7 @@ type compareResponse struct {
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	var req compareRequest
-	if err := decode(w, r, &req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err.Error())
+	if !s.decode(w, r, &req) {
 		return
 	}
 	methods, err := parseMethods(req.Methods)
@@ -637,15 +566,11 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	opts, err := s.options(epCompare, req.estimateOptions)
-	if err != nil {
-		s.writeError(w, r, optionsStatus(err), err.Error())
+	if !s.clamp(w, r, epCompare, &req.Query) {
 		return
 	}
-	opts = s.withDeadline(opts, req.TimeoutMS)
-	// One deadline governs the whole request: the per-method
-	// WithTimeLimit above is clamped by this parent context, so
-	// comparing N methods cannot take N deadlines.
+	// One deadline governs the whole request, so comparing N methods
+	// cannot take N deadlines.
 	ctx, cancel := s.queryContext(r, req.TimeoutMS)
 	defer cancel()
 	sys, hash, hit, compileNs, err := s.compiled(ctx, req.Spec)
@@ -653,7 +578,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, compileStatus(err), err.Error())
 		return
 	}
-	ests, err := sys.CompareWith(ctx, opts, methods...)
+	ests, err := sys.CompareWith(ctx, []soferr.EstimateOption{soferr.WithQuery(req.Query)}, methods...)
 	if err != nil {
 		s.writeError(w, r, statusFor(err), err.Error())
 		return
@@ -696,8 +621,7 @@ type reliabilityResponse struct {
 
 func (s *Server) handleReliability(w http.ResponseWriter, r *http.Request) {
 	var req reliabilityRequest
-	if err := decode(w, r, &req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err.Error())
+	if !s.decode(w, r, &req) {
 		return
 	}
 	ctx, cancel := s.queryContext(r, req.TimeoutMS)
@@ -735,8 +659,7 @@ type quantileResponse struct {
 
 func (s *Server) handleQuantile(w http.ResponseWriter, r *http.Request) {
 	var req quantileRequest
-	if err := decode(w, r, &req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err.Error())
+	if !s.decode(w, r, &req) {
 		return
 	}
 	ctx, cancel := s.queryContext(r, req.TimeoutMS)
@@ -759,8 +682,8 @@ func (s *Server) handleQuantile(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// queryContext applies the per-request deadline to non-estimate queries
-// (estimate queries get theirs via WithTimeLimit).
+// queryContext carries the per-request deadline: one context governs
+// the whole request, compile wait and query alike.
 func (s *Server) queryContext(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
 	if d := s.timeout(timeoutMS); d > 0 {
 		return context.WithTimeout(r.Context(), d)
@@ -777,31 +700,17 @@ func queryStatus(err error) int {
 	return statusFor(err)
 }
 
-// sweepRequest spells out its option fields instead of embedding
-// estimateOptions: the grid's base Seed and the per-query seed would
-// otherwise collide on the "seed" JSON tag and one would silently
-// decode to zero.
 type sweepRequest struct {
 	Name         string              `json:"name,omitempty"`
 	Sources      []soferr.SourceSpec `json:"sources"`
 	RatesPerYear []float64           `json:"rates_per_year"`
 	Counts       []int               `json:"counts,omitempty"`
 	Methods      []string            `json:"methods,omitempty"`
-	// Seed is the grid's base seed: per-cell streams derive from
-	// (seed, cell index), and each cell's derived seed overrides any
-	// per-query seed.
-	Seed   uint64 `json:"seed,omitempty"`
-	Trials int    `json:"trials,omitempty"`
-	Engine string `json:"engine,omitempty"`
-	// Sampler applies to every cell's Monte-Carlo query, validated
-	// exactly as on the estimate endpoints.
-	Sampler string `json:"sampler,omitempty"`
-	// TargetRelStdErr applies adaptive precision targeting to every
-	// cell's Monte-Carlo query (clamped and validated exactly as on the
-	// estimate endpoints).
-	TargetRelStdErr float64 `json:"target_rel_stderr,omitempty"`
-	Workers         int     `json:"workers,omitempty"`
-	TimeoutMS       int64   `json:"timeout_ms,omitempty"`
+	// Query applies to every cell's Monte-Carlo query, clamped exactly
+	// as on the estimate endpoints. Its Seed is the grid's base seed:
+	// per-cell streams derive from (seed, cell index).
+	soferr.Query
+	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Stream selects the response shape: "" for the collected JSON
 	// document, "ndjson" for one result line per cell as it completes,
 	// terminated by a {"done":true,...} line (its absence means the
@@ -852,8 +761,7 @@ type sweepDone struct {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
-	if err := decode(w, r, &req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err.Error())
+	if !s.decode(w, r, &req) {
 		return
 	}
 	for i, src := range req.Sources {
@@ -867,17 +775,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	// No withDeadline here: the sweep's single deadline goes on the
-	// whole-request context below, not on each cell's query.
-	opts, err := s.options(epSweep, estimateOptions{
-		Trials:          req.Trials,
-		Engine:          req.Engine,
-		Sampler:         req.Sampler,
-		TargetRelStdErr: req.TargetRelStdErr,
-		Workers:         req.Workers,
-	})
-	if err != nil {
-		s.writeError(w, r, optionsStatus(err), err.Error())
+	if !s.clamp(w, r, epSweep, &req.Query) {
 		return
 	}
 	// Query parameters override body paging fields so a client can
@@ -965,11 +863,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.queryContext(r, req.TimeoutMS)
 	defer cancel()
+	opt := soferr.WithQuery(req.Query)
 	if req.Stream == "ndjson" {
-		s.streamSweep(ctx, w, r, grid, page, methods, opts, req.Cursor, nextCursor, total)
+		s.streamSweep(ctx, w, r, grid, page, methods, opt, req.Cursor, nextCursor, total)
 		return
 	}
-	results, err := soferr.SweepCellsAll(ctx, grid.Sources, page, methods, nil, opts...)
+	results, err := soferr.SweepCellsAll(ctx, grid.Sources, page, methods, nil, opt)
 	if err != nil {
 		s.writeError(w, r, statusFor(err), err.Error())
 		return
@@ -1013,9 +912,9 @@ func overrideSweepParams(r *http.Request, req *sweepRequest) error {
 // committed; later failures surface as a truncated stream — no done
 // line — which clients treat as "resume from last index + 1".
 func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, r *http.Request,
-	grid soferr.Grid, page []soferr.Cell, methods []soferr.Method, opts []soferr.EstimateOption,
+	grid soferr.Grid, page []soferr.Cell, methods []soferr.Method, opt soferr.EstimateOption,
 	cursor, nextCursor, total int64) {
-	ch, err := soferr.SweepCells(ctx, grid.Sources, page, methods, opts...)
+	ch, err := soferr.SweepCells(ctx, grid.Sources, page, methods, opt)
 	if err != nil {
 		s.writeError(w, r, statusFor(err), err.Error())
 		return

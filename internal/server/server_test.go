@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -394,6 +395,100 @@ func TestErrorResponses(t *testing.T) {
 		"counts":         hugeCounts,
 	})
 	check("cell cap", resp, body, http.StatusBadRequest, "exceeds the per-request cap")
+}
+
+// TestRequestQueryDecoding: every option shape the server tests send
+// decodes and clamps to the Query the server hands the System: trials
+// default to Config.DefaultTrials and cap at maxRequestTrials, workers
+// clamp to [0, GOMAXPROCS], names parse case-insensitively with "" and
+// absent fields as defaults, a tiny target is clamped up, and the
+// refusals keep their statuses.
+func TestRequestQueryDecoding(t *testing.T) {
+	const defTrials = 1234
+	procs := runtime.GOMAXPROCS(0)
+	cases := []struct {
+		ep   endpoint
+		body string
+		want soferr.Query
+	}{
+		{epMTTF, `{"method":"montecarlo","trials":5000,"seed":3,"engine":"fused"}`,
+			soferr.Query{Trials: 5000, Seed: 3}},
+		{epMTTF, `{"trials":2000,"seed":9,"engine":"Fused"}`, soferr.Query{Trials: 2000, Seed: 9}},
+		{epMTTF, `{"engine":"exact","trials":9999,"seed":42}`,
+			soferr.Query{Engine: soferr.Exact, Trials: 9999, Seed: 42}},
+		{epMTTF, `{"engine":"EXACT"}`, soferr.Query{Engine: soferr.Exact, Trials: defTrials}},
+		{epMTTF, `{"trials":5000,"seed":3,"engine":"fused","sampler":"sobol"}`,
+			soferr.Query{Sampler: soferr.Sobol, Trials: 5000, Seed: 3}},
+		{epMTTF, `{"sampler":"","engine":""}`, soferr.Query{Trials: defTrials}},
+		{epMTTF, `{"engine":null,"sampler":null}`, soferr.Query{Trials: defTrials}},
+		{epMTTF, `{}`, soferr.Query{Trials: defTrials}},
+		{epMTTF, `{"engine":"fused","seed":1,"target_rel_stderr":0.02}`,
+			soferr.Query{Trials: defTrials, Seed: 1, TargetRelStdErr: 0.02}},
+		{epMTTF, `{"engine":"fused","seed":1,"target_rel_stderr":1e-9}`,
+			soferr.Query{Trials: defTrials, Seed: 1, TargetRelStdErr: minTargetRelStdErr}},
+		{epMTTF, `{"trials":50000000,"timeout_ms":1}`, soferr.Query{Trials: maxRequestTrials}},
+		{epMTTF, `{"trials":-4,"workers":-3}`, soferr.Query{Trials: defTrials}},
+		{epMTTF, `{"workers":1048576}`, soferr.Query{Trials: defTrials, Workers: procs}},
+		{epCompare, `{"methods":["avf+sofr","montecarlo"],"trials":2000,"seed":5,"workers":1}`,
+			soferr.Query{Trials: 2000, Seed: 5, Workers: 1}},
+		{epSweep, `{"sources":[],"rates_per_year":[1],"seed":7,"trials":1000,"engine":"fused","sampler":"sobol","target_rel_stderr":0.05,"workers":1}`,
+			soferr.Query{Sampler: soferr.Sobol, Trials: 1000, Seed: 7, TargetRelStdErr: 0.05, Workers: 1}},
+	}
+	srv := New(Config{DefaultTrials: defTrials})
+	// decodeQuery runs an endpoint's decode and clamp over body.
+	decodeQuery := func(ep endpoint, body string) (soferr.Query, *httptest.ResponseRecorder, bool) {
+		var q *soferr.Query
+		var v interface{}
+		switch ep {
+		case epMTTF:
+			req := &mttfRequest{}
+			q, v = &req.Query, req
+		case epCompare:
+			req := &compareRequest{}
+			q, v = &req.Query, req
+		case epSweep:
+			req := &sweepRequest{}
+			q, v = &req.Query, req
+		}
+		w := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(body))
+		ok := srv.decode(w, r, v) && srv.clamp(w, r, ep, q)
+		return *q, w, ok
+	}
+	for _, c := range cases {
+		q, w, ok := decodeQuery(c.ep, c.body)
+		if !ok {
+			t.Errorf("%s %s: refused with %d: %s", endpointNames[c.ep], c.body, w.Code, w.Body)
+		} else if q != c.want {
+			t.Errorf("%s %s: query %+v, want %+v", endpointNames[c.ep], c.body, q, c.want)
+		}
+	}
+
+	refusals := []struct {
+		ep         endpoint
+		body       string
+		wantStatus int
+		wantMsg    string
+	}{
+		{epMTTF, `{"engine":"quantum"}`, http.StatusBadRequest, `unknown engine "quantum"`},
+		{epSweep, `{"engine":"naive"}`, http.StatusBadRequest, `unknown engine "naive"`},
+		{epMTTF, `{"sampler":"halton"}`, http.StatusUnprocessableEntity, `unknown sampler "halton"`},
+		{epSweep, `{"sampler":"halton"}`, http.StatusUnprocessableEntity, `unknown sampler "halton"`},
+		{epMTTF, `{"target_rel_stderr":1.5}`, http.StatusUnprocessableEntity, "target_rel_stderr"},
+		{epCompare, `{"target_rel_stderr":-0.25}`, http.StatusUnprocessableEntity, "target_rel_stderr"},
+		{epMTTF, `{"trails":100}`, http.StatusBadRequest, "trails"},
+		{epMTTF, `{"engine":1}`, http.StatusBadRequest, "invalid request"},
+	}
+	for _, c := range refusals {
+		_, w, ok := decodeQuery(c.ep, c.body)
+		var env struct {
+			Error httpError `json:"error"`
+		}
+		mustUnmarshal(t, w.Body.Bytes(), &env)
+		if ok || w.Code != c.wantStatus || !strings.Contains(env.Error.Message, c.wantMsg) {
+			t.Errorf("%s %s: %d %s; want %d naming %q", endpointNames[c.ep], c.body, w.Code, w.Body, c.wantStatus, c.wantMsg)
+		}
+	}
 }
 
 func TestRequestDeadline(t *testing.T) {

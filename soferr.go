@@ -238,19 +238,6 @@ const (
 // PCG sampler.
 var ErrSamplerUnsupported = montecarlo.ErrSamplerUnsupported
 
-// MonteCarloOptions tunes MonteCarloMTTF.
-type MonteCarloOptions struct {
-	// Trials is the number of independent trials (default 200000).
-	Trials int
-	// Seed makes runs reproducible; equal seeds give identical results.
-	Seed uint64
-	// Engine selects the trial implementation (default Fused).
-	Engine Engine
-	// Sampler selects the uniform-draw source (default PCG; Sobol for
-	// quasi-Monte-Carlo convergence on the Fused engine).
-	Sampler Sampler
-}
-
 // MonteCarloResult is a first-principles MTTF estimate.
 type MonteCarloResult struct {
 	// MTTF is the estimated mean time to failure in seconds.
@@ -266,19 +253,18 @@ type MonteCarloResult struct {
 // by each component's masking trace, with no AVF or SOFR assumption.
 //
 // It is the convenience path over a single-use System: equal components
-// and settings give results bit-identical to
-// NewSystem(components) + MTTF(ctx, MonteCarlo, ...). Build a System
-// directly to amortize compilation and caching across queries, and for
-// cancellation.
+// and Queries give results bit-identical to
+// NewSystem(components) + MTTF(ctx, MonteCarlo, WithQuery(q)). Build a
+// System directly to amortize compilation and caching across queries,
+// and for cancellation.
 //
 //soferr:allow ctxflow documented ctx-less convenience wrapper over a single-use System; callers needing cancellation build a System
-func MonteCarloMTTF(components []Component, opt MonteCarloOptions) (MonteCarloResult, error) {
+func MonteCarloMTTF(components []Component, q Query) (MonteCarloResult, error) {
 	sys, err := NewSystem(components)
 	if err != nil {
 		return MonteCarloResult{}, err
 	}
-	est, err := sys.MTTF(context.Background(), MonteCarlo,
-		WithTrials(opt.Trials), WithSeed(opt.Seed), WithEngine(opt.Engine), WithSampler(opt.Sampler))
+	est, err := sys.MTTF(context.Background(), MonteCarlo, WithQuery(q))
 	if err != nil {
 		return MonteCarloResult{}, err
 	}

@@ -49,7 +49,7 @@ func TestEstimatorsAgreeWhereAVFIsValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := soferr.MonteCarloMTTF([]soferr.Component{comp}, soferr.MonteCarloOptions{Trials: 60000, Seed: 1})
+	mc, err := soferr.MonteCarloMTTF([]soferr.Component{comp}, soferr.Query{Trials: 60000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestMonteCarloEngines(t *testing.T) {
 	comps := []soferr.Component{{Name: "c", RatePerYear: 3e6, Trace: tr}}
 	results := make(map[soferr.Engine]soferr.MonteCarloResult)
 	for _, e := range []soferr.Engine{soferr.Fused, soferr.Exact} {
-		res, err := soferr.MonteCarloMTTF(comps, soferr.MonteCarloOptions{
+		res, err := soferr.MonteCarloMTTF(comps, soferr.Query{
 			Trials: 60000, Seed: 5 + uint64(e), Engine: e,
 		})
 		if err != nil {

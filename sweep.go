@@ -106,8 +106,8 @@ type CellResult struct {
 // product and shares it across cells — including across methods, which
 // all run against the same compiled state — so a full grid is cheaper
 // than per-cell NewSystem calls while remaining bit-identical to them.
-// Options apply to every cell (WithSeed is overridden by the per-cell
-// seeds; WithWorkers bounds the sweep's total parallelism).
+// Options apply to every cell (the per-cell seeds override the Query's
+// Seed; its Workers bounds the sweep's total parallelism).
 func Sweep(ctx context.Context, g Grid, opts ...EstimateOption) ([]CellResult, error) {
 	cells, err := g.Cells()
 	if err != nil {
@@ -184,14 +184,10 @@ func SweepCells(ctx context.Context, sources []TraceSource, cells []Cell, method
 	if len(methods) == 0 {
 		methods = Methods()
 	}
-	var set estimateSettings
-	for _, opt := range opts {
-		opt(&set)
-	}
-	// WithWorkers bounds the sweep's total parallelism: the pool runs
+	// Query.Workers bounds the sweep's total parallelism: the pool runs
 	// up to that many cells at once, and any cores left over (small
 	// grids on wide machines) go to each cell's Monte-Carlo query.
-	total := set.workers
+	total := applyOptions(opts).Workers
 	if total <= 0 {
 		total = runtime.GOMAXPROCS(0)
 	}

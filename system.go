@@ -72,16 +72,17 @@ func MethodByName(name string) (Method, error) {
 
 // EngineByName parses a Monte-Carlo engine name as printed by
 // Engine.String, case-insensitively. It is the single name-parsing
-// point shared by the CLI -engine flags and the server's request
-// decoding.
+// point: Engine's UnmarshalText, which decodes the CLI -engine flags
+// and every JSON document, parses through it (and reads the empty name
+// as the Fused default).
 func EngineByName(name string) (Engine, error) {
 	return montecarlo.EngineByName(name)
 }
 
 // SamplerByName parses a sampler name as printed by Sampler.String,
 // case-insensitively; the empty string is the PCG default. Like
-// EngineByName it is the single name-parsing point shared by the CLI
-// -sampler flags and the server's request decoding.
+// EngineByName it is the single name-parsing point, behind Sampler's
+// UnmarshalText.
 func SamplerByName(name string) (Sampler, error) {
 	return montecarlo.SamplerByName(name)
 }
@@ -193,6 +194,8 @@ func (e *Estimate) UnmarshalJSON(data []byte) error {
 		// Per encoding/json convention, unmarshaling null is a no-op.
 		return nil
 	}
+	// Engine and Sampler decode by name, an absent or empty name as the
+	// default, so documents predating the sampler field decode unchanged.
 	var raw struct {
 		Method  string    `json:"method"`
 		MTTF    JSONFloat `json:"mttf_seconds"`
@@ -200,8 +203,8 @@ func (e *Estimate) UnmarshalJSON(data []byte) error {
 		StdErr  JSONFloat `json:"stderr_seconds"`
 		Trials  int       `json:"trials"`
 		Seed    uint64    `json:"seed"`
-		Engine  string    `json:"engine"`
-		Sampler string    `json:"sampler"`
+		Engine  Engine    `json:"engine"`
+		Sampler Sampler   `json:"sampler"`
 		Target  JSONFloat `json:"target_rel_stderr"`
 		Cached  bool      `json:"cached"`
 	}
@@ -212,19 +215,6 @@ func (e *Estimate) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return err
 	}
-	var engine Engine
-	if raw.Engine != "" {
-		engine, err = EngineByName(raw.Engine)
-		if err != nil {
-			return err
-		}
-	}
-	// SamplerByName treats the empty string as the PCG default, so
-	// documents predating the sampler field decode unchanged.
-	sampler, err := SamplerByName(raw.Sampler)
-	if err != nil {
-		return err
-	}
 	*e = Estimate{
 		Method:          method,
 		MTTF:            float64(raw.MTTF),
@@ -232,8 +222,8 @@ func (e *Estimate) UnmarshalJSON(data []byte) error {
 		StdErr:          float64(raw.StdErr),
 		Trials:          raw.Trials,
 		Seed:            raw.Seed,
-		Engine:          engine,
-		Sampler:         sampler,
+		Engine:          raw.Engine,
+		Sampler:         raw.Sampler,
 		TargetRelStdErr: float64(raw.Target),
 		Cached:          raw.Cached,
 	}
@@ -319,72 +309,123 @@ func WithoutQueryCache() SystemOption {
 	return func(c *systemConfig) { c.noCache = true }
 }
 
+// Query is the settings of one Monte-Carlo query: the (engine,
+// sampler, trials, seed, target) point a method comparison answers at,
+// plus the parallelism it runs with. It is the one form every layer
+// passes: the System's memo key, the body of the server's estimate and
+// sweep requests, the client's options, and the CLI's flags. Zero
+// fields mean defaults, and the JSON names are the wire names; engine
+// and sampler names are case-insensitive, with "" the default.
+type Query struct {
+	// Engine selects the trial implementation: Fused (the default)
+	// samples, Exact gives the trial-free closed-form answer with zero
+	// standard error.
+	Engine Engine `json:"engine,omitempty"`
+	// Sampler selects the uniform-draw source (default PCG). Sobol
+	// switches the Fused engine to Owen-scrambled quasi-Monte-Carlo
+	// points: variance falls near O(1/n) instead of O(1/sqrt n), so
+	// adaptive precision targets are reached in far fewer trials.
+	// Systems with thinning-fallback components reject Sobol with
+	// ErrSamplerUnsupported; the Exact engine ignores samplers.
+	Sampler Sampler `json:"sampler,omitempty"`
+	// Trials is the trial count, and the cap of an adaptive run;
+	// zero or negative means DefaultTrials.
+	Trials int `json:"trials,omitempty"`
+	// Seed selects the deterministic random stream: equal Queries give
+	// bit-identical estimates. A sweep's per-cell seeds derive from it.
+	Seed uint64 `json:"seed,omitempty"`
+	// TargetRelStdErr, when non-zero, switches the query to adaptive
+	// precision targeting: trials run in deterministic doubling rounds
+	// until the relative standard error (StdErr/MTTF) reaches the
+	// target, the Trials cap stops it, or the query's context ends.
+	// Adaptive estimates are bit-identical for any worker count, record
+	// the trials actually used in Estimate.Trials, and carry the target
+	// in Estimate.TargetRelStdErr. Targets outside [0, 1) are rejected
+	// with ErrInvalidArgument.
+	TargetRelStdErr float64 `json:"target_rel_stderr,omitempty"`
+	// Workers bounds parallelism (default GOMAXPROCS). It changes only
+	// the wall time, never the estimate, so it is never part of the
+	// memo key.
+	Workers int `json:"workers,omitempty"`
+}
+
+// normalize returns the memo key of q: the settings that determine the
+// answer, in one canonical form. Trials default to DefaultTrials; the
+// Exact engine is trial-free and deterministic, so trials, seed,
+// sampler, and target cannot change its answer and are zeroed; Workers
+// never changes an answer and is always zeroed.
+func (q Query) normalize() Query {
+	if q.Trials <= 0 {
+		q.Trials = DefaultTrials
+	}
+	if q.Engine == Exact {
+		q.Trials, q.Seed, q.Sampler, q.TargetRelStdErr = 0, 0, PCG, 0
+	}
+	q.Workers = 0
+	return q
+}
+
 // EstimateOption tunes one MTTF/Compare query. Zero or unset values
 // mean defaults, so options can be threaded through unconditionally.
-type EstimateOption func(*estimateSettings)
+type EstimateOption func(*queryOptions)
 
-type estimateSettings struct {
-	trials    int
-	seed      uint64
-	engine    Engine
-	sampler   Sampler
-	workers   int
+// queryOptions is a Query plus the one option outside it: the wall-time
+// limit, which bounds the query's context but is no query setting.
+type queryOptions struct {
+	Query
 	timeLimit time.Duration
-	targetRSE float64
 }
 
-// WithTrials sets the Monte-Carlo trial count (default DefaultTrials).
+// applyOptions folds opts, in order, over the zero Query.
+func applyOptions(opts []EstimateOption) queryOptions {
+	var o queryOptions
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
+}
+
+// WithQuery sets every Query field at once, replacing any earlier
+// setter; later setters refine it.
+func WithQuery(q Query) EstimateOption {
+	return func(o *queryOptions) { o.Query = q }
+}
+
+// WithTrials sets Query.Trials.
 func WithTrials(n int) EstimateOption {
-	return func(s *estimateSettings) { s.trials = n }
+	return func(o *queryOptions) { o.Trials = n }
 }
 
-// WithSeed selects the deterministic random stream; equal seeds (with
-// equal trials and engine) give bit-identical estimates.
+// WithSeed sets Query.Seed.
 func WithSeed(seed uint64) EstimateOption {
-	return func(s *estimateSettings) { s.seed = seed }
+	return func(o *queryOptions) { o.Seed = seed }
 }
 
-// WithEngine selects the Monte-Carlo trial implementation: Fused (the
-// default) samples, Exact gives the trial-free closed-form answer with
-// zero standard error.
+// WithEngine sets Query.Engine.
 func WithEngine(e Engine) EstimateOption {
-	return func(s *estimateSettings) { s.engine = e }
+	return func(o *queryOptions) { o.Engine = e }
 }
 
-// WithSampler selects the Monte-Carlo uniform-draw source (default
-// PCG). Sobol switches the Fused engine to Owen-scrambled
-// quasi-Monte-Carlo points: variance falls near O(1/n) instead of
-// O(1/sqrt n), so adaptive precision targets are reached in far fewer
-// trials. Systems with thinning-fallback components reject Sobol with
-// ErrSamplerUnsupported; the Exact engine ignores samplers entirely.
+// WithSampler sets Query.Sampler.
 func WithSampler(s Sampler) EstimateOption {
-	return func(set *estimateSettings) { set.sampler = s }
+	return func(o *queryOptions) { o.Sampler = s }
 }
 
-// WithWorkers bounds Monte-Carlo parallelism (default GOMAXPROCS).
-// Worker count never changes the estimate, only the wall time.
+// WithWorkers sets Query.Workers.
 func WithWorkers(n int) EstimateOption {
-	return func(s *estimateSettings) { s.workers = n }
+	return func(o *queryOptions) { o.Workers = n }
+}
+
+// WithTargetRelStdErr sets Query.TargetRelStdErr.
+func WithTargetRelStdErr(target float64) EstimateOption {
+	return func(o *queryOptions) { o.TargetRelStdErr = target }
 }
 
 // WithTimeLimit bounds the query's wall time: the query's context is
 // cancelled after d, and an over-budget Monte-Carlo run returns
 // context.DeadlineExceeded.
 func WithTimeLimit(d time.Duration) EstimateOption {
-	return func(s *estimateSettings) { s.timeLimit = d }
-}
-
-// WithTargetRelStdErr switches a Monte-Carlo query to adaptive
-// precision targeting: trials run in deterministic doubling rounds
-// until the relative standard error (StdErr/MTTF) reaches target, the
-// trial cap (WithTrials, default DefaultTrials) stops it, or the
-// query's context ends. Adaptive estimates are bit-identical for any
-// worker count, record the trials actually used in Estimate.Trials,
-// and carry the target in Estimate.TargetRelStdErr. A target of zero
-// means a fixed-trial run; targets outside [0, 1) are rejected with
-// ErrInvalidArgument.
-func WithTargetRelStdErr(target float64) EstimateOption {
-	return func(s *estimateSettings) { s.targetRSE = target }
+	return func(o *queryOptions) { o.timeLimit = d }
 }
 
 // System is an immutable, precompiled series system: NewSystem
@@ -409,7 +450,7 @@ type System struct {
 	avfSofr float64
 	avfErr  error
 
-	mcCache     sync.Map // mcCacheKey -> Estimate
+	mcCache     sync.Map // normalized Query -> Estimate
 	mcCacheSize atomic.Int64
 }
 
@@ -418,14 +459,6 @@ type System struct {
 // Estimate per distinct setting forever; past the cap, results are
 // still computed and returned, just not retained.
 const maxCachedEstimates = 4096
-
-type mcCacheKey struct {
-	trials    int
-	seed      uint64
-	engine    Engine
-	sampler   Sampler
-	targetRSE float64
-}
 
 // NewSystem compiles components into an immutable System. It validates
 // every component (non-nil trace, finite non-negative rate) and
@@ -508,13 +541,10 @@ func (s *System) RatePerYear() float64 {
 // Deterministic methods and repeated identical Monte-Carlo queries are
 // served from the compiled state at cache-hit cost.
 func (s *System) MTTF(ctx context.Context, method Method, opts ...EstimateOption) (Estimate, error) {
-	var set estimateSettings
-	for _, opt := range opts {
-		opt(&set)
-	}
-	if set.timeLimit > 0 {
+	o := applyOptions(opts)
+	if o.timeLimit > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, set.timeLimit)
+		ctx, cancel = context.WithTimeout(ctx, o.timeLimit)
 		defer cancel()
 	}
 	if err := ctx.Err(); err != nil {
@@ -525,7 +555,7 @@ func (s *System) MTTF(ctx context.Context, method Method, opts ...EstimateOption
 		if s.avfErr != nil {
 			return Estimate{}, s.avfErr
 		}
-		return newEstimate(AVFSOFR, s.avfSofr, 0, estimateSettings{}), nil
+		return newEstimate(AVFSOFR, s.avfSofr, 0), nil
 	case SoftArch:
 		// Section 5.4's survival model is the quantity the Exact engine
 		// integrates, so SoftArch reads the same compiled state.
@@ -533,9 +563,9 @@ func (s *System) MTTF(ctx context.Context, method Method, opts ...EstimateOption
 		if err != nil {
 			return Estimate{}, err
 		}
-		return newEstimate(SoftArch, mttf, 0, estimateSettings{}), nil
+		return newEstimate(SoftArch, mttf, 0), nil
 	case MonteCarlo:
-		return s.monteCarlo(ctx, set)
+		return s.monteCarlo(ctx, o.Query)
 	default:
 		return Estimate{}, fmt.Errorf("soferr: unknown method %v", method)
 	}
@@ -543,8 +573,9 @@ func (s *System) MTTF(ctx context.Context, method Method, opts ...EstimateOption
 
 // Compare runs several methods against the same compiled state and
 // returns their estimates in argument order. With no methods given it
-// compares all three. Settings apply to every stochastic method, so the
-// comparison is apples-to-apples at one (trials, seed, engine) point.
+// compares all three. One Query applies to every stochastic method, so
+// the comparison is apples-to-apples at one (engine, sampler, trials,
+// seed, target) point.
 func (s *System) Compare(ctx context.Context, methods ...Method) ([]Estimate, error) {
 	return s.CompareWith(ctx, nil, methods...)
 }
@@ -567,25 +598,14 @@ func (s *System) CompareWith(ctx context.Context, opts []EstimateOption, methods
 	return out, nil
 }
 
-func (s *System) monteCarlo(ctx context.Context, set estimateSettings) (Estimate, error) {
-	// Normalize the settings that determine the result so equivalent
-	// queries share one cache entry. Workers and time limits change
-	// only the wall time, never the value.
-	if set.trials <= 0 {
-		set.trials = DefaultTrials
-	}
-	if set.targetRSE < 0 || set.targetRSE >= 1 || math.IsNaN(set.targetRSE) {
+func (s *System) monteCarlo(ctx context.Context, q Query) (Estimate, error) {
+	if q.TargetRelStdErr < 0 || q.TargetRelStdErr >= 1 || math.IsNaN(q.TargetRelStdErr) {
 		return Estimate{}, fmt.Errorf("soferr: Monte-Carlo target relative standard error %v outside [0, 1): %w",
-			set.targetRSE, ErrInvalidArgument)
+			q.TargetRelStdErr, ErrInvalidArgument)
 	}
-	if set.engine == Exact {
-		// The exact engine is trial-free and deterministic: trials,
-		// seed, sampler, and precision target cannot change the answer,
-		// so they are normalized out of the cache key and the estimate —
-		// every exact query on this system shares one cache entry.
-		set.trials, set.seed, set.sampler, set.targetRSE = 0, 0, PCG, 0
-	}
-	key := mcCacheKey{trials: set.trials, seed: set.seed, engine: set.engine, sampler: set.sampler, targetRSE: set.targetRSE}
+	// Equal normalized Queries share one cache entry: every exact query
+	// on this system is one entry, and workers never split the memo.
+	key := q.normalize()
 	if !s.noCache {
 		if v, ok := s.mcCache.Load(key); ok {
 			est := v.(Estimate)
@@ -594,18 +614,19 @@ func (s *System) monteCarlo(ctx context.Context, set estimateSettings) (Estimate
 		}
 	}
 	res, err := s.mc.MTTF(ctx, montecarlo.Config{
-		Trials:          set.trials,
-		Seed:            set.seed,
-		Engine:          set.engine,
-		Sampler:         set.sampler,
-		Workers:         set.workers,
-		TargetRelStdErr: set.targetRSE,
+		Trials:          key.Trials,
+		Seed:            key.Seed,
+		Engine:          key.Engine,
+		Sampler:         key.Sampler,
+		Workers:         q.Workers,
+		TargetRelStdErr: key.TargetRelStdErr,
 	})
 	if err != nil {
 		return Estimate{}, err
 	}
-	est := newEstimate(MonteCarlo, res.MTTF, res.StdErr, set)
-	est.Trials = res.Trials
+	est := newEstimate(MonteCarlo, res.MTTF, res.StdErr)
+	est.Trials, est.Seed = res.Trials, key.Seed
+	est.Engine, est.Sampler, est.TargetRelStdErr = key.Engine, key.Sampler, key.TargetRelStdErr
 	// Bounded retention: LoadOrStore so concurrent first-queries count
 	// each key once; a race can overshoot the cap by at most the number
 	// of in-flight queries.
@@ -617,7 +638,7 @@ func (s *System) monteCarlo(ctx context.Context, set estimateSettings) (Estimate
 	return est, nil
 }
 
-func newEstimate(m Method, mttf, stderr float64, set estimateSettings) Estimate {
+func newEstimate(m Method, mttf, stderr float64) Estimate {
 	est := Estimate{
 		Method: m,
 		MTTF:   mttf,
@@ -630,13 +651,6 @@ func newEstimate(m Method, mttf, stderr float64, set estimateSettings) Estimate 
 		est.FIT = math.Inf(1)
 	case !math.IsInf(mttf, 1):
 		est.FIT = units.PerYearToFIT(units.PerSecondToPerYear(1 / mttf))
-	}
-	if m == MonteCarlo {
-		est.Trials = set.trials
-		est.Seed = set.seed
-		est.Engine = set.engine
-		est.Sampler = set.sampler
-		est.TargetRelStdErr = set.targetRSE
 	}
 	return est
 }

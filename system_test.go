@@ -70,7 +70,7 @@ func TestCompareAgreesWithFlatFunctionsBitForBit(t *testing.T) {
 	}
 
 	// Legacy Monte Carlo at identical settings.
-	mc, err := soferr.MonteCarloMTTF(comps, soferr.MonteCarloOptions{Trials: trials, Seed: seed})
+	mc, err := soferr.MonteCarloMTTF(comps, soferr.Query{Trials: trials, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestCompiledSystemRepeatedQuerySpeedup(t *testing.T) {
 	)
 	tr := mustBusyIdle(t, 86400, 3600)
 	comps := []soferr.Component{{Name: "batch", RatePerYear: 3000, Trace: tr}}
-	opt := soferr.MonteCarloOptions{Trials: trials, Seed: 1, Engine: soferr.Fused}
+	opt := soferr.Query{Trials: trials, Seed: 1, Engine: soferr.Fused}
 
 	start := time.Now()
 	for i := 0; i < n; i++ {
