@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt-check docs race verify bench bench-go serve chaos lint lint-fix-baseline fuzz-smoke clean
+.PHONY: all build test vet fmt-check docs race verify bench-go serve chaos lint lint-fix-baseline fuzz-smoke clean
 
 all: build
 
@@ -31,18 +31,6 @@ race:
 	$(GO) test -race -short ./...
 
 verify: vet build test
-
-# bench records the Monte-Carlo engine micro-benchmarks in
-# BENCH_mc.json, the fused engine's N-scaling and adaptive-precision
-# numbers in BENCH_fused.json, the exact engine's closed-form-vs-
-# adaptive-sampling comparison in BENCH_exact.json, the sweep engine's
-# full-grid speedup in BENCH_sweep.json, and the query server's
-# cold-vs-cache-hit request latency in BENCH_serve.json, so the perf
-# trajectory is tracked PR over PR. Every report is validated against
-# the shared schema (internal/benchfmt) after writing.
-bench:
-	$(GO) run ./cmd/soferr bench -out BENCH_mc.json -fused-out BENCH_fused.json -exact-out BENCH_exact.json -sweep-out BENCH_sweep.json -serve-out BENCH_serve.json
-	$(GO) run ./cmd/soferr bench -validate
 
 # serve runs the MTTF query service locally (POST a Spec to /v1/mttf;
 # see README.md, "Serving").
@@ -87,10 +75,14 @@ fuzz-smoke:
 	$(GO) test -run FuzzBatchedInversion -fuzz FuzzBatchedInversion -fuzztime 15s ./internal/trace
 	$(GO) test -run FuzzExactEngine -fuzz FuzzExactEngine -fuzztime 15s .
 
-# bench-go runs the full go-test benchmark suite (experiments +
-# substrates) without writing the JSON report.
+# bench-go runs the Go benchmarks of the root package (experiments,
+# queries, substrates) and of the Monte-Carlo engines (among them
+# BenchmarkFusedTrial over component counts). A number the docs quote
+# comes from one benchmark run with -count 10, as its median and
+# min-max (README.md, "Performance"). The end-to-end server benchmark
+# is perfbench: bash perfbench/run.sh --workload hot-queries --seed 1.
 bench-go:
-	$(GO) test -run='^$$' -bench=. -benchmem .
+	$(GO) test -run='^$$' -bench=. -benchmem . ./internal/montecarlo
 
 clean:
 	$(GO) clean ./...

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -194,54 +195,72 @@ func TestSweepAutoSplit(t *testing.T) {
 }
 
 // TestSweepStreamResumesAfterCut is the client half of the resumable-
-// stream contract: a stream the server drops mid-page is resumed from
-// the last delivered index + 1, and the reassembled cell sequence is
+// stream contract: a stream the server drops mid-page, or after its
+// last cell line but before the terminator, is resumed from the last
+// delivered index + 1, and the reassembled cell sequence is
 // bit-identical to an uninterrupted sweep — each cell delivered exactly
 // once.
 func TestSweepStreamResumesAfterCut(t *testing.T) {
-	real := server.New(server.Config{})
-	var calls atomic.Int64
-	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			// First attempt: deliver ~3 lines, then cut the connection
-			// before the terminator.
-			rec := httptest.NewRecorder()
-			real.ServeHTTP(rec, r)
+	for _, tc := range []struct {
+		name string
+		// cut returns how many bytes of the full stream body the first
+		// attempt delivers before the connection drops.
+		cut func(body []byte) int
+	}{
+		{"mid-page", func(body []byte) int {
 			lines := 0
-			body := rec.Body.Bytes()
-			cut := len(body)
 			for i, b := range body {
 				if b == '\n' {
 					lines++
 					if lines == 3 {
-						cut = i + 1
-						break
+						return i + 1
 					}
 				}
 			}
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.Write(body[:cut])
-			panic(http.ErrAbortHandler)
-		}
-		real.ServeHTTP(w, r)
-	}))
-	defer proxy.Close()
+			return len(body)
+		}},
+		// Every cell line arrives but the done line does not, so the
+		// client resumes at cursor == total.
+		{"before-terminator", func(body []byte) int {
+			return bytes.LastIndexByte(body[:len(body)-1], '\n') + 1
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			real := server.New(server.Config{})
+			var calls atomic.Int64
+			proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if calls.Add(1) == 1 {
+					rec := httptest.NewRecorder()
+					real.ServeHTTP(rec, r)
+					body := rec.Body.Bytes()
+					w.Header().Set("Content-Type", "application/x-ndjson")
+					w.Write(body[:tc.cut(body)])
+					// Flush first: the abort discards unflushed output, and
+					// the client would then see no line at all.
+					w.(http.Flusher).Flush()
+					panic(http.ErrAbortHandler)
+				}
+				real.ServeHTTP(w, r)
+			}))
+			defer proxy.Close()
 
-	c := New(Config{BaseURL: proxy.URL, HTTPClient: proxy.Client(),
-		BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond})
-	var got []soferr.CellResult
-	err := c.SweepStream(context.Background(), sweepReq(), func(sc SweepCell) error {
-		if sc.Err != "" {
-			t.Errorf("cell %d carried error %q", sc.Cell.Index, sc.Err)
-		}
-		got = append(got, soferr.CellResult{Cell: sc.Cell, Estimates: sc.Estimates})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+			c := New(Config{BaseURL: proxy.URL, HTTPClient: proxy.Client(),
+				BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond})
+			var got []soferr.CellResult
+			err := c.SweepStream(context.Background(), sweepReq(), func(sc SweepCell) error {
+				if sc.Err != "" {
+					t.Errorf("cell %d carried error %q", sc.Cell.Index, sc.Err)
+				}
+				got = append(got, soferr.CellResult{Cell: sc.Cell, Estimates: sc.Estimates})
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if calls.Load() < 2 {
+				t.Error("stream was never cut; the resume path went unexercised")
+			}
+			checkCells(t, "resumed stream", got, directSweep(t))
+		})
 	}
-	if calls.Load() < 2 {
-		t.Error("stream was never cut; the resume path went unexercised")
-	}
-	checkCells(t, "resumed stream", got, directSweep(t))
 }

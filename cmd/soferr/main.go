@@ -9,7 +9,6 @@
 //	soferr serve [flags]             serve MTTF queries over HTTP (POST a Spec)
 //	soferr workloads [flags]         simulate every benchmark; print stats and AVFs
 //	soferr config                    print the Table 1 machine configuration
-//	soferr bench [flags]             micro-benchmark the Monte-Carlo engines
 //
 // Flags for sweep (axes are comma-separated lists; the grid is their
 // cross product, evaluated concurrently and deterministically on the
@@ -53,16 +52,6 @@
 //	-timeout D         per-request deadline cap (default 60s; 0 = unlimited)
 //	-grace D           shutdown grace period (default 30s)
 //	-instructions N -sim-seed N -v
-//
-// Flags for bench:
-//
-//	-out FILE        Monte-Carlo JSON report path (default BENCH_mc.json)
-//	-fused-out FILE  fused-engine JSON report path (default BENCH_fused.json)
-//	-exact-out FILE  exact-engine JSON report path (default BENCH_exact.json)
-//	-sweep-out FILE  sweep-engine JSON report path (default BENCH_sweep.json)
-//	-serve-out FILE  query-server JSON report path (default BENCH_serve.json)
-//	-validate [FILES] validate BENCH_*.json files against the shared schema
-//	-v               log progress to stderr
 package main
 
 import (
@@ -76,7 +65,6 @@ import (
 	"syscall"
 
 	"github.com/soferr/soferr"
-	"github.com/soferr/soferr/internal/benchfmt"
 	"github.com/soferr/soferr/internal/experiments"
 	"github.com/soferr/soferr/internal/turandot"
 	"github.com/soferr/soferr/internal/workload"
@@ -244,41 +232,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		// serve has its own flags; see cmd/soferr/serve.go.
 		return runServe(ctx, rest, stdout, stderr)
 
-	case "bench":
-		// bench takes only its own flags; a stray -trials/-seed would
-		// be silently ignored, so reject it instead of accepting it.
-		bfs := flag.NewFlagSet("bench", flag.ContinueOnError)
-		bfs.SetOutput(stderr)
-		benchOut := bfs.String("out", "BENCH_mc.json", "Monte-Carlo JSON report path (empty to skip writing)")
-		sweepOut := bfs.String("sweep-out", "BENCH_sweep.json", "sweep-engine JSON report path (empty to skip writing)")
-		serveOut := bfs.String("serve-out", "BENCH_serve.json", "query-server JSON report path (empty to skip writing)")
-		fusedOut := bfs.String("fused-out", "BENCH_fused.json", "fused-engine JSON report path (empty to skip writing)")
-		exactOut := bfs.String("exact-out", "BENCH_exact.json", "exact-engine JSON report path (empty to skip writing)")
-		validate := bfs.Bool("validate", false, "validate the listed BENCH_*.json files against the shared schema instead of benchmarking")
-		benchVerbose := bfs.Bool("v", false, "log progress to stderr")
-		if err := bfs.Parse(rest); err != nil {
-			return err
-		}
-		if *validate {
-			return validateBenchReports(stdout, bfs.Args())
-		}
-		if len(bfs.Args()) > 0 {
-			return fmt.Errorf("bench: unexpected arguments %v (file arguments need -validate)", bfs.Args())
-		}
-		if err := runBench(ctx, stdout, stderr, *benchOut, *benchVerbose); err != nil {
-			return err
-		}
-		if err := runFusedBench(ctx, stdout, stderr, *fusedOut, *benchVerbose); err != nil {
-			return err
-		}
-		if err := runExactBench(ctx, stdout, stderr, *exactOut, *benchVerbose); err != nil {
-			return err
-		}
-		if err := runSweepBench(ctx, stdout, stderr, *sweepOut, *benchVerbose); err != nil {
-			return err
-		}
-		return runServeBench(ctx, stdout, stderr, *serveOut, *benchVerbose)
-
 	case "help", "-h", "--help":
 		usage(stdout)
 		return nil
@@ -300,23 +253,6 @@ func queryFlags(fs *flag.FlagSet, q *soferr.Query) {
 	fs.TextVar(&q.Engine, "engine", q.Engine, "Monte-Carlo engine `name`: fused or exact")
 	fs.TextVar(&q.Sampler, "sampler", q.Sampler, "Monte-Carlo sampler `name`: pcg or sobol (quasi-Monte-Carlo)")
 	fs.Float64Var(&q.TargetRelStdErr, "target-rse", q.TargetRelStdErr, "adaptive precision target (relative standard error; 0 = fixed trials)")
-}
-
-// validateBenchReports checks BENCH_*.json files against the shared
-// internal/benchfmt schema (CI runs this after the bench smoke). With
-// no arguments it validates the default report set in the working
-// directory.
-func validateBenchReports(stdout io.Writer, paths []string) error {
-	if len(paths) == 0 {
-		paths = []string{"BENCH_mc.json", "BENCH_fused.json", "BENCH_exact.json", "BENCH_sweep.json", "BENCH_serve.json"}
-	}
-	for _, path := range paths {
-		if err := benchfmt.ValidateFile(path); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "%s: ok\n", path)
-	}
-	return nil
 }
 
 func runWorkloads(w io.Writer, instructions int, seed uint64) error {
@@ -357,7 +293,6 @@ commands:
   serve        serve MTTF queries over HTTP (POST a Spec to /v1/mttf, /v1/sweep, ...)
   workloads    simulate every benchmark; print stats and AVFs
   config       print the Table 1 machine configuration
-  bench        micro-benchmark the engines; write BENCH_mc.json + BENCH_fused.json + BENCH_exact.json + BENCH_sweep.json + BENCH_serve.json
 
 query flags (run and sweep; one soferr.Query):
   -trials N -seed N -engine fused|exact -sampler pcg|sobol -target-rse T
@@ -372,7 +307,5 @@ flags for serve:
   -instructions N -sim-seed N -v
 flags for workloads:
   -instructions N -seed N
-flags for bench:
-  -out FILE -fused-out FILE -exact-out FILE -sweep-out FILE -serve-out FILE -validate [FILES] -v
 `)
 }

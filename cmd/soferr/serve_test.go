@@ -447,34 +447,6 @@ func TestRunSpecFileAdaptiveTarget(t *testing.T) {
 	}
 }
 
-// TestBenchValidate covers `soferr bench -validate`: well-formed
-// reports pass, malformed ones fail with the file named.
-func TestBenchValidate(t *testing.T) {
-	dir := t.TempDir()
-	good := filepath.Join(dir, "BENCH_good.json")
-	if err := os.WriteFile(good, []byte(`{"go_version":"go1.24.0","goarch":"amd64","speedup":3.5}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out, _, err := runCLI(t, "bench", "-validate", good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "ok") {
-		t.Errorf("validate output missing ok:\n%s", out)
-	}
-	bad := filepath.Join(dir, "BENCH_bad.json")
-	if err := os.WriteFile(bad, []byte(`{"goarch":"amd64"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := runCLI(t, "bench", "-validate", bad); err == nil {
-		t.Error("malformed report accepted")
-	}
-	// File arguments without -validate are rejected, not ignored.
-	if _, _, err := runCLI(t, "bench", good); err == nil {
-		t.Error("bench with stray file argument accepted")
-	}
-}
-
 // TestSweepServerMode covers `soferr sweep -server`: the client-mode
 // sweep must render bit-identical output to the in-process path, and
 // -cursor must resume from an absolute cell index without changing the
@@ -541,5 +513,26 @@ func TestSweepServerMode(t *testing.T) {
 	// A dead server surfaces a transport error, not a hang or success.
 	if _, _, err := runCLI(t, "sweep", "-duty", "0.5", "-rates", "10", "-server", "http://127.0.0.1:1"); err == nil {
 		t.Error("unreachable -server accepted")
+	}
+
+	// Without -trials both paths run soferr.DefaultTrials, even against
+	// a server started with another default.
+	url1k, stop1k := startServe(t, "-trials", "1000")
+	defer func() {
+		if err := stop1k(); err != nil {
+			t.Errorf("serve -trials 1000 returned %v", err)
+		}
+	}()
+	defaultArgs := []string{"sweep", "-duty", "0.5", "-rates", "1e4", "-methods", "mc", "-seed", "7", "-csv"}
+	localDefault, _, err := runCLI(t, defaultArgs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servedDefault, _, err := runCLI(t, append(defaultArgs, "-server", url1k)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if servedDefault != localDefault {
+		t.Errorf("-server without -trials differs from local against serve -trials 1000:\n--- local ---\n%s--- served ---\n%s", localDefault, servedDefault)
 	}
 }

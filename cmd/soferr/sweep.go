@@ -213,6 +213,11 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		if *instructions != 0 {
 			fmt.Fprintln(stderr, "sweep: -instructions is ignored with -server (the server bounds simulation itself)")
 		}
+		// Zero trials mean soferr.DefaultTrials locally; the server would
+		// read them as its own -trials default, so resolve them here.
+		if q.Trials <= 0 {
+			q.Trials = soferr.DefaultTrials
+		}
 		req := client.SweepRequest{
 			Name:         "sweep",
 			Sources:      srcSpecs,

@@ -461,12 +461,12 @@ func TestExactMetamorphic(t *testing.T) {
 	checkQuantileReliabilityConsistency(t, "commensurate metamorphic", sys)
 }
 
-// TestExactSpecTraceSpeedup pins the acceptance figure behind
-// BENCH_exact.json: on the SPEC gzip trace profile, an exact query on
-// tabulated state is >= 100x faster than one adaptive Fused run at a 1%
-// relative-stderr target (in practice it is >1000x: nanoseconds versus
-// milliseconds, since every adaptive query re-runs ~16k trials while
-// exact reads the closed form both engines' shared table implies).
+// TestExactSpecTraceSpeedup pins the exact engine's payoff: on the SPEC
+// gzip trace profile, an exact query on tabulated state is >= 100x
+// faster than one adaptive Fused run at a 1% relative-stderr target (in
+// practice it is >1000x: nanoseconds versus milliseconds, since every
+// adaptive query re-runs ~16k trials while exact reads the closed form
+// both engines' shared table implies).
 func TestExactSpecTraceSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-time comparison skipped in -short")

@@ -351,15 +351,15 @@ func TestTrialLoopDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// speedupSystem is the N=64 system the speedup acceptance test times:
-// heterogeneous duty cycles on one shared period, so every component
-// contributes its own segments to the merged table.
-func speedupSystem(t *testing.T) []Component {
-	const n = 64
+// speedupSystem is the n-component system the speedup acceptance test
+// (n = 64) and BenchmarkFusedTrial time: heterogeneous duty cycles on
+// one shared period, so every component contributes its own segments
+// to the merged table.
+func speedupSystem(tb testing.TB, n int) []Component {
 	comps := make([]Component, n)
 	for i := range comps {
 		busy := 1 + float64(i%17)
-		comps[i] = Component{Rate: 1e-4 * float64(1+i%5), Trace: mustBusyIdleB(t, 24, busy)}
+		comps[i] = Component{Rate: 1e-4 * float64(1+i%5), Trace: mustBusyIdleB(tb, 24, busy)}
 	}
 	return comps
 }
@@ -386,7 +386,7 @@ func TestFusedSpeedupAtN64(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison skipped in -short mode")
 	}
-	comps := speedupSystem(t)
+	comps := speedupSystem(t, 64)
 	const trials = 60000
 	inv := timeRun(t, perComponent(t, comps), trials)
 	fused := timeRun(t, mustCompile(t, comps), trials)
@@ -395,11 +395,11 @@ func TestFusedSpeedupAtN64(t *testing.T) {
 	}
 }
 
-func mustBusyIdleB(t *testing.T, period, busy float64) *trace.Piecewise {
-	t.Helper()
+func mustBusyIdleB(tb testing.TB, period, busy float64) *trace.Piecewise {
+	tb.Helper()
 	p, err := trace.BusyIdle(period, busy)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return p
 }

@@ -3,6 +3,7 @@ package montecarlo
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -257,16 +258,25 @@ func TestLongLoopTraceWorks(t *testing.T) {
 	}
 }
 
+// BenchmarkFusedTrial times one single-threaded Fused trial (ns/op is
+// ns per trial) on speedupSystem at N components. The merged table
+// grows with N while a trial stays one draw and one O(log S) search, so
+// ns/op should stay nearly flat in N. The table is built by a warm-up
+// run outside the timer.
 func BenchmarkFusedTrial(b *testing.B) {
-	tr, err := trace.BusyIdle(10, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	comps := []Component{{Rate: 0.1, Trace: tr}}
-	b.ResetTimer()
-	_, err = SystemMTTF(context.Background(), comps, Config{Trials: b.N, Seed: 1})
-	if err != nil && err != ErrNoFailurePossible {
-		b.Fatal(err)
+	ctx := context.Background()
+	for _, n := range []int{1, 4, 16, 64, 256} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			c := mustCompile(b, speedupSystem(b, n))
+			if _, err := c.MTTF(ctx, Config{Trials: 64, Seed: 1, Workers: 1}); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if _, err := c.MTTF(ctx, Config{Trials: b.N, Seed: 1, Workers: 1}); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -112,6 +112,10 @@ func TestNaiveOracleConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	multiInterval10, err := trace.Periodic(10, []trace.Interval{{Start: 1, End: 3}, {Start: 5, End: 5.5}, {Start: 8, End: 9.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	levels, err := trace.FromLevels([]float64{0.8, 0.1, 0.6, 0, 0.3}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -142,6 +146,11 @@ func TestNaiveOracleConformance(t *testing.T) {
 		{name: "multi-interval single", comps: []Component{{Name: "c", Rate: perYear(5e5), Trace: multiInterval}}},
 		{name: "fractional levels single", comps: []Component{{Name: "c", Rate: perYear(8e5), Trace: levels}}},
 		{name: "multi-component equal period", comps: []Component{
+			{Name: "a", Rate: perYear(4e5), Trace: busyIdle(t, 10, 3)},
+			{Name: "b", Rate: perYear(2e5), Trace: multiInterval10},
+			{Name: "c", Rate: perYear(6e5), Trace: busyIdle(t, 10, 7)},
+		}},
+		{name: "multi-component commensurate 10 s and 12 s mix", comps: []Component{
 			{Name: "a", Rate: perYear(4e5), Trace: busyIdle(t, 10, 3)},
 			{Name: "b", Rate: perYear(2e5), Trace: multiInterval},
 			{Name: "c", Rate: perYear(6e5), Trace: busyIdle(t, 10, 7)},

@@ -150,8 +150,8 @@ type Server struct {
 
 	// Per-endpoint request-latency summaries (count/sum/max), measured
 	// around the whole handler — decode, compile wait, query, encode —
-	// so the cache-hit vs cold-compile split BENCH_serve.json records
-	// offline is observable in production via /metrics.
+	// so the cache-hit vs cold-compile split (perfbench's hot-queries
+	// and cold-specs workloads) is observable in production via /metrics.
 	latCount [5]atomic.Int64
 	latNs    [5]atomic.Int64
 	latMaxNs [5]atomic.Int64
@@ -860,6 +860,18 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	nextCursor := int64(0)
 	if end := req.Cursor + window; end < total {
 		nextCursor = end
+	}
+	if len(page) == 0 {
+		// cursor == total: an empty page, not a failure (the sweep
+		// engine refuses zero cells). A stream cut after its last cell
+		// line but before the done line resumes here.
+		if req.Stream == "ndjson" {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			json.NewEncoder(w).Encode(sweepDone{Done: true, Cursor: req.Cursor, Total: total})
+			return
+		}
+		writeJSON(w, sweepResponse{Name: req.Name, Cells: []soferr.CellResult{}, Cursor: req.Cursor, Total: total})
+		return
 	}
 	ctx, cancel := s.queryContext(r, req.TimeoutMS)
 	defer cancel()

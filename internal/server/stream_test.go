@@ -97,6 +97,25 @@ func TestSweepCursorPagedBitIdentical(t *testing.T) {
 				i, paged[i].Estimates, full.Cells[i].Estimates)
 		}
 	}
+
+	// cursor == total is an empty page in both modes, not a failure: a
+	// stream cut after its last cell line resumes there.
+	last := sweepBody()
+	last["cursor"] = full.Total
+	resp, body = post(t, srv.Client(), srv.URL+"/v1/sweep", last)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cursor=total: status %d: %s", resp.StatusCode, body)
+	}
+	var empty sweepResponse
+	mustUnmarshal(t, body, &empty)
+	if empty.Cells == nil || len(empty.Cells) != 0 || empty.Count != 0 ||
+		empty.Cursor != 8 || empty.NextCursor != 0 || empty.Total != 8 {
+		t.Errorf("cursor=total: %s, want cells [] count=0 cursor=8 next=0 total=8", body)
+	}
+	lines, done := streamSweepLines(t, srv.Client(), srv.URL+"/v1/sweep?stream=ndjson", last)
+	if len(lines) != 0 || done == nil || done.Count != 0 || done.Cursor != 8 || done.NextCursor != 0 || done.Total != 8 {
+		t.Errorf("cursor=total stream: %d lines, terminator %+v, want a lone done line with count=0 cursor=8 total=8", len(lines), done)
+	}
 }
 
 // ndjsonLine decodes both result and terminator lines of a sweep

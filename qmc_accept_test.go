@@ -1,6 +1,5 @@
 // Non-short acceptance tests for the QMC sampler, run on the paper's
-// SPEC-trace profile (the gzip processor trace at 1e6 errors/year, as
-// BENCH_fused.json records).
+// SPEC-trace profile (the gzip integer-unit trace at 1e6 errors/year).
 package soferr_test
 
 import (
@@ -14,8 +13,8 @@ import (
 // TestQMCTrialsToTargetHalved is the QMC acceptance criterion: on the
 // SPEC-trace profile, the adaptive loop under the scrambled-Sobol
 // sampler must reach the 1% relative-standard-error target in at most
-// half the trials the PCG sampler needs (the `qmc` section of
-// BENCH_fused.json records the measured ratio).
+// half the trials the PCG sampler needs (`soferr run <spec>
+// -target-rse 0.01 -sampler pcg|sobol -json` prints both counts).
 func TestQMCTrialsToTargetHalved(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark simulation skipped in -short mode")

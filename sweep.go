@@ -59,11 +59,6 @@ type Grid struct {
 	// CellSeed(Seed, index), so estimates are bit-identical for any
 	// worker count.
 	Seed uint64
-	// SeedFn, when non-nil, overrides the derived per-cell seeds (it
-	// receives the cell with axis indices filled in). The experiment
-	// harness uses it to preserve historical random streams; most
-	// callers should leave it nil.
-	SeedFn func(Cell) uint64
 }
 
 // Cells enumerates the grid's cells in row-major axis order (sources
@@ -75,16 +70,7 @@ func (g Grid) Cells() ([]Cell, error) {
 		RatesPerYear: g.RatesPerYear,
 		Counts:       g.Counts,
 	}
-	cells, err := ig.Cells(g.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if g.SeedFn != nil {
-		for i := range cells {
-			cells[i].Seed = g.SeedFn(cells[i])
-		}
-	}
-	return cells, nil
+	return ig.Cells(g.Seed)
 }
 
 // CellResult is the outcome of one sweep cell: the cell's coordinates

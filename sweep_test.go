@@ -178,23 +178,6 @@ func TestSweepFailFast(t *testing.T) {
 	}
 }
 
-func TestSweepSeedFnOverride(t *testing.T) {
-	g := sweepTestGrid(t)
-	g.SeedFn = func(c soferr.Cell) uint64 {
-		return uint64(c.Source)*1000 + uint64(c.RateIndex)*10 + uint64(c.CountIndex)
-	}
-	cells, err := g.Cells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range cells {
-		want := uint64(c.Source)*1000 + uint64(c.RateIndex)*10 + uint64(c.CountIndex)
-		if c.Seed != want {
-			t.Errorf("cell %d seed %d, want %d", c.Index, c.Seed, want)
-		}
-	}
-}
-
 func TestSweepCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
