@@ -318,6 +318,12 @@ func (c *Client) SweepStream(ctx context.Context, req SweepRequest, fn func(Swee
 	}
 	stalls := 0
 	for attempt := 0; ; attempt++ {
+		if end >= 0 && cursor >= end {
+			// Every cell of the window arrived and only the terminator
+			// was cut. Resuming would send Limit 0, which the server
+			// reads as no limit.
+			return nil
+		}
 		r := req
 		r.Cursor = cursor
 		r.Limit = 0

@@ -199,13 +199,20 @@ func TestSweepAutoSplit(t *testing.T) {
 // last cell line but before the terminator, is resumed from the last
 // delivered index + 1, and the reassembled cell sequence is
 // bit-identical to an uninterrupted sweep — each cell delivered exactly
-// once.
+// once, and none past a Limit window.
 func TestSweepStreamResumesAfterCut(t *testing.T) {
+	beforeTerminator := func(body []byte) int {
+		return bytes.LastIndexByte(body[:len(body)-1], '\n') + 1
+	}
 	for _, tc := range []struct {
 		name string
 		// cut returns how many bytes of the full stream body the first
 		// attempt delivers before the connection drops.
 		cut func(body []byte) int
+		// limit is the request's Limit; 0 sweeps the whole grid.
+		limit int64
+		// resumes is whether the client must reconnect after the cut.
+		resumes bool
 	}{
 		{"mid-page", func(body []byte) int {
 			lines := 0
@@ -218,12 +225,13 @@ func TestSweepStreamResumesAfterCut(t *testing.T) {
 				}
 			}
 			return len(body)
-		}},
+		}, 0, true},
 		// Every cell line arrives but the done line does not, so the
 		// client resumes at cursor == total.
-		{"before-terminator", func(body []byte) int {
-			return bytes.LastIndexByte(body[:len(body)-1], '\n') + 1
-		}},
+		{"before-terminator", beforeTerminator, 0, true},
+		// The window's last cell arrives but the done line does not: the
+		// window is complete, and no resume may widen it to the grid.
+		{"limit-before-terminator", beforeTerminator, 3, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			real := server.New(server.Config{})
@@ -246,8 +254,10 @@ func TestSweepStreamResumesAfterCut(t *testing.T) {
 
 			c := New(Config{BaseURL: proxy.URL, HTTPClient: proxy.Client(),
 				BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond})
+			req := sweepReq()
+			req.Limit = tc.limit
 			var got []soferr.CellResult
-			err := c.SweepStream(context.Background(), sweepReq(), func(sc SweepCell) error {
+			err := c.SweepStream(context.Background(), req, func(sc SweepCell) error {
 				if sc.Err != "" {
 					t.Errorf("cell %d carried error %q", sc.Cell.Index, sc.Err)
 				}
@@ -257,10 +267,14 @@ func TestSweepStreamResumesAfterCut(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if calls.Load() < 2 {
+			if tc.resumes && calls.Load() < 2 {
 				t.Error("stream was never cut; the resume path went unexercised")
 			}
-			checkCells(t, "resumed stream", got, directSweep(t))
+			want := directSweep(t)
+			if tc.limit > 0 {
+				want = want[:tc.limit]
+			}
+			checkCells(t, "resumed stream", got, want)
 		})
 	}
 }

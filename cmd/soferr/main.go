@@ -34,7 +34,8 @@
 //	-instructions N  simulated instructions per benchmark (default 300000)
 //	-seed N          deterministic seed (default 1)
 //	-engine NAME     run: Monte-Carlo engine: fused (default) or exact
-//	-sampler NAME    run <spec.json>: Monte-Carlo sampler: pcg (default) or sobol (quasi-Monte-Carlo)
+//	-sampler NAME    run <spec.json>: Monte-Carlo sampler: pcg or sobol (quasi-Monte-Carlo);
+//	                 unset: sobol for -target-rse runs where the system allows it, else pcg
 //	-target-rse T    run <spec.json>: adaptive precision target (rel stderr; -trials caps it)
 //	-methods LIST    run <spec.json>: methods to compare (default all)
 //	-quick           run <id>|all: shrink grids and trial counts
@@ -251,7 +252,7 @@ func queryFlags(fs *flag.FlagSet, q *soferr.Query) {
 	fs.IntVar(&q.Trials, "trials", q.Trials, "Monte-Carlo trials per query, the cap under -target-rse (0 = default)")
 	fs.Uint64Var(&q.Seed, "seed", q.Seed, "deterministic seed (sweep: the base seed; per-cell streams derive from (seed, cell index))")
 	fs.TextVar(&q.Engine, "engine", q.Engine, "Monte-Carlo engine `name`: fused or exact")
-	fs.TextVar(&q.Sampler, "sampler", q.Sampler, "Monte-Carlo sampler `name`: pcg or sobol (quasi-Monte-Carlo)")
+	fs.TextVar(&q.Sampler, "sampler", q.Sampler, "Monte-Carlo sampler `name`: pcg or sobol (quasi-Monte-Carlo); unset: sobol for -target-rse runs where the system allows it, else pcg")
 	fs.Float64Var(&q.TargetRelStdErr, "target-rse", q.TargetRelStdErr, "adaptive precision target (relative standard error; 0 = fixed trials)")
 }
 
@@ -296,6 +297,7 @@ commands:
 
 query flags (run and sweep; one soferr.Query):
   -trials N -seed N -engine fused|exact -sampler pcg|sobol -target-rse T
+  (no -sampler: sobol for -target-rse runs where the system allows it, else pcg)
 flags for run:
   -instructions N -methods LIST -quick -csv -json -v
 flags for sweep:

@@ -32,13 +32,15 @@
 //     zero stderr; ErrExactUnavailable where no tabulation exists).
 //     Fused queries can target a precision instead of a trial count
 //     (WithTargetRelStdErr): trials run in deterministic doubling
-//     rounds until the relative standard error meets the target. They
-//     can also swap their uniform source for a scrambled Sobol
-//     sequence (WithSampler(Sobol)): quasi-Monte-Carlo
-//     reaches a 1% precision target in a fraction of the PCG trial
-//     count, with the standard error estimated from independently
-//     scrambled replicates and recorded per estimate
-//     (Estimate.Sampler).
+//     rounds until the relative standard error meets the target. Such
+//     adaptive queries draw from a scrambled Sobol sequence by default
+//     wherever every draw of a trial has a Sobol dimension:
+//     quasi-Monte-Carlo reaches a 1% precision target in a quarter of
+//     the PCG trial count, with the standard error estimated from 256
+//     independently scrambled replicates. Fixed-trial queries and
+//     systems with thinning-fallback components run PCG, and
+//     WithSampler names either sampler outright. Every estimate records
+//     the sampler that ran (Estimate.Sampler).
 //   - A design-space sweep engine (Sweep, SweepStream, SweepCells): a
 //     Grid of named axes — workloads/traces, raw rates, component
 //     counts, estimator methods — evaluated concurrently with one

@@ -251,7 +251,7 @@ func TestNameParsingCaseInsensitive(t *testing.T) {
 	}
 
 	samplerCases := map[string]soferr.Sampler{
-		"": soferr.PCG, "pcg": soferr.PCG, "PCG": soferr.PCG,
+		"": soferr.DefaultSampler, "pcg": soferr.PCG, "PCG": soferr.PCG,
 		"sobol": soferr.Sobol, "Sobol": soferr.Sobol, "SOBOL": soferr.Sobol,
 	}
 	for name, want := range samplerCases {
@@ -366,7 +366,7 @@ func TestQueryNormalizeIdempotent(t *testing.T) {
 		}
 		switch {
 		case q.Engine == soferr.Exact:
-			if n != (soferr.Query{Engine: soferr.Exact}) {
+			if n != (soferr.Query{Engine: soferr.Exact, Sampler: soferr.DefaultSampler}) {
 				t.Fatalf("normalize(%+v) = %+v; want every exact query on one key", q, n)
 			}
 		case q.Trials <= 0 && n.Trials != soferr.DefaultTrials:

@@ -251,7 +251,7 @@ func TestAdaptiveTargetRelStdErr(t *testing.T) {
 	}
 	const target = 0.01
 	res, err := c.MTTF(context.Background(), Config{
-		Trials: 200000, Seed: 6, Engine: Fused, TargetRelStdErr: target,
+		Trials: 200000, Seed: 6, Engine: Fused, Sampler: PCG, TargetRelStdErr: target,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +268,7 @@ func TestAdaptiveTargetRelStdErr(t *testing.T) {
 
 	// An unreachable target must stop at the cap, not loop forever.
 	capped, err := c.MTTF(context.Background(), Config{
-		Trials: 8192, Seed: 6, Engine: Fused, TargetRelStdErr: 1e-12,
+		Trials: 8192, Seed: 6, Engine: Fused, Sampler: PCG, TargetRelStdErr: 1e-12,
 	})
 	if err != nil {
 		t.Fatal(err)

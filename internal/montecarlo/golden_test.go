@@ -31,12 +31,14 @@ func goldenSystems(t *testing.T) map[string][]Component {
 }
 
 // goldenRuns covers fixed and adaptive summaries and raw samples under
-// both samplers. Sobol refuses the thinning system, so it runs PCG only.
+// both samplers, each named outright (DefaultSampler resolves to one of
+// them; TestDefaultSamplerResolution pins which). Sobol refuses the
+// thinning system, so it runs PCG only.
 func goldenRuns(system string) []goldenRun {
 	runs := []goldenRun{
-		{name: "pcg/fixed", cfg: Config{Trials: 3*trialBlock + 123, Seed: 11, Workers: 3}},
-		{name: "pcg/adaptive", cfg: Config{Trials: 16 * trialBlock, Seed: 11, Workers: 3, TargetRelStdErr: 0.01}},
-		{name: "pcg/samples", cfg: Config{Trials: trialBlock + 5, Seed: 11, Workers: 3}, samples: true},
+		{name: "pcg/fixed", cfg: Config{Trials: 3*trialBlock + 123, Seed: 11, Workers: 3, Sampler: PCG}},
+		{name: "pcg/adaptive", cfg: Config{Trials: 16 * trialBlock, Seed: 11, Workers: 3, Sampler: PCG, TargetRelStdErr: 0.01}},
+		{name: "pcg/samples", cfg: Config{Trials: trialBlock + 5, Seed: 11, Workers: 3, Sampler: PCG}, samples: true},
 	}
 	if system == "thinning" {
 		return runs
@@ -74,19 +76,22 @@ func goldenBits(t *testing.T, c *Compiled, run goldenRun) []uint64 {
 
 // goldenWant holds the outputs recorded before the batched inversion
 // kernel was removed (it served the merged system's runs then), so
-// any change to a seeded Fused stream fails here.
+// any change to a seeded Fused stream fails here. The sobol summary
+// rows were re-recorded when qmcReplicates rose from 8 to 256; the
+// sobol samples rows, whose first 8 trials are point 0 of replicates
+// 0-7 at either count, did not move.
 var goldenWant = map[string][]uint64{
 	"merged/pcg/fixed":              {0x4037a913ac5e42e6, 0x3fcd8250a433e786, 0x307b},
 	"merged/pcg/adaptive":           {0x4037a524e97b468f, 0x3fc9c18e3bae9799, 0x4000},
 	"merged/pcg/samples":            {0x404b097244f34fee, 0x4055e05dc3bc1cae, 0x40324bc4c5cdaf86, 0x4024373e461b3f05, 0x400090819e55afa4, 0x404b71fa75c863b2, 0x40395de9a325819d, 0x3fe1792584ab5537},
-	"merged/sobol/fixed":            {0x4037f0cb381c0d05, 0x3f88c64873d32b21, 0x3000},
-	"merged/sobol/adaptive":         {0x4037f3dd375d1132, 0x3f6dbece8b8e0a46, 0x8000},
+	"merged/sobol/fixed":            {0x4037f7b21dff8729, 0x3fa50d52c77906f4, 0x3000},
+	"merged/sobol/adaptive":         {0x4037f6af1b0f19c1, 0x3f7df5bf382be666, 0x10000},
 	"merged/sobol/samples":          {0x4045fdf905bae683, 0x40112156733f1911, 0x40337fe99f07d952, 0x40425d7c3b08a155, 0x4048308d076dd9fa, 0x4038366c762234dc, 0x3fdceed7fa7b1c9d, 0x40501190d8e303f4},
 	"incommensurate/pcg/fixed":      {0x402f0f03fb8da34e, 0x3fc26ed776d4aa7a, 0x307b},
 	"incommensurate/pcg/adaptive":   {0x402f197d6c9e70a9, 0x3fc03570060bdf39, 0x4000},
 	"incommensurate/pcg/samples":    {0x40367a9d9f9f9e49, 0x40245e0b9753021f, 0x40191fad2c17b874, 0x400182d74c734bc3, 0x402a2ed00362f84f, 0x40368276d49a6480, 0x4028b1dc9b8f7d43, 0x400035ae85eef848},
-	"incommensurate/sobol/fixed":    {0x402ef90c335c2730, 0x3f7d723b87e634fe, 0x3000},
-	"incommensurate/sobol/adaptive": {0x402ef97defd7a5d8, 0x3f720e898fc81d47, 0x4000},
+	"incommensurate/sobol/fixed":    {0x402ee438feec4742, 0x3f9f06a935a4a70c, 0x3000},
+	"incommensurate/sobol/adaptive": {0x402ef2d7d456b2cd, 0x3f7d0e6ee319f269, 0x10000},
 	"incommensurate/sobol/samples":  {0x3fea7d8903076649, 0x40312134cbe6dcf7, 0x401535cbc53d556e, 0x4042e80d7a2f28f7, 0x40419b9886a05a6e, 0x403b54a35b66eb36, 0x40082ca131256ea5, 0x404797f69f23fc70},
 	"thinning/pcg/fixed":            {0x402ca11ea88b498c, 0x3fc1cf9244ce8caa, 0x307b},
 	"thinning/pcg/adaptive":         {0x402ca7fbc106f50e, 0x3fbf088f3ca356c0, 0x4000},

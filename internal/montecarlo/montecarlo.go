@@ -147,7 +147,8 @@ func (e *Engine) UnmarshalText(text []byte) error {
 }
 
 // Config controls a Monte-Carlo run. The zero value is usable: it means
-// DefaultTrials trials, seed 0, the Fused engine, and the PCG sampler.
+// DefaultTrials trials, seed 0, the Fused engine, and DefaultSampler
+// (PCG for a fixed-trial run).
 type Config struct {
 	// Trials is the number of independent trials (default DefaultTrials).
 	Trials int
@@ -173,9 +174,10 @@ type Config struct {
 	// any worker count, exactly like fixed-trial runs. Sample-collecting
 	// runs (TTFSamples) ignore it.
 	TargetRelStdErr float64
-	// Sampler selects the uniform source beneath the trial kernels
-	// (default PCG). The Sobol low-discrepancy sampler requires a fully
-	// invertible system (no thinning fallback); see Sampler and
+	// Sampler selects the uniform source beneath the trial kernels.
+	// DefaultSampler resolves per run: Sobol for an adaptive run that
+	// allows it, PCG otherwise (see DefaultSampler). An explicit Sobol
+	// requires a fully invertible system (no thinning fallback); see
 	// ErrSamplerUnsupported.
 	Sampler Sampler
 }
@@ -199,6 +201,11 @@ type Result struct {
 	StdErr float64
 	// Trials is the number of trials used.
 	Trials int
+	// Sampler is the sampler the run used: PCG or Sobol, never
+	// DefaultSampler. Exact answers name PCG; a never-failing system,
+	// which runs no trial, names the sampler asked for (PCG for
+	// DefaultSampler).
+	Sampler Sampler
 }
 
 // RelStdErr returns StdErr/MTTF (NaN for a zero-MTTF result).
@@ -337,8 +344,14 @@ func (c *Compiled) run(ctx context.Context, cfg Config, collect bool) (Result, [
 		}
 		// A system that can never fail has a well-defined answer, not an
 		// error: MTTF = +Inf, known exactly (consistent with the
-		// deterministic estimators and with FIT = 0).
-		return Result{MTTF: math.Inf(1)}, nil, nil
+		// deterministic estimators and with FIT = 0). No draw is made,
+		// so DefaultSampler names PCG, as it does wherever Sobol has no
+		// dimension to fill.
+		sampler := cfg.Sampler
+		if sampler == DefaultSampler {
+			sampler = PCG
+		}
+		return Result{MTTF: math.Inf(1), Sampler: sampler}, nil, nil
 	}
 	if cfg.TargetRelStdErr < 0 || math.IsNaN(cfg.TargetRelStdErr) {
 		return Result{}, nil, fmt.Errorf("montecarlo: invalid TargetRelStdErr %v", cfg.TargetRelStdErr)
@@ -356,7 +369,7 @@ func (c *Compiled) run(ctx context.Context, cfg Config, collect bool) (Result, [
 		if err != nil {
 			return Result{}, nil, err
 		}
-		return Result{MTTF: mttf}, nil, nil
+		return Result{MTTF: mttf, Sampler: PCG}, nil, nil
 	}
 
 	trials := cfg.Trials
@@ -371,7 +384,7 @@ func (c *Compiled) run(ctx context.Context, cfg Config, collect bool) (Result, [
 		workers = trials
 	}
 
-	br, err := c.newBlockRunner(cfg)
+	br, err := c.newBlockRunner(cfg, trials, !collect && cfg.TargetRelStdErr > 0)
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -401,7 +414,7 @@ func (c *Compiled) run(ctx context.Context, cfg Config, collect bool) (Result, [
 	}
 	if collect {
 		mean, se := numeric.MeanStdErr(samples)
-		res = Result{MTTF: mean, StdErr: se, Trials: trials}
+		res = Result{MTTF: mean, StdErr: se, Trials: trials, Sampler: br.sampler}
 	}
 	return res, samples, nil
 }
@@ -420,9 +433,11 @@ func mergeBlockAccs(merged, accs []numeric.Welford) {
 }
 
 // newBlockRunner resolves a Config into a ready-to-run blockRunner:
-// the Fused trial kernel and the sampler mode (with Sobol eligibility
-// validated against the system's draw layout).
-func (c *Compiled) newBlockRunner(cfg Config) (*blockRunner, error) {
+// the Fused trial kernel and the sampler mode. It is the one place that
+// knows the system's draw layout, so it validates an explicit Sobol
+// against it and resolves DefaultSampler for a run of trials (the cap,
+// when adaptive).
+func (c *Compiled) newBlockRunner(cfg Config, trials int, adaptive bool) (*blockRunner, error) {
 	if cfg.Engine != Fused {
 		return nil, fmt.Errorf("montecarlo: unknown engine %v", cfg.Engine)
 	}
@@ -435,29 +450,48 @@ func (c *Compiled) newBlockRunner(cfg Config) (*blockRunner, error) {
 		trial: func(ds *drawSource) (float64, error) {
 			return trialFused(fs, ds, maxArrivals)
 		},
-		seed: cfg.Seed,
-		reps: 1,
+		seed:    cfg.Seed,
+		reps:    1,
+		sampler: PCG,
 	}
 
-	if cfg.Sampler == Sobol {
-		dims, err := fs.qmcTrialDims()
-		if err != nil {
+	var (
+		dims int
+		err  error
+	)
+	switch cfg.Sampler {
+	case PCG:
+		return br, nil
+	case DefaultSampler:
+		// Sobol's error bar is checked against Exact for adaptive runs
+		// whose replicates each hold at least trialBlock/qmcReplicates
+		// points and draw every uniform from the sequence; fixed runs keep
+		// the PCG streams published tables were made with.
+		if !adaptive || trials < trialBlock {
+			return br, nil
+		}
+		if dims, err = fs.qmcTrialDims(); err != nil || dims == 0 || dims > xrand.MaxSobolDims {
+			return br, nil
+		}
+	case Sobol:
+		if dims, err = fs.qmcTrialDims(); err != nil {
 			return nil, err
 		}
+		br.sampler = Sobol
 		// dims == 0 means no sampler consumes draws (every per-period
 		// exposure underflowed): all trials are +Inf whatever the
 		// sampler, so the PCG path is already exact and replicate-free.
-		if dims > 0 {
-			qs, err := newQMCState(cfg.Seed, dims)
-			if err != nil {
-				return nil, err
-			}
-			br.qmc = qs
-			br.reps = qmcReplicates
+		if dims == 0 {
+			return br, nil
 		}
-	} else if cfg.Sampler != PCG {
+	default:
 		return nil, fmt.Errorf("montecarlo: unknown sampler %v", cfg.Sampler)
 	}
+	qs, err := newQMCState(cfg.Seed, dims)
+	if err != nil {
+		return nil, err
+	}
+	br.qmc, br.reps, br.sampler = qs, qmcReplicates, Sobol
 	return br, nil
 }
 
@@ -469,13 +503,19 @@ func (c *Compiled) newBlockRunner(cfg Config) (*blockRunner, error) {
 // weighs equally — with the standard error of the replicate means:
 // scrambled-QMC trials within one replicate are deliberately
 // anti-correlated, so the iid formula would overstate the error, while
-// the K replicates are genuinely independent.
+// the K replicates are genuinely independent. A run of fewer trials
+// than replicates leaves the trailing replicates empty; they hold no
+// mean and are skipped, so one non-empty replicate reports a zero
+// standard error, as a one-trial PCG run does.
 func replicateStats(reps []numeric.Welford) (mean, se float64) {
 	if len(reps) == 1 {
 		return reps[0].Mean(), reps[0].StdErr()
 	}
 	var pooled, means numeric.Welford
 	for _, w := range reps {
+		if w.Count() == 0 {
+			continue
+		}
 		pooled.Merge(w)
 		means.Add(w.Mean())
 	}
@@ -490,12 +530,12 @@ func replicateStats(reps []numeric.Welford) (mean, se float64) {
 // horizon) is an exactly known answer, not a noisy one: its standard
 // error is forced to 0 rather than the NaN that Inf-valued Welford
 // updates produce.
-func finishResult(reps []numeric.Welford, trials int) Result {
+func finishResult(reps []numeric.Welford, trials int, sampler Sampler) Result {
 	mean, se := replicateStats(reps)
 	if math.IsInf(mean, 1) {
 		se = 0
 	}
-	return Result{MTTF: mean, StdErr: se, Trials: trials}
+	return Result{MTTF: mean, StdErr: se, Trials: trials, Sampler: sampler}
 }
 
 // adaptiveConverged reports whether the merged accumulators meet the
@@ -540,7 +580,7 @@ func (br *blockRunner) runRounds(ctx context.Context, target float64, cap, worke
 		mergeBlockAccs(merged, accs)
 		done = round
 		if done >= cap || adaptiveConverged(merged, target) {
-			return finishResult(merged, done)
+			return finishResult(merged, done, br.sampler)
 		}
 		round = min(2*round, cap)
 	}
@@ -556,9 +596,11 @@ type blockRunner struct {
 	trial func(ds *drawSource) (float64, error)
 	seed  uint64
 	// qmc is non-nil for the Sobol sampler; reps is the number of
-	// interleaved replicate accumulators per block (1 for PCG).
+	// interleaved replicate accumulators per block (1 for PCG). sampler
+	// is the resolved sampler the Result reports.
 	qmc      *qmcState
 	reps     int
+	sampler  Sampler
 	canceled atomic.Bool
 	mu       sync.Mutex
 	trialErr error

@@ -55,7 +55,7 @@ func naiveMTTF(t testing.TB, c *Compiled, trials int, seed uint64) Result {
 	}
 	merged := make([]numeric.Welford, 1)
 	mergeBlockAccs(merged, accs)
-	return finishResult(merged, trials)
+	return finishResult(merged, trials, PCG)
 }
 
 // perComponent compiles comps with the Fused merge refused, so every

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/soferr/soferr/internal/numeric"
+	"github.com/soferr/soferr/internal/trace"
 )
 
 // TestSobolSamplerMatchesExact: the QMC estimate is consistent — it
@@ -120,7 +121,7 @@ func TestSamplerByName(t *testing.T) {
 		want Sampler
 		ok   bool
 	}{
-		{"", PCG, true}, {"pcg", PCG, true}, {"PCG", PCG, true},
+		{"", DefaultSampler, true}, {"pcg", PCG, true}, {"PCG", PCG, true},
 		{"sobol", Sobol, true}, {"Sobol", Sobol, true},
 		{"halton", 0, false}, {"bogus", 0, false},
 	}
@@ -155,7 +156,7 @@ func TestSobolAdaptiveConvergesFasterThanPCG(t *testing.T) {
 	ctx := context.Background()
 	const target = 0.004
 	const cap = 64 * trialBlock
-	pcg, err := c.MTTF(ctx, Config{Trials: cap, Seed: 1, Engine: Fused, TargetRelStdErr: target})
+	pcg, err := c.MTTF(ctx, Config{Trials: cap, Seed: 1, Engine: Fused, TargetRelStdErr: target, Sampler: PCG})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,5 +206,109 @@ func TestSobolManyComponentsPadsDims(t *testing.T) {
 	}
 	if numeric.RelErr(res1.MTTF, want) > 0.05 {
 		t.Errorf("padded QMC MTTF = %v, exact = %v", res1.MTTF, want)
+	}
+}
+
+// TestSobolShortRunStdErrFinite: a Sobol run shorter than the replicate
+// count leaves replicates empty, and an empty replicate has no mean.
+// The standard error is the spread of the non-empty replicates' means,
+// so it is finite at every trial count, and zero for a single trial as
+// under PCG.
+func TestSobolShortRunStdErrFinite(t *testing.T) {
+	const perYear = 1 / (365.25 * 86400)
+	c := mustCompile(t, []Component{{Name: "c", Rate: 1e4 * perYear, Trace: busyIdle(t, 3600, 1000)}})
+	for _, trials := range []int{1, 5, qmcReplicates - 1, qmcReplicates, qmcReplicates + 1} {
+		res, err := c.MTTF(context.Background(), Config{Trials: trials, Seed: 1, Sampler: Sobol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.IsNaN(res.MTTF) || math.IsNaN(res.StdErr) || math.IsInf(res.StdErr, 0) || res.StdErr < 0 {
+			t.Errorf("%d trials: MTTF %v, stderr %v; want a finite non-negative stderr", trials, res.MTTF, res.StdErr)
+		}
+		if trials == 1 && res.StdErr != 0 {
+			t.Errorf("1 trial: stderr %v, want 0", res.StdErr)
+		}
+	}
+}
+
+// TestDefaultSamplerResolution pins what DefaultSampler runs: Sobol
+// only for an adaptive run whose cap is at least trialBlock on a system
+// whose every draw has a Sobol dimension, PCG everywhere else. Each row
+// must also be bit-identical to the run that names its sampler, so the
+// reported sampler is the one that ran.
+func TestDefaultSamplerResolution(t *testing.T) {
+	long, err := trace.NewLongLoop(
+		trace.LoopPhase{Inner: busyIdle(t, 2, 0.5), Reps: 50},
+		trace.LoopPhase{Inner: busyIdle(t, 3, 2), Reps: 20},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wide []Component // 80 draws per trial: more than xrand.MaxSobolDims
+	for i := 0; i < 40; i++ {
+		wide = append(wide, Component{Rate: 1e-3 * float64(1+i%5), Trace: busyIdle(t, 8, float64(1+i%7))})
+	}
+	systems := map[string]*Compiled{
+		"merged": mustCompile(t, fusedTestSystem(t)),
+		"incommensurate": mustCompile(t, []Component{
+			{Name: "unit", Rate: 0.1, Trace: busyIdle(t, 1, 0.4)},
+			{Name: "pi", Rate: 0.07, Trace: busyIdle(t, math.Pi, 1)},
+		}),
+		"combined": mustCompile(t, []Component{
+			{Name: "lazy", Rate: 0.02, Trace: long},
+			{Name: "loop", Rate: 0.05, Trace: busyIdle(t, 10, 4)},
+		}),
+		"thinning": mustCompile(t, append(fusedTestSystem(t),
+			Component{Name: "opaque", Rate: 0.05, Trace: opaqueTrace{p: busyIdle(t, 1e-3, 0.5e-3)}})),
+		"wide": perComponent(t, wide),
+	}
+	fixed := Config{Trials: 2 * trialBlock, Seed: 5, Workers: 2}
+	adaptive := Config{Trials: 16 * trialBlock, Seed: 5, Workers: 2, TargetRelStdErr: 0.01}
+	withCap := func(cfg Config, trials int) Config { cfg.Trials = trials; return cfg }
+	for _, tt := range []struct {
+		system string
+		cfg    Config
+		want   Sampler
+	}{
+		{"merged", fixed, PCG},
+		{"merged", adaptive, Sobol},
+		{"incommensurate", fixed, PCG},
+		{"incommensurate", adaptive, Sobol},
+		{"combined", fixed, PCG},
+		{"combined", adaptive, Sobol},
+		{"thinning", fixed, PCG},
+		{"thinning", adaptive, PCG},
+		{"wide", withCap(adaptive, 2*trialBlock), PCG},
+		{"merged", withCap(adaptive, trialBlock-1), PCG},
+		{"merged", withCap(adaptive, trialBlock), Sobol},
+	} {
+		c := systems[tt.system]
+		got, err := c.MTTF(context.Background(), tt.cfg)
+		if err != nil {
+			t.Errorf("%s %+v: %v", tt.system, tt.cfg, err)
+			continue
+		}
+		named := tt.cfg
+		named.Sampler = tt.want
+		want, err := c.MTTF(context.Background(), named)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Sampler != tt.want || got != want {
+			t.Errorf("%s %+v: default ran %+v, want the %v run %+v", tt.system, tt.cfg, got, tt.want, want)
+		}
+	}
+
+	// Runs without trials name PCG: the Exact engine, and a system that
+	// can never fail.
+	never := mustCompile(t, []Component{{Name: "idle", Rate: 0, Trace: busyIdle(t, 10, 4)}})
+	for name, run := range map[string]func() (Result, error){
+		"exact":         func() (Result, error) { return systems["merged"].MTTF(context.Background(), Config{Engine: Exact}) },
+		"never-failing": func() (Result, error) { return never.MTTF(context.Background(), adaptive) },
+	} {
+		res, err := run()
+		if err != nil || res.Sampler != PCG {
+			t.Errorf("%s: sampler %v, err %v; want pcg", name, res.Sampler, err)
+		}
 	}
 }

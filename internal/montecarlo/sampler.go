@@ -12,11 +12,19 @@ import (
 type Sampler int
 
 const (
-	// PCG is the default pseudo-random sampler: every trial draws from
-	// its own reseeded PCG stream derived from (Config.Seed, trial
-	// index). Works on every system; converges at the Monte-Carlo
-	// 1/sqrt(n) rate.
-	PCG Sampler = iota
+	// DefaultSampler is the zero Sampler: it names no source, and each
+	// Fused run resolves it to one. It resolves to Sobol when the run is
+	// adaptive (Config.TargetRelStdErr > 0), its trial cap is at least
+	// trialBlock (so every replicate holds at least 16 points), and
+	// every draw of a trial has a Sobol dimension (no thinning fallback,
+	// no PCG padding past xrand.MaxSobolDims); otherwise to PCG.
+	// Fixed-trial runs therefore keep their PCG streams. Result.Sampler
+	// names the sampler that ran, never DefaultSampler.
+	DefaultSampler Sampler = iota
+	// PCG is the pseudo-random sampler: every trial draws from its own
+	// reseeded PCG stream derived from (Config.Seed, trial index). Works
+	// on every system; converges at the Monte-Carlo 1/sqrt(n) rate.
+	PCG
 	// Sobol replaces the per-trial uniforms with coordinates of an
 	// Owen-scrambled Sobol low-discrepancy sequence, so the closed-form
 	// inversion kernels integrate over a point set with vanishing
@@ -27,17 +35,20 @@ const (
 	// be assigned point i of a fixed-dimension sequence. Systems with
 	// thinning-fallback components draw a variable, value-dependent
 	// number of uniforms per trial, which has no meaningful
-	// low-discrepancy assignment; such runs are refused with
-	// ErrSamplerUnsupported. Trials are striped across qmcReplicates
-	// independently scrambled copies of the sequence, so the reported
-	// standard error is the honest spread of independent replicate
-	// estimates rather than the iid formula QMC invalidates.
+	// low-discrepancy assignment; an explicit Sobol run on one is
+	// refused with ErrSamplerUnsupported. Trials are striped across
+	// qmcReplicates independently scrambled copies of the sequence, so
+	// the reported standard error is the honest spread of independent
+	// replicate estimates rather than the iid formula QMC invalidates.
 	Sobol
 )
 
-// String returns the sampler's CLI name.
+// String returns the sampler's CLI name: the empty name for
+// DefaultSampler, as the CLI and the wire spell it.
 func (s Sampler) String() string {
 	switch s {
+	case DefaultSampler:
+		return ""
 	case PCG:
 		return "pcg"
 	case Sobol:
@@ -52,10 +63,12 @@ func (s Sampler) String() string {
 var ErrUnknownSampler = errors.New("montecarlo: unknown sampler")
 
 // SamplerByName parses a CLI sampler name, case-insensitively. The
-// empty string is the default PCG sampler.
+// empty string is DefaultSampler.
 func SamplerByName(name string) (Sampler, error) {
 	switch strings.ToLower(name) {
-	case "", "pcg":
+	case "":
+		return DefaultSampler, nil
+	case "pcg":
 		return PCG, nil
 	case "sobol":
 		return Sobol, nil
@@ -75,7 +88,7 @@ func (s Sampler) MarshalText() ([]byte, error) {
 }
 
 // UnmarshalText parses a sampler name with SamplerByName; the empty
-// name is the default PCG sampler.
+// name is DefaultSampler.
 func (s *Sampler) UnmarshalText(text []byte) error {
 	v, err := SamplerByName(string(text))
 	if err != nil {
@@ -85,10 +98,11 @@ func (s *Sampler) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// ErrSamplerUnsupported tags a run whose sampler cannot drive the
-// system: the Sobol sampler requires a fixed per-trial draw count,
+// ErrSamplerUnsupported tags a run that names the Sobol sampler on a
+// system it cannot drive: Sobol requires a fixed per-trial draw count,
 // which the closed-form Fused kernel provides unless a component falls
-// back to thinning.
+// back to thinning. DefaultSampler never fails this way; it resolves to
+// PCG there.
 var ErrSamplerUnsupported = errors.New("montecarlo: sampler unsupported for this system")
 
 // qmcReplicates is the number of independently scrambled Sobol
@@ -97,7 +111,18 @@ var ErrSamplerUnsupported = errors.New("montecarlo: sampler unsupported for this
 // replicate-aligned: each replicate always holds a prefix of its own
 // sequence, which keeps adaptive runs bit-identical to fixed runs of
 // the same length.
-const qmcReplicates = 8
+//
+// The count sets how honest the reported standard error is. Replicate
+// means are right-skewed: a replicate's longest failure time comes from
+// its single point in the lowest stratum of the Exp(1) coordinate, so a
+// low mean arrives with a low spread, and that skew shrinks only as
+// about 2/sqrt(qmcReplicates). At 8 replicates the ±1.96σ coverage of
+// adaptive 1% runs measured 0.885–0.895 against the Exact engine, with
+// |z| up to 108; at 256 it measured 0.94–0.95 with |z| at most 3.8
+// (TestSobolStdErrCoversExact; DESIGN.md has the full table). At the
+// first adaptive round, trialBlock trials, each replicate holds 16
+// points.
+const qmcReplicates = 256
 
 // qmcState is the per-run Sobol configuration: the scrambled replicate
 // sequences (immutable, shared by all workers) and the number of

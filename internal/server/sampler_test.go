@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,7 +15,7 @@ import (
 // TestSamplerServed covers the sampler field end to end: a Sobol
 // estimate over HTTP is bit-identical to the direct query, unknown
 // sampler names and sampler-unsupported systems are 422s, and the
-// per-endpoint sampler counters show up in /metrics.
+// per-endpoint sampler counters show up in /metrics, counting what ran.
 func TestSamplerServed(t *testing.T) {
 	s := New(Config{})
 	srv := httptest.NewServer(s)
@@ -96,17 +97,92 @@ func TestSamplerServed(t *testing.T) {
 		t.Fatalf("default-sampler status %d: %s", resp.StatusCode, body)
 	}
 
-	// /metrics labels the endpoint's queries by sampler: one sobol mttf
-	// query resolved above (the halton one failed before resolving),
-	// one pcg-by-default, and one sobol sweep.
+	// An adaptive query naming no sampler runs Sobol and counts there.
+	resp, body = post(t, srv.Client(), srv.URL+"/v1/mttf", map[string]interface{}{
+		"spec": spec, "method": "montecarlo", "seed": 1, "target_rel_stderr": 0.01,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("default-sampler adaptive status %d: %s", resp.StatusCode, body)
+	}
+
+	// /metrics counts the endpoint's estimates by the sampler that ran:
+	// the explicit sobol mttf query above (the halton one failed before
+	// running), one pcg-by-default fixed query, one sobol-by-default
+	// adaptive query, and one sobol sweep.
 	m := s.Metrics()
-	if got := m.Samplers["mttf"]; got.Sobol != 1 || got.PCG != 1 {
-		t.Errorf("mttf sampler counts = %+v, want {PCG:1 Sobol:1}", got)
+	if got := m.Samplers["mttf"]; got.Sobol != 2 || got.PCG != 1 {
+		t.Errorf("mttf sampler counts = %+v, want {PCG:1 Sobol:2}", got)
 	}
 	if got := m.Samplers["sweep"]; got.Sobol != 1 {
 		t.Errorf("sweep sampler counts = %+v, want Sobol:1", got)
 	}
 	if _, ok := m.Samplers["reliability"]; ok {
 		t.Error("reliability endpoint has sampler counts; it never runs Monte-Carlo")
+	}
+}
+
+// TestDefaultSamplerServed is the HTTP half of the default-sampler
+// table: a request with no sampler reports the sampler it ran — sobol
+// for an adaptive request with a cap of at least 4,096 trials, pcg for
+// a fixed one or a lower cap — and is bit-identical to the request
+// naming that sampler. (A thinning system needs a custom trace, which
+// no Spec kind builds; the library table covers it.)
+func TestDefaultSamplerServed(t *testing.T) {
+	srv := httptest.NewServer(New(Config{}))
+	defer srv.Close()
+	busyIdle := func(period, busy float64) soferr.TraceSpec {
+		return soferr.TraceSpec{Kind: soferr.TraceKindBusyIdle, PeriodSeconds: period, BusySeconds: busy}
+	}
+	specs := map[string]soferr.Spec{
+		"merged": {Components: []soferr.ComponentSpec{
+			{RatePerYear: 3e3, Trace: soferr.TraceSpec{Kind: soferr.TraceKindPeriodic, PeriodSeconds: 3600,
+				Intervals: []soferr.Interval{{Start: 300, End: 600}, {Start: 900, End: 1500}}}},
+			{RatePerYear: 2e3, Trace: busyIdle(7200, 1080)},
+		}},
+		"incommensurate": {Components: []soferr.ComponentSpec{
+			{RatePerYear: 3e3, Trace: busyIdle(3600, 1200)},
+			{RatePerYear: 2e3, Trace: busyIdle(3600*math.Sqrt2, 1800)},
+		}},
+		"combined": {Components: []soferr.ComponentSpec{
+			{RatePerYear: 1e5, Trace: soferr.TraceSpec{Kind: soferr.TraceKindCombined}},
+			{RatePerYear: 1e3, Trace: busyIdle(3600, 1000)},
+		}},
+	}
+	fixed := map[string]interface{}{"seed": 2, "trials": 8192}
+	adaptive := map[string]interface{}{"seed": 2, "target_rel_stderr": 0.01}
+	lowCap := map[string]interface{}{"seed": 2, "target_rel_stderr": 0.01, "trials": 4095}
+	for _, tt := range []struct {
+		spec  string
+		query map[string]interface{}
+		want  string
+	}{
+		{"merged", fixed, "pcg"},
+		{"merged", adaptive, "sobol"},
+		{"merged", lowCap, "pcg"},
+		{"incommensurate", fixed, "pcg"},
+		{"incommensurate", adaptive, "sobol"},
+		{"combined", fixed, "pcg"},
+		{"combined", adaptive, "sobol"},
+	} {
+		answer := func(sampler string) soferr.Estimate {
+			body := map[string]interface{}{"spec": specs[tt.spec], "method": "montecarlo"}
+			for k, v := range tt.query {
+				body[k] = v
+			}
+			if sampler != "" {
+				body["sampler"] = sampler
+			}
+			resp, data := post(t, srv.Client(), srv.URL+"/v1/mttf", body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %v sampler %q: status %d: %s", tt.spec, tt.query, sampler, resp.StatusCode, data)
+			}
+			var out mttfResponse
+			mustUnmarshal(t, data, &out)
+			return out.Estimate
+		}
+		got, named := answer(""), answer(tt.want)
+		if got.Sampler.String() != tt.want || got.MTTF != named.MTTF || got.StdErr != named.StdErr || got.Trials != named.Trials {
+			t.Errorf("%s %v: default answered %+v, want the %s answer %+v", tt.spec, tt.query, got, tt.want, named)
+		}
 	}
 }

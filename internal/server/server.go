@@ -143,10 +143,11 @@ type Server struct {
 	// [0]=4xx, [1]=5xx (excluding 504), [2]=timeouts (504).
 	errClasses [5][3]atomic.Int64
 
-	// samplerQueries counts estimate queries per endpoint by the
-	// sampler they resolved to ([0]=pcg, [1]=sobol), so operators can
-	// watch QMC adoption per endpoint from /metrics.
-	samplerQueries [5][2]atomic.Int64
+	// samplerQueries counts answered Monte-Carlo estimates per endpoint,
+	// indexed by the sampler that ran them (soferr.PCG or soferr.Sobol;
+	// an estimate never names DefaultSampler), so operators can watch
+	// QMC adoption per endpoint from /metrics.
+	samplerQueries [5][3]atomic.Int64
 
 	// Per-endpoint request-latency summaries (count/sum/max), measured
 	// around the whole handler — decode, compile wait, query, encode —
@@ -465,21 +466,19 @@ func compileStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// clamp applies the server's policy to a request's Query and counts
-// the endpoint's query under its sampler: trials default to
-// Config.DefaultTrials and are capped at maxRequestTrials (compute
-// time; the deadline bounds it too, but keep requests sane), workers
-// are clamped to [0, GOMAXPROCS] (goroutines spawned before any
-// deadline can fire), and a target outside [0, 1) is a 422 (well-formed
-// JSON, semantically unanswerable) while one below minTargetRelStdErr is
-// clamped up.
-func (s *Server) clamp(w http.ResponseWriter, r *http.Request, ep endpoint, q *soferr.Query) bool {
+// clamp applies the server's policy to a request's Query: trials
+// default to Config.DefaultTrials and are capped at maxRequestTrials
+// (compute time; the deadline bounds it too, but keep requests sane),
+// workers are clamped to [0, GOMAXPROCS] (goroutines spawned before
+// any deadline can fire), and a target outside [0, 1) is a 422
+// (well-formed JSON, semantically unanswerable) while one below
+// minTargetRelStdErr is clamped up.
+func (s *Server) clamp(w http.ResponseWriter, r *http.Request, q *soferr.Query) bool {
 	if q.Trials <= 0 {
 		q.Trials = s.cfg.DefaultTrials
 	}
 	q.Trials = min(q.Trials, maxRequestTrials)
 	q.Workers = max(0, min(q.Workers, runtime.GOMAXPROCS(0)))
-	s.samplerQueries[ep][q.Sampler].Add(1)
 	if t := q.TargetRelStdErr; t != 0 {
 		if t < 0 || t >= 1 || math.IsNaN(t) {
 			s.writeError(w, r, http.StatusUnprocessableEntity, fmt.Sprintf("target_rel_stderr must be in [0, 1) (got %v)", t))
@@ -488,6 +487,17 @@ func (s *Server) clamp(w http.ResponseWriter, r *http.Request, ep endpoint, q *s
 		q.TargetRelStdErr = max(t, minTargetRelStdErr)
 	}
 	return true
+}
+
+// countSamplers counts an answer's Monte-Carlo estimates under the
+// sampler each one ran, which for a query naming no sampler is the one
+// it resolved to.
+func (s *Server) countSamplers(ep endpoint, ests ...soferr.Estimate) {
+	for _, e := range ests {
+		if e.Method == soferr.MonteCarlo {
+			s.samplerQueries[ep][e.Sampler].Add(1)
+		}
+	}
 }
 
 type mttfRequest struct {
@@ -518,7 +528,7 @@ func (s *Server) handleMTTF(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	if !s.clamp(w, r, epMTTF, &req.Query) {
+	if !s.clamp(w, r, &req.Query) {
 		return
 	}
 	// One deadline governs the whole request — compile wait plus query.
@@ -534,6 +544,7 @@ func (s *Server) handleMTTF(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, statusFor(err), err.Error())
 		return
 	}
+	s.countSamplers(epMTTF, est)
 	writeJSON(w, mttfResponse{
 		SpecHash:        hash,
 		CompileCacheHit: hit,
@@ -566,7 +577,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	if !s.clamp(w, r, epCompare, &req.Query) {
+	if !s.clamp(w, r, &req.Query) {
 		return
 	}
 	// One deadline governs the whole request, so comparing N methods
@@ -583,6 +594,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, statusFor(err), err.Error())
 		return
 	}
+	s.countSamplers(epCompare, ests...)
 	writeJSON(w, compareResponse{
 		SpecHash:        hash,
 		CompileCacheHit: hit,
@@ -775,7 +787,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	if !s.clamp(w, r, epSweep, &req.Query) {
+	if !s.clamp(w, r, &req.Query) {
 		return
 	}
 	// Query parameters override body paging fields so a client can
@@ -889,6 +901,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// absolute grid indices the cursor contract promises.
 	for i := range results {
 		results[i].Cell.Index = int(req.Cursor) + i
+		s.countSamplers(epSweep, results[i].Estimates...)
 	}
 	writeJSON(w, sweepResponse{
 		Name: req.Name, Cells: results, Count: len(results),
@@ -943,6 +956,7 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, r *http
 			line.Estimates = nil
 			cellErrors++
 		}
+		s.countSamplers(epSweep, line.Estimates...)
 		if err := enc.Encode(line); err != nil {
 			// The client went away; drain via context cancellation is the
 			// caller's job — just stop writing.
@@ -1018,10 +1032,11 @@ type Metrics struct {
 	// server errors, and timeouts, so an operator can tell overload and
 	// bugs apart from bad requests at a glance.
 	ErrorClasses map[string]ErrorClassCounts `json:"error_classes"`
-	// Samplers labels each estimate endpoint's queries by the
-	// Monte-Carlo sampler they resolved to, so PCG-vs-Sobol adoption is
-	// observable per endpoint. Endpoints that never run Monte-Carlo
-	// (reliability, quantile) are omitted.
+	// Samplers counts each estimate endpoint's answered Monte-Carlo
+	// estimates (one per sweep cell) by the sampler that ran them, so
+	// PCG-vs-Sobol adoption is observable per endpoint; a query that
+	// names no sampler counts under the one it resolved to. Endpoints
+	// that never run Monte-Carlo (reliability, quantile) are omitted.
 	Samplers map[string]SamplerCounts `json:"samplers"`
 	// PanicsRecovered counts handler panics the recovery middleware
 	// contained; any nonzero value is a bug worth chasing, but a bug
@@ -1058,7 +1073,8 @@ type ErrorClassCounts struct {
 	Timeouts int64 `json:"timeouts"`
 }
 
-// SamplerCounts is one estimate endpoint's queries by sampler.
+// SamplerCounts is one estimate endpoint's Monte-Carlo estimates by the
+// sampler that ran them.
 type SamplerCounts struct {
 	PCG   int64 `json:"pcg"`
 	Sobol int64 `json:"sobol"`
@@ -1088,8 +1104,8 @@ func (s *Server) Metrics() Metrics {
 	m.Samplers = make(map[string]SamplerCounts, 3)
 	for _, ep := range []endpoint{epMTTF, epCompare, epSweep} {
 		m.Samplers[endpointNames[ep]] = SamplerCounts{
-			PCG:   s.samplerQueries[ep][0].Load(),
-			Sobol: s.samplerQueries[ep][1].Load(),
+			PCG:   s.samplerQueries[ep][soferr.PCG].Load(),
+			Sobol: s.samplerQueries[ep][soferr.Sobol].Load(),
 		}
 	}
 	m.PanicsRecovered = s.panics.Load()

@@ -452,7 +452,7 @@ func TestRequestQueryDecoding(t *testing.T) {
 		}
 		w := httptest.NewRecorder()
 		r := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(body))
-		ok := srv.decode(w, r, v) && srv.clamp(w, r, ep, q)
+		ok := srv.decode(w, r, v) && srv.clamp(w, r, q)
 		return *q, w, ok
 	}
 	for _, c := range cases {

@@ -218,24 +218,34 @@ var ErrExactUnavailable = montecarlo.ErrExactUnavailable
 type Sampler = montecarlo.Sampler
 
 const (
-	// PCG is the default pseudo-random sampler: per-trial reseeded PCG
-	// streams, bit-identical for any worker count. The zero value, so
-	// existing callers are unchanged.
+	// DefaultSampler is the zero value: the query names no sampler and
+	// each Fused run picks one. An adaptive query (WithTargetRelStdErr)
+	// whose trial cap is at least 4,096 runs Sobol when every draw of
+	// its trials has a Sobol dimension (no thinning-fallback component,
+	// at most 64 draws per trial); every other query runs PCG, so
+	// fixed-trial answers keep their PCG streams. It never fails with
+	// ErrSamplerUnsupported, and Estimate.Sampler records the sampler
+	// that ran. The CLI and the wire spell it as the empty or absent
+	// name.
+	DefaultSampler = montecarlo.DefaultSampler
+	// PCG is the pseudo-random sampler: per-trial reseeded PCG streams,
+	// bit-identical for any worker count.
 	PCG = montecarlo.PCG
 	// Sobol is the quasi-Monte-Carlo sampler: an Owen-scrambled Sobol
 	// sequence feeds the Fused engine's closed-form draws, typically
-	// reaching a precision target in far fewer trials than PCG. The
-	// standard error comes from independent scrambled replicates, so
-	// adaptive precision targeting works unchanged. Systems without a
-	// fixed per-trial draw count (any system with thinning-fallback
-	// components) reject it with ErrSamplerUnsupported.
+	// reaching a precision target in a quarter of the trials PCG needs.
+	// The standard error comes from 256 independently scrambled
+	// replicates, so adaptive precision targeting works unchanged.
+	// Systems without a fixed per-trial draw count (any system with
+	// thinning-fallback components) reject an explicit Sobol with
+	// ErrSamplerUnsupported.
 	Sobol = montecarlo.Sobol
 )
 
-// ErrSamplerUnsupported tags Sobol-sampler queries on systems without a
-// fixed per-trial draw count (systems whose components fall back to
-// literal thinning). Callers branch with errors.Is and fall back to the
-// PCG sampler.
+// ErrSamplerUnsupported tags queries that name the Sobol sampler on
+// systems without a fixed per-trial draw count (systems whose
+// components fall back to literal thinning). Callers branch with
+// errors.Is and fall back to PCG or DefaultSampler.
 var ErrSamplerUnsupported = montecarlo.ErrSamplerUnsupported
 
 // MonteCarloResult is a first-principles MTTF estimate.

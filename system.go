@@ -80,7 +80,7 @@ func EngineByName(name string) (Engine, error) {
 }
 
 // SamplerByName parses a sampler name as printed by Sampler.String,
-// case-insensitively; the empty string is the PCG default. Like
+// case-insensitively; the empty string is DefaultSampler. Like
 // EngineByName it is the single name-parsing point, behind Sampler's
 // UnmarshalText.
 func SamplerByName(name string) (Sampler, error) {
@@ -130,10 +130,14 @@ type Estimate struct {
 	// meaningful only for MonteCarlo estimates: the deterministic
 	// methods leave the zero value, and the JSON encoding omits it.
 	Engine Engine
-	// Sampler is the uniform-draw source the Monte-Carlo run used (PCG,
-	// the zero value, unless WithSampler selected another). For Sobol
-	// runs, Trials is still the effective trial count the estimate
-	// averaged over — QMC points count one-for-one as trials.
+	// Sampler is the uniform-draw source the Monte-Carlo run used: PCG
+	// or Sobol, never DefaultSampler. A query that named no sampler
+	// records the one it resolved to; Exact answers and never-failing
+	// systems under DefaultSampler record PCG. Like Engine it is
+	// meaningful only for MonteCarlo estimates: the deterministic
+	// methods leave the zero value, and the JSON encoding omits it. For
+	// Sobol runs, Trials is still the effective trial count the
+	// estimate averaged over — QMC points count one-for-one as trials.
 	Sampler Sampler
 	// TargetRelStdErr is the adaptive precision target the query asked
 	// for (WithTargetRelStdErr); zero for fixed-trial runs. When set,
@@ -194,8 +198,10 @@ func (e *Estimate) UnmarshalJSON(data []byte) error {
 		// Per encoding/json convention, unmarshaling null is a no-op.
 		return nil
 	}
-	// Engine and Sampler decode by name, an absent or empty name as the
-	// default, so documents predating the sampler field decode unchanged.
+	// Engine and Sampler decode by name, an empty name as the default.
+	// An absent engine is the default too, but an absent sampler is PCG:
+	// a Monte-Carlo document predating the field ran PCG, the only
+	// sampler then.
 	var raw struct {
 		Method  string    `json:"method"`
 		MTTF    JSONFloat `json:"mttf_seconds"`
@@ -208,12 +214,17 @@ func (e *Estimate) UnmarshalJSON(data []byte) error {
 		Target  JSONFloat `json:"target_rel_stderr"`
 		Cached  bool      `json:"cached"`
 	}
+	raw.Sampler = PCG
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return err
 	}
 	method, err := MethodByName(raw.Method)
 	if err != nil {
 		return err
+	}
+	if method != MonteCarlo {
+		// MarshalJSON writes no sampler for the deterministic methods.
+		raw.Sampler = DefaultSampler
 	}
 	*e = Estimate{
 		Method:          method,
@@ -321,11 +332,13 @@ type Query struct {
 	// samples, Exact gives the trial-free closed-form answer with zero
 	// standard error.
 	Engine Engine `json:"engine,omitempty"`
-	// Sampler selects the uniform-draw source (default PCG). Sobol
-	// switches the Fused engine to Owen-scrambled quasi-Monte-Carlo
-	// points: variance falls near O(1/n) instead of O(1/sqrt n), so
-	// adaptive precision targets are reached in far fewer trials.
-	// Systems with thinning-fallback components reject Sobol with
+	// Sampler selects the uniform-draw source. Sobol switches the Fused
+	// engine to Owen-scrambled quasi-Monte-Carlo points: variance falls
+	// near O(1/n) instead of O(1/sqrt n), so adaptive precision targets
+	// are reached in far fewer trials. DefaultSampler, the zero value,
+	// runs Sobol for adaptive queries that allow it and PCG otherwise
+	// (see DefaultSampler); Estimate.Sampler records which ran. Systems
+	// with thinning-fallback components reject an explicit Sobol with
 	// ErrSamplerUnsupported; the Exact engine ignores samplers.
 	Sampler Sampler `json:"sampler,omitempty"`
 	// Trials is the trial count, and the cap of an adaptive run;
@@ -352,14 +365,16 @@ type Query struct {
 // normalize returns the memo key of q: the settings that determine the
 // answer, in one canonical form. Trials default to DefaultTrials; the
 // Exact engine is trial-free and deterministic, so trials, seed,
-// sampler, and target cannot change its answer and are zeroed; Workers
-// never changes an answer and is always zeroed.
+// sampler, and target cannot change its answer and are zeroed (the
+// sampler to DefaultSampler); Workers never changes an answer and is
+// always zeroed. DefaultSampler stays a key of its own: it resolves per
+// run, so it is not the same key as the sampler it runs.
 func (q Query) normalize() Query {
 	if q.Trials <= 0 {
 		q.Trials = DefaultTrials
 	}
 	if q.Engine == Exact {
-		q.Trials, q.Seed, q.Sampler, q.TargetRelStdErr = 0, 0, PCG, 0
+		q.Trials, q.Seed, q.Sampler, q.TargetRelStdErr = 0, 0, DefaultSampler, 0
 	}
 	q.Workers = 0
 	return q
@@ -626,7 +641,7 @@ func (s *System) monteCarlo(ctx context.Context, q Query) (Estimate, error) {
 	}
 	est := newEstimate(MonteCarlo, res.MTTF, res.StdErr)
 	est.Trials, est.Seed = res.Trials, key.Seed
-	est.Engine, est.Sampler, est.TargetRelStdErr = key.Engine, key.Sampler, key.TargetRelStdErr
+	est.Engine, est.Sampler, est.TargetRelStdErr = key.Engine, res.Sampler, key.TargetRelStdErr
 	// Bounded retention: LoadOrStore so concurrent first-queries count
 	// each key once; a race can overshoot the cap by at most the number
 	// of in-flight queries.

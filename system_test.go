@@ -777,6 +777,89 @@ func TestWithTargetRelStdErr(t *testing.T) {
 	}
 }
 
+// opaqueTrace hides a trace's exposure table behind the bare Trace
+// interface, so the Fused engine thins raw arrivals against it and a
+// trial draws a value-dependent number of uniforms.
+type opaqueTrace struct{ soferr.Trace }
+
+// TestDefaultSamplerResolvedPerQuery is the library half of the
+// default-sampler table: a query naming no sampler runs Sobol when it
+// is adaptive with a cap of at least 4,096 trials on a system without
+// thinning, PCG otherwise, and its Estimate records the one that ran,
+// bit-identical to the query naming that sampler. The default stays a
+// memo key of its own.
+func TestDefaultSamplerResolvedPerQuery(t *testing.T) {
+	ctx := context.Background()
+	combined, err := soferr.Spec{Components: []soferr.ComponentSpec{
+		{RatePerYear: 1e5, Trace: soferr.TraceSpec{Kind: soferr.TraceKindCombined}},
+		{RatePerYear: 1e3, Trace: soferr.TraceSpec{Kind: soferr.TraceKindBusyIdle, PeriodSeconds: 3600, BusySeconds: 1000}},
+	}}.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	system := func(comps ...soferr.Component) *soferr.System {
+		sys, err := soferr.NewSystem(comps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	a, b := mustBusyIdle(t, 10, 4), mustBusyIdle(t, 10*math.Sqrt2, 3)
+	systems := map[string]*soferr.System{
+		"merged":         system(soferr.Component{Name: "a", RatePerYear: 3e6, Trace: a}, soferr.Component{Name: "b", RatePerYear: 1e6, Trace: mustBusyIdle(t, 20, 7)}),
+		"incommensurate": system(soferr.Component{Name: "a", RatePerYear: 3e6, Trace: a}, soferr.Component{Name: "b", RatePerYear: 1e6, Trace: b}),
+		"combined":       combined,
+		"thinning":       system(soferr.Component{Name: "a", RatePerYear: 3e6, Trace: a}, soferr.Component{Name: "opaque", RatePerYear: 1e6, Trace: opaqueTrace{b}}),
+	}
+	fixed := soferr.Query{Trials: 8192, Seed: 4}
+	adaptive := soferr.Query{Seed: 4, TargetRelStdErr: 0.01}
+	lowCap := soferr.Query{Trials: 4095, Seed: 4, TargetRelStdErr: 0.01}
+	for _, tt := range []struct {
+		system string
+		q      soferr.Query
+		want   soferr.Sampler
+	}{
+		{"merged", fixed, soferr.PCG},
+		{"merged", adaptive, soferr.Sobol},
+		{"merged", lowCap, soferr.PCG},
+		{"incommensurate", fixed, soferr.PCG},
+		{"incommensurate", adaptive, soferr.Sobol},
+		{"combined", fixed, soferr.PCG},
+		{"combined", adaptive, soferr.Sobol},
+		{"thinning", fixed, soferr.PCG},
+		{"thinning", adaptive, soferr.PCG},
+	} {
+		sys := systems[tt.system]
+		got, err := sys.MTTF(ctx, soferr.MonteCarlo, soferr.WithQuery(tt.q))
+		if err != nil {
+			t.Errorf("%s %+v: %v", tt.system, tt.q, err)
+			continue
+		}
+		named, err := sys.MTTF(ctx, soferr.MonteCarlo, soferr.WithQuery(tt.q), soferr.WithSampler(tt.want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if named.Cached {
+			t.Errorf("%s %+v: naming %v hit the default's memo entry", tt.system, tt.q, tt.want)
+		}
+		if got.Sampler != tt.want || !estimatesEqual(got, named) {
+			t.Errorf("%s %+v: default answered %+v, want the %v answer %+v", tt.system, tt.q, got, tt.want, named)
+		}
+	}
+
+	// Naming Sobol on the thinning system is still refused; the Exact
+	// engine's estimate names PCG whatever the query named.
+	if _, err := systems["thinning"].MTTF(ctx, soferr.MonteCarlo, soferr.WithQuery(adaptive), soferr.WithSampler(soferr.Sobol)); !errors.Is(err, soferr.ErrSamplerUnsupported) {
+		t.Errorf("sobol on thinning: err = %v, want ErrSamplerUnsupported", err)
+	}
+	for _, s := range []soferr.Sampler{soferr.DefaultSampler, soferr.PCG, soferr.Sobol} {
+		est, err := systems["merged"].MTTF(ctx, soferr.MonteCarlo, soferr.WithEngine(soferr.Exact), soferr.WithSampler(s))
+		if err != nil || est.Sampler != soferr.PCG {
+			t.Errorf("exact with sampler %v: estimate sampler %v, err %v; want pcg", s, est.Sampler, err)
+		}
+	}
+}
+
 // TestAdaptiveBeatsFixedTrialsOnSPECTrace is the acceptance criterion
 // on the paper's SPEC-trace profile: an adaptive 1%-target run must
 // reach its target with (far) fewer trials than the fixed-200k
