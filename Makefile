@@ -76,13 +76,14 @@ fuzz-smoke:
 	$(GO) test -run FuzzExactEngine -fuzz FuzzExactEngine -fuzztime 15s .
 
 # bench-go runs the Go benchmarks of the root package (experiments,
-# queries, substrates) and of the Monte-Carlo engines (among them
-# BenchmarkFusedTrial over component counts). A number the docs quote
+# queries, substrates), of the Monte-Carlo engines (among them
+# BenchmarkFusedTrial over component counts) and of the server's
+# streamed-sweep line encoder (BenchmarkSweepLine). A number the docs quote
 # comes from one benchmark run with -count 10, as its median and
 # min-max (README.md, "Performance"). The end-to-end server benchmark
 # is perfbench: bash perfbench/run.sh --workload hot-queries --seed 1.
 bench-go:
-	$(GO) test -run='^$$' -bench=. -benchmem . ./internal/montecarlo
+	$(GO) test -run='^$$' -bench=. -benchmem . ./internal/montecarlo ./internal/server
 
 clean:
 	$(GO) clean ./...

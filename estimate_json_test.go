@@ -103,12 +103,58 @@ func TestEstimateJSONRoundTripFromQueries(t *testing.T) {
 	}
 }
 
+// legacyEstimateJSON is the map-based encoding Estimate.MarshalJSON
+// used before it appended its keys by hand: json.Marshal sorts the map's
+// keys, and every float goes through JSONFloat's own MarshalJSON. The
+// appended encoding must equal it byte for byte, so every response that
+// carries an estimate keeps its bytes.
+func legacyEstimateJSON(e soferr.Estimate) ([]byte, error) {
+	out := map[string]interface{}{
+		"method":       e.Method.String(),
+		"mttf_seconds": soferr.JSONFloat(e.MTTF),
+		"fit":          soferr.JSONFloat(e.FIT),
+	}
+	if e.Method == soferr.MonteCarlo {
+		out["stderr_seconds"] = soferr.JSONFloat(e.StdErr)
+		out["trials"] = e.Trials
+		out["seed"] = e.Seed
+		out["engine"] = e.Engine.String()
+		out["sampler"] = e.Sampler.String()
+		out["cached"] = e.Cached
+		if e.TargetRelStdErr != 0 {
+			out["target_rel_stderr"] = soferr.JSONFloat(e.TargetRelStdErr)
+		}
+	}
+	return json.Marshal(out)
+}
+
+// sameAsLegacy fails the test unless json.Marshal(est) equals the
+// legacy map-based encoding byte for byte.
+func sameAsLegacy(t *testing.T, est soferr.Estimate) {
+	t.Helper()
+	got, err := json.Marshal(est)
+	if err != nil {
+		t.Fatalf("marshal %+v: %v", est, err)
+	}
+	want, err := legacyEstimateJSON(est)
+	if err != nil {
+		t.Fatalf("legacy marshal %+v: %v", est, err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("encoding of %+v changed:\n got  %s\n want %s", est, got, want)
+	}
+}
+
 // TestEstimateJSONRoundTripProperty fuzzes the encoder with randomized
-// estimates for all three methods, including non-finite MTTF/FIT/StdErr
-// values, and asserts exact field recovery.
+// estimates for all three methods, including non-finite and signed-zero
+// MTTF/FIT/StdErr/target values and every sampler, and asserts exact
+// field recovery and byte identity with the legacy map-based encoding.
+// Out-of-range methods, engines and samplers do not decode, so they are
+// checked for byte identity only.
 func TestEstimateJSONRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	specials := []float64{0, 1, 1e-300, 1e300, math.Inf(1), math.MaxFloat64, math.SmallestNonzeroFloat64}
+	specials := []float64{0, math.Copysign(0, -1), 1, 1e-300, 1e300, 1e21, 1e-7,
+		math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}
 	randFloat := func() float64 {
 		if rng.Intn(4) == 0 {
 			return specials[rng.Intn(len(specials))]
@@ -117,6 +163,7 @@ func TestEstimateJSONRoundTripProperty(t *testing.T) {
 	}
 	methods := soferr.Methods()
 	engines := []soferr.Engine{soferr.Fused, soferr.Exact}
+	samplers := []soferr.Sampler{soferr.DefaultSampler, soferr.PCG, soferr.Sobol}
 	for i := 0; i < 500; i++ {
 		m := methods[rng.Intn(len(methods))]
 		est := soferr.Estimate{
@@ -129,15 +176,45 @@ func TestEstimateJSONRoundTripProperty(t *testing.T) {
 			est.Trials = rng.Intn(1 << 20)
 			est.Seed = rng.Uint64()
 			est.Engine = engines[rng.Intn(len(engines))]
-			if rng.Intn(2) == 0 {
-				est.Sampler = soferr.Sobol
-			}
+			est.Sampler = samplers[rng.Intn(len(samplers))]
 			est.Cached = rng.Intn(2) == 0
-			if rng.Intn(2) == 0 {
+			switch rng.Intn(3) {
+			case 0:
 				est.TargetRelStdErr = 1 / (2 + rng.Float64()*100)
+			case 1:
+				// A zero target of either sign is omitted, so -0
+				// decodes as +0; -0 is checked for bytes below.
+				if v := randFloat(); v != 0 {
+					est.TargetRelStdErr = v
+				}
 			}
 		}
 		roundTrip(t, est)
+		sameAsLegacy(t, est)
+	}
+
+	// Every float special in every float field, and the extreme integers.
+	for _, v := range specials {
+		roundTrip(t, soferr.Estimate{Method: soferr.SoftArch, MTTF: v, FIT: v})
+		mc := soferr.Estimate{
+			Method: soferr.MonteCarlo, MTTF: v, FIT: v, StdErr: v,
+			Trials: math.MaxInt, Seed: math.MaxUint64, Sampler: soferr.DefaultSampler,
+		}
+		if v != 0 {
+			mc.TargetRelStdErr = v
+		}
+		roundTrip(t, mc)
+		sameAsLegacy(t, mc)
+	}
+	for _, est := range []soferr.Estimate{
+		{Method: 0, MTTF: 1},
+		{Method: soferr.Method(7), MTTF: math.Inf(1)},
+		{Method: soferr.Method(-2), FIT: math.NaN()},
+		{Method: soferr.MonteCarlo, Engine: soferr.Engine(9), Trials: -1},
+		{Method: soferr.MonteCarlo, Engine: soferr.Engine(-3), Sampler: soferr.Sampler(5)},
+		{Method: soferr.MonteCarlo, Sampler: soferr.Sampler(-1), TargetRelStdErr: math.Copysign(0, -1)},
+	} {
+		sameAsLegacy(t, est)
 	}
 }
 

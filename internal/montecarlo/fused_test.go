@@ -331,22 +331,40 @@ func TestTrialLoopDoesNotAllocate(t *testing.T) {
 	thinning := append(fusedTestSystem(t), Component{Name: "opaque", Rate: 0.05, Trace: opaqueTrace{p: busyIdle(t, 6, 2)}})
 	ctx := context.Background()
 	const trials = 3 * trialBlock
-	for name, c := range map[string]*Compiled{
-		"merged": mustCompile(t, comps), "per-component": perComponent(t, comps), "thinning": mustCompile(t, thinning),
+	merged := mustCompile(t, comps)
+	fixed := Config{Trials: trials, Seed: 1, Workers: 1}
+	for _, tc := range []struct {
+		name    string
+		c       *Compiled
+		cfg     Config
+		sampler Sampler
+	}{
+		{"merged", merged, fixed, PCG},
+		{"per-component", perComponent(t, comps), fixed, PCG},
+		{"thinning", mustCompile(t, thinning), fixed, PCG},
+		// An adaptive run naming no sampler runs Sobol, whose setup
+		// builds qmcReplicates scrambled replicates; the unreachable
+		// target makes it run all three rounds.
+		{"adaptive default sampler", merged, Config{Trials: trials, Seed: 1, Workers: 1, TargetRelStdErr: 1e-9}, Sobol},
 	} {
 		// Warm lazily built state (the fused merge) outside the loop.
-		if _, err := c.MTTF(ctx, Config{Trials: 16, Seed: 1, Workers: 1}); err != nil {
+		if _, err := tc.c.MTTF(ctx, Config{Trials: 16, Seed: 1, Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
+		var res Result
 		allocs := testing.AllocsPerRun(3, func() {
-			if _, err := c.MTTF(ctx, Config{Trials: trials, Seed: 1, Workers: 1}); err != nil {
+			var err error
+			if res, err = tc.c.MTTF(ctx, tc.cfg); err != nil {
 				t.Fatal(err)
 			}
 		})
+		if res.Sampler != tc.sampler || res.Trials != trials {
+			t.Fatalf("%s: ran %d trials on %v, want %d on %v", tc.name, res.Trials, res.Sampler, trials, tc.sampler)
+		}
 		// ~10 setup allocations per run (accumulator slice, goroutine,
 		// closures); one alloc per trial would be >= 12288.
 		if allocs > 64 {
-			t.Errorf("%s: %v allocations per %d-trial run, want O(1) setup only", name, allocs, trials)
+			t.Errorf("%s: %v allocations per %d-trial run, want O(1) setup only", tc.name, allocs, trials)
 		}
 	}
 }

@@ -128,7 +128,7 @@ const qmcReplicates = 256
 // sequences (immutable, shared by all workers) and the number of
 // coordinates one trial consumes.
 type qmcState struct {
-	seqs []*xrand.ScrambledSobol
+	seqs []xrand.ScrambledSobol
 	dims int
 }
 
@@ -145,12 +145,16 @@ func newQMCState(seed uint64, dims int) (*qmcState, error) {
 	if err != nil {
 		return nil, err
 	}
-	qs := &qmcState{dims: dims, seqs: make([]*xrand.ScrambledSobol, qmcReplicates)}
+	// One value slice of replicates and one slab of their scramble keys:
+	// setup costs a handful of allocations, not two per replicate.
+	qs := &qmcState{dims: dims, seqs: make([]xrand.ScrambledSobol, qmcReplicates)}
+	keys := make([]uint32, qmcReplicates*dims)
 	for r := range qs.seqs {
 		// Any injective (seed, replicate) -> scramble-key map works; the
 		// odd multipliers keep distinct replicates on distinct keys for
 		// every seed.
-		qs.seqs[r] = sobol.Scrambled(seed*0x9e3779b97f4a7c15 + uint64(r)*0xda942042e4dd58b5 + 0x6a09e667f3bcc909)
+		rseed := seed*0x9e3779b97f4a7c15 + uint64(r)*0xda942042e4dd58b5 + 0x6a09e667f3bcc909
+		qs.seqs[r] = sobol.Scrambled(rseed, keys[r*dims:(r+1)*dims:(r+1)*dims])
 	}
 	return qs, nil
 }
@@ -164,7 +168,7 @@ func newQMCState(seed uint64, dims int) (*qmcState, error) {
 // PCG stream (over-cap dimension padding).
 type drawSource struct {
 	rng  xrand.Rand
-	seqs []*xrand.ScrambledSobol // nil for PCG
+	seqs []xrand.ScrambledSobol // nil for PCG
 	dims int
 	di   int
 	pt   [xrand.MaxSobolDims]float64

@@ -945,10 +945,40 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, r *http
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
+	s.writeSweepLines(w, ch, len(page), cursor, nextCursor, total)
+}
+
+// writeSweepLines writes one NDJSON line per result received on ch,
+// then, once a line is out for each of the page's cells, the sweepDone
+// terminator. Each line is one Write from a reused buffer. The writer
+// flushes only when the next result is not ready yet, and after the
+// terminator: a finished line never waits on computation, and lines
+// that finish back to back share network writes.
+func (s *Server) writeSweepLines(w http.ResponseWriter, ch <-chan soferr.CellResult, cells int,
+	cursor, nextCursor, total int64) {
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	var delivered, cellErrors int64
-	for res := range ch {
+	var (
+		buf                   []byte
+		unflushed             bool
+		delivered, cellErrors int64
+	)
+	for {
+		var (
+			res soferr.CellResult
+			ok  bool
+		)
+		select {
+		case res, ok = <-ch:
+		default:
+			if unflushed && flusher != nil {
+				flusher.Flush()
+				unflushed = false
+			}
+			res, ok = <-ch
+		}
+		if !ok {
+			break
+		}
 		line := sweepLine{Cell: res.Cell, Estimates: res.Estimates}
 		line.Cell.Index = int(cursor) + res.Cell.Index
 		if res.Err != nil {
@@ -957,28 +987,66 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, r *http
 			cellErrors++
 		}
 		s.countSamplers(epSweep, line.Estimates...)
-		if err := enc.Encode(line); err != nil {
+		var err error
+		if buf, err = appendSweepLine(buf[:0], line); err != nil {
+			return // a truncated stream, as when the write fails
+		}
+		if _, err := w.Write(buf); err != nil {
 			// The client went away; drain via context cancellation is the
 			// caller's job — just stop writing.
 			return
 		}
+		unflushed = true
 		delivered++
-		if flusher != nil {
-			flusher.Flush()
-		}
 	}
-	if delivered < int64(len(page)) {
+	if delivered < int64(cells) {
 		// The context ended before the page finished: ending without the
 		// done line IS the truncation signal.
 		return
 	}
-	enc.Encode(sweepDone{
+	json.NewEncoder(w).Encode(sweepDone{
 		Done: true, Cursor: cursor, Count: delivered,
 		NextCursor: nextCursor, Total: total, CellErrors: cellErrors,
 	})
 	if flusher != nil {
 		flusher.Flush()
 	}
+}
+
+// appendSweepLine appends line's NDJSON encoding to b: the bytes
+// json.NewEncoder(w).Encode(line) writes, newline included. It joins
+// json.Marshal of the cell with each estimate's own MarshalJSON, so
+// encoding/json never re-scans the estimates' output.
+func appendSweepLine(b []byte, line sweepLine) ([]byte, error) {
+	cell, err := json.Marshal(line.Cell)
+	if err != nil {
+		return b, err
+	}
+	b = append(b, `{"cell":`...)
+	b = append(b, cell...)
+	if len(line.Estimates) > 0 {
+		b = append(b, `,"estimates":[`...)
+		for i, est := range line.Estimates {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			enc, err := est.MarshalJSON()
+			if err != nil {
+				return b, err
+			}
+			b = append(b, enc...)
+		}
+		b = append(b, ']')
+	}
+	if line.Error != "" {
+		msg, err := json.Marshal(line.Error)
+		if err != nil {
+			return b, err
+		}
+		b = append(b, `,"error":`...)
+		b = append(b, msg...)
+	}
+	return append(b, "}\n"...), nil
 }
 
 // handleHealthz is pure liveness: 200 for as long as the process can

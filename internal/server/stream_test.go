@@ -4,9 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/soferr/soferr"
 	"github.com/soferr/soferr/internal/faultinject"
@@ -208,6 +213,164 @@ func TestSweepNDJSONStreamAndResume(t *testing.T) {
 			!sameEstimates(line.Estimates, want.Estimates) {
 			t.Errorf("resumed line %d differs from uninterrupted cell %d:\n resumed %+v\n full    %+v",
 				i, 5+i, line, want)
+		}
+	}
+}
+
+// threeEstimates is one cell's answer under every method, with the
+// full-precision floats a real sweep prints.
+func threeEstimates() []soferr.Estimate {
+	return []soferr.Estimate{
+		{Method: soferr.AVFSOFR, MTTF: 2.9161167845454545e+06, FIT: 1234.5678901234567},
+		{
+			Method: soferr.MonteCarlo, MTTF: 2.9043817046318493e+06, FIT: 1239.4545018735421,
+			StdErr: 6507.402847512633, Trials: 4096, Seed: 0x9e3779b97f4a7c15,
+			Sampler: soferr.Sobol, TargetRelStdErr: 0.01,
+		},
+		{Method: soferr.SoftArch, MTTF: 2.9051166009102897e+06, FIT: 1239.1409763040316},
+	}
+}
+
+// TestSweepLineMatchesEncoder: the streamed sweep's line writer emits
+// exactly the bytes json.NewEncoder(w).Encode(sweepLine{...}) does,
+// escaping included, into a buffer reused across lines.
+func TestSweepLineMatchesEncoder(t *testing.T) {
+	awkward := "a<b>&\"c\\d\x01 é 猫 \u2028 \xff"
+	cases := []struct {
+		name string
+		line sweepLine
+	}{
+		{"three estimates", sweepLine{
+			Cell: soferr.Cell{Index: 17, Source: 2, SourceName: "gzip", RateIndex: 3, CountIndex: 1,
+				RatePerYear: 1e7, Count: 16, Seed: soferr.CellSeed(7, 17)},
+			Estimates: threeEstimates(),
+		}},
+		{"error, no estimates", sweepLine{
+			Cell:  soferr.Cell{Index: 3, Source: 1, SourceName: "week", RatePerYear: 1.5e-7, Count: 1, Seed: 42},
+			Error: "soferr: system week: trace period mismatch",
+		}},
+		{"escaped name and error", sweepLine{
+			Cell:      soferr.Cell{Index: 120, SourceName: awkward, RatePerYear: 1e21, Count: 500000, Seed: math.MaxUint64},
+			Estimates: []soferr.Estimate{{Method: soferr.SoftArch, MTTF: math.Inf(1)}},
+			Error:     awkward,
+		}},
+	}
+	var buf []byte
+	for _, c := range cases {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(c.line); err != nil {
+			t.Fatalf("%s: encoder: %v", c.name, err)
+		}
+		var err error
+		if buf, err = appendSweepLine(buf[:0], c.line); err != nil {
+			t.Fatalf("%s: appendSweepLine: %v", c.name, err)
+		}
+		if !bytes.Equal(buf, want.Bytes()) {
+			t.Errorf("%s: line bytes differ from json.Encoder:\n got  %q\n want %q", c.name, buf, want.Bytes())
+		}
+	}
+}
+
+// flushRecorder is a ResponseWriter whose Flush hands the bytes written
+// so far to the test.
+type flushRecorder struct {
+	header  http.Header
+	mu      sync.Mutex
+	body    bytes.Buffer
+	flushes chan string
+}
+
+func (f *flushRecorder) Header() http.Header { return f.header }
+func (f *flushRecorder) WriteHeader(int)     {}
+
+func (f *flushRecorder) Write(p []byte) (int, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.body.Write(p)
+}
+
+func (f *flushRecorder) Flush() {
+	f.mu.Lock()
+	body := f.body.String()
+	f.mu.Unlock()
+	f.flushes <- body
+}
+
+// TestSweepStreamFlushesFinishedLine: a finished line reaches the client
+// while the next cell is still computing. The test feeds the write loop
+// cell 0 and withholds cell 1 until a Flush has carried line 0; a writer
+// that held line 0 back until more output arrived would never flush it
+// and fails on the test's timeout.
+func TestSweepStreamFlushesFinishedLine(t *testing.T) {
+	s := New(Config{})
+	ch := make(chan soferr.CellResult)
+	// A two-cell stream flushes at most once per line and once after the
+	// terminator; the spare room keeps Flush from ever blocking.
+	w := &flushRecorder{header: http.Header{}, flushes: make(chan string, 8)}
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		s.writeSweepLines(w, ch, 2, 0, 0, 2)
+	}()
+	timeout := time.After(10 * time.Second)
+	send := func(res soferr.CellResult) {
+		select {
+		case ch <- res:
+		case <-timeout:
+			t.Fatalf("the write loop stopped receiving before cell %d", res.Cell.Index)
+		}
+	}
+
+	send(soferr.CellResult{Cell: soferr.Cell{Index: 0, SourceName: "day", RatePerYear: 1e4, Count: 1}, Estimates: threeEstimates()})
+	for flushed := false; !flushed; {
+		select {
+		case body := <-w.flushes:
+			flushed = strings.Count(body, "\n") == 1
+		case <-timeout:
+			close(ch) // release the write loop
+			t.Fatal("line 0 was not flushed while cell 1 was still computing")
+		}
+	}
+	send(soferr.CellResult{Cell: soferr.Cell{Index: 1, SourceName: "day", RatePerYear: 1e6, Count: 1}, Err: errors.New("cell failed")})
+	close(ch)
+	<-finished
+
+	lines := strings.Split(strings.TrimSuffix(w.body.String(), "\n"), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("wrote %d lines, want 2 cells and the terminator:\n%s", len(lines), w.body.String())
+	}
+	var done sweepDone
+	mustUnmarshal(t, []byte(lines[2]), &done)
+	if !done.Done || done.Count != 2 || done.CellErrors != 1 {
+		t.Errorf("terminator = %s, want done with count 2 and one cell error", lines[2])
+	}
+	select {
+	case body := <-w.flushes:
+		for len(w.flushes) > 0 {
+			body = <-w.flushes
+		}
+		if body != w.body.String() {
+			t.Errorf("the terminator was not flushed: last flush carried %q", body)
+		}
+	default:
+		t.Error("nothing was flushed after the terminator")
+	}
+}
+
+// BenchmarkSweepLine encodes one three-estimate sweep line into a
+// reused buffer, as the streamed sweep writes each cell.
+func BenchmarkSweepLine(b *testing.B) {
+	line := sweepLine{
+		Cell: soferr.Cell{Index: 17, Source: 2, SourceName: "gzip", RateIndex: 3, CountIndex: 1,
+			RatePerYear: 1e7, Count: 16, Seed: soferr.CellSeed(7, 17)},
+		Estimates: threeEstimates(),
+	}
+	var buf []byte
+	b.ReportAllocs()
+	for b.Loop() {
+		var err error
+		if buf, err = appendSweepLine(buf[:0], line); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

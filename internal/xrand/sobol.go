@@ -247,14 +247,18 @@ type ScrambledSobol struct {
 	seeds []uint32
 }
 
-// Scrambled returns the Owen-scrambled replicate of s keyed by seed.
-func (s *Sobol) Scrambled(seed uint64) *ScrambledSobol {
-	seeds := make([]uint32, s.dims)
+// Scrambled returns the Owen-scrambled replicate of s keyed by seed. It
+// writes the replicate's per-dimension scramble keys into the
+// caller-owned keys (length at least Dims), which the replicate keeps
+// and reads, so a caller building many replicates can carve their keys
+// out of one slab and hold the replicates in one value slice.
+func (s *Sobol) Scrambled(seed uint64, keys []uint32) ScrambledSobol {
+	keys = keys[:s.dims]
 	sm := seed
-	for j := range seeds {
-		seeds[j] = uint32(splitmix64(&sm) >> 32)
+	for j := range keys {
+		keys[j] = uint32(splitmix64(&sm) >> 32)
 	}
-	return &ScrambledSobol{s: s, seeds: seeds}
+	return ScrambledSobol{s: s, seeds: keys}
 }
 
 // Point fills pt (len <= Dims) with the scrambled point at the given

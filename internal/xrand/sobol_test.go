@@ -69,7 +69,7 @@ func TestSobolStratification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := s.Scrambled(12345)
+	ss := s.Scrambled(12345, make([]uint32, s.Dims()))
 	pt := make([]float64, s.Dims())
 	for _, k := range []uint{1, 4, 8, 12} {
 		n := uint64(1) << k
@@ -104,7 +104,7 @@ func TestSobolPairwiseMoments(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, seed := range []uint64{1, 99, 0xdeadbeef} {
-		ss := s.Scrambled(seed)
+		ss := s.Scrambled(seed, make([]uint32, s.Dims()))
 		pt := make([]float64, s.Dims())
 		const n = 4096
 		mean := make([]float64, s.Dims())
@@ -140,9 +140,9 @@ func TestSobolScrambleDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := s.Scrambled(42)
-	b := s.Scrambled(42)
-	c := s.Scrambled(43)
+	a := s.Scrambled(42, make([]uint32, s.Dims()))
+	b := s.Scrambled(42, make([]uint32, s.Dims()))
+	c := s.Scrambled(43, make([]uint32, s.Dims()))
 	pa := make([]float64, 8)
 	pb := make([]float64, 8)
 	pc := make([]float64, 8)
@@ -172,7 +172,7 @@ func TestSobolPointDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := s.Scrambled(7)
+	ss := s.Scrambled(7, make([]uint32, s.Dims()))
 	pt := make([]float64, 4)
 	allocs := testing.AllocsPerRun(1000, func() {
 		ss.Point(123, pt)
@@ -187,7 +187,7 @@ func BenchmarkSobolPoint2D(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ss := s.Scrambled(1)
+	ss := s.Scrambled(1, make([]uint32, s.Dims()))
 	pt := make([]float64, 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

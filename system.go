@@ -164,28 +164,52 @@ func (e Estimate) RelStdErr() float64 {
 	return e.StdErr / e.MTTF
 }
 
-// MarshalJSON renders the estimate with stable string names for method
-// and engine and JSON-safe encodings for non-finite floats ("+Inf",
-// "NaN" as strings). UnmarshalJSON inverts it exactly:
-// json.Unmarshal(json.Marshal(e)) reproduces every field.
+// MarshalJSON renders the estimate with stable string names for
+// method, engine and sampler and JSON-safe encodings for non-finite
+// floats ("+Inf", "NaN" as strings). The output is byte-stable, and its
+// key order is part of that: keys appear sorted, as "fit", "method",
+// "mttf_seconds" for the deterministic methods and "cached", "engine",
+// "fit", "method", "mttf_seconds", "sampler", "seed", "stderr_seconds",
+// "target_rel_stderr" (only when set), "trials" for MonteCarlo.
+// UnmarshalJSON inverts it exactly: json.Unmarshal(json.Marshal(e))
+// reproduces every field.
+//
+// The keys are appended by hand rather than through a map and
+// json.Marshal, which cost an allocation per value and a re-scan of
+// every nested Marshaler's output. The method, engine and sampler names
+// are plain ASCII (a fixed name or "Type(n)") and need no escaping.
 func (e Estimate) MarshalJSON() ([]byte, error) {
-	out := map[string]interface{}{
-		"method":       e.Method.String(),
-		"mttf_seconds": JSONFloat(e.MTTF),
-		"fit":          JSONFloat(e.FIT),
+	mc := e.Method == MonteCarlo
+	b := make([]byte, 0, 320) // the longest in-range encoding is 289 bytes
+	b = append(b, '{')
+	if mc {
+		b = append(b, `"cached":`...)
+		b = strconv.AppendBool(b, e.Cached)
+		b = append(b, `,"engine":"`...)
+		b = append(b, e.Engine.String()...)
+		b = append(b, `",`...)
 	}
-	if e.Method == MonteCarlo {
-		out["stderr_seconds"] = JSONFloat(e.StdErr)
-		out["trials"] = e.Trials
-		out["seed"] = e.Seed
-		out["engine"] = e.Engine.String()
-		out["sampler"] = e.Sampler.String()
-		out["cached"] = e.Cached
+	b = append(b, `"fit":`...)
+	b = appendJSONFloat(b, e.FIT)
+	b = append(b, `,"method":"`...)
+	b = append(b, e.Method.String()...)
+	b = append(b, `","mttf_seconds":`...)
+	b = appendJSONFloat(b, e.MTTF)
+	if mc {
+		b = append(b, `,"sampler":"`...)
+		b = append(b, e.Sampler.String()...)
+		b = append(b, `","seed":`...)
+		b = strconv.AppendUint(b, e.Seed, 10)
+		b = append(b, `,"stderr_seconds":`...)
+		b = appendJSONFloat(b, e.StdErr)
 		if e.TargetRelStdErr != 0 {
-			out["target_rel_stderr"] = JSONFloat(e.TargetRelStdErr)
+			b = append(b, `,"target_rel_stderr":`...)
+			b = appendJSONFloat(b, e.TargetRelStdErr)
 		}
+		b = append(b, `,"trials":`...)
+		b = strconv.AppendInt(b, int64(e.Trials), 10)
 	}
-	return json.Marshal(out)
+	return append(b, '}'), nil
 }
 
 // UnmarshalJSON parses the encoding produced by MarshalJSON: string
@@ -251,17 +275,21 @@ type JSONFloat float64
 // MarshalJSON encodes finite values as numbers and non-finite values as
 // quoted strings.
 func (f JSONFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	if math.IsInf(v, 1) {
-		return []byte(`"+Inf"`), nil
+	return appendJSONFloat(nil, float64(f)), nil
+}
+
+// appendJSONFloat appends v as JSONFloat encodes it: the shortest 'g'
+// form of a finite value, or the quoted "+Inf", "-Inf" or "NaN".
+func appendJSONFloat(b []byte, v float64) []byte {
+	switch {
+	case math.IsInf(v, 1):
+		return append(b, `"+Inf"`...)
+	case math.IsInf(v, -1):
+		return append(b, `"-Inf"`...)
+	case math.IsNaN(v):
+		return append(b, `"NaN"`...)
 	}
-	if math.IsInf(v, -1) {
-		return []byte(`"-Inf"`), nil
-	}
-	if math.IsNaN(v) {
-		return []byte(`"NaN"`), nil
-	}
-	return strconv.AppendFloat(nil, v, 'g', -1, 64), nil
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // UnmarshalJSON accepts a JSON number or one of the strings emitted by
