@@ -68,12 +68,15 @@ lint-fix-baseline:
 # local sessions: go test -fuzz FuzzSpecDecode -fuzztime 5m .
 # FuzzExactEngine's corpus holds the two FailureQuantile rounding inputs
 # it once found (a 1e70/yr gzip trace; a 2.1e8 s busy/idle period), so
-# they are replayed on every run.
+# they are replayed on every run. FuzzSimulatorMatchesReference holds
+# the event-driven timing simulator to its cycle-by-cycle reference loop
+# on random short programs and configurations.
 fuzz-smoke:
 	$(GO) test -run FuzzSpecDecode -fuzz FuzzSpecDecode -fuzztime 15s .
 	$(GO) test -run FuzzMergedExposure -fuzz FuzzMergedExposure -fuzztime 15s ./internal/trace
 	$(GO) test -run FuzzBatchedInversion -fuzz FuzzBatchedInversion -fuzztime 15s ./internal/trace
 	$(GO) test -run FuzzExactEngine -fuzz FuzzExactEngine -fuzztime 15s .
+	$(GO) test -run FuzzSimulatorMatchesReference -fuzz FuzzSimulatorMatchesReference -fuzztime 15s ./internal/turandot
 
 # bench-go runs the Go benchmarks of the root package (experiments,
 # queries, substrates), of the Monte-Carlo engines (among them

@@ -202,7 +202,8 @@ func BenchmarkRepeatedSoftArchQuery(b *testing.B) {
 }
 
 // BenchmarkSurvivalIntegral measures the SoftArch closed-form path on a
-// simulator trace.
+// simulator trace. The rate changes every iteration: the trace memoizes
+// its last rate's integral, so a fixed rate would time a memo hit.
 func BenchmarkSurvivalIntegral(b *testing.B) {
 	res, err := soferr.SimulateBenchmark("swim", 50000, 1)
 	if err != nil {
@@ -212,7 +213,7 @@ func BenchmarkSurvivalIntegral(b *testing.B) {
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		integral, _ := tr.SurvivalIntegral(1e-3)
+		integral, _ := tr.SurvivalIntegral(1e-3 * float64(1+i%8))
 		sink += integral
 	}
 	_ = sink

@@ -66,8 +66,8 @@ import (
 	"syscall"
 
 	"github.com/soferr/soferr"
+	"github.com/soferr/soferr/internal/benchsim"
 	"github.com/soferr/soferr/internal/experiments"
-	"github.com/soferr/soferr/internal/turandot"
 	"github.com/soferr/soferr/internal/workload"
 )
 
@@ -260,24 +260,12 @@ func runWorkloads(w io.Writer, instructions int, seed uint64) error {
 	fmt.Fprintf(w, "%-9s %7s %8s %8s | %7s %7s %7s %7s\n",
 		"bench", "ipc", "mispred", "l2miss", "dec", "int", "fp", "reg")
 	for _, p := range workload.All() {
-		prog, err := p.Generate(instructions, seed)
-		if err != nil {
-			return err
-		}
-		sim, err := turandot.New(turandot.DefaultConfig())
-		if err != nil {
-			return err
-		}
-		res, err := sim.Run(prog)
-		if err != nil {
-			return fmt.Errorf("%s: %w", p.Name, err)
-		}
-		tr, err := res.Traces()
+		tr, stats, err := benchsim.Simulate(p.Name, instructions, seed, nil)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%-9s %7.3f %7.1f%% %8d | %7.3f %7.3f %7.3f %7.3f\n",
-			p.Name, res.Stats.IPC(), 100*res.Stats.MispredictRate(), res.Stats.L2Misses,
+			p.Name, stats.IPC(), 100*stats.MispredictRate(), stats.L2Misses,
 			tr.Decode.AVF(), tr.Int.AVF(), tr.FP.AVF(), tr.RegFile.AVF())
 	}
 	return nil

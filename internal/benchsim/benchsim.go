@@ -1,12 +1,14 @@
 // Package benchsim is the one implementation of the benchmark-trace
 // pipeline: generate a bundled workload, run it through the Table 1
 // timing simulator, and (optionally) union the unit traces into the
-// processor-level masking trace. Both the experiment harness
-// (internal/experiments.Runner) and the public Spec compiler
-// (soferr.Compiler) build on it, which is what guarantees that
-// harness-built and Spec/HTTP-built systems agree bit for bit — there
-// is no second copy of the unit rates, the union order, or the
-// coarsening window to drift.
+// processor-level masking trace. The experiment harness
+// (internal/experiments.Runner), the public Spec compiler
+// (soferr.Compiler), soferr.SimulateBenchmark and `soferr workloads`
+// all build on it, which is what guarantees that harness-built,
+// Spec/HTTP-built and directly simulated traces agree bit for bit, and
+// that every entry point accepts the same benchmark names — there is no
+// second copy of the generator lookup, the unit rates, the union order,
+// or the coarsening window to drift.
 package benchsim
 
 import (
@@ -50,9 +52,10 @@ const CoarsenWindow = 200000
 
 // Simulate generates the named benchmark (phased-program names are
 // accepted alongside the plain profiles) and runs it on the Table 1
-// machine, returning the four component masking traces. log, when
-// non-nil, receives one progress line before the simulation.
-func Simulate(name string, instructions int, seed uint64, log io.Writer) (*turandot.ComponentTraces, error) {
+// machine, returning the four component masking traces and the run's
+// statistics. log, when non-nil, receives one progress line before the
+// simulation.
+func Simulate(name string, instructions int, seed uint64, log io.Writer) (*turandot.ComponentTraces, turandot.Stats, error) {
 	var (
 		prog []isa.Inst
 		err  error
@@ -63,25 +66,26 @@ func Simulate(name string, instructions int, seed uint64, log io.Writer) (*turan
 		var prof workload.Profile
 		prof, err = workload.ByName(name)
 		if err != nil {
-			return nil, err
+			return nil, turandot.Stats{}, err
 		}
 		prog, err = prof.Generate(instructions, seed)
 	}
 	if err != nil {
-		return nil, err
+		return nil, turandot.Stats{}, err
 	}
 	sim, err := turandot.New(turandot.DefaultConfig())
 	if err != nil {
-		return nil, err
+		return nil, turandot.Stats{}, err
 	}
 	if log != nil {
 		fmt.Fprintf(log, "simulating %s (%d instructions)\n", name, len(prog))
 	}
 	res, err := sim.Run(prog)
 	if err != nil {
-		return nil, fmt.Errorf("simulate %s: %w", name, err)
+		return nil, turandot.Stats{}, fmt.Errorf("simulate %s: %w", name, err)
 	}
-	return res.Traces()
+	traces, err := res.Traces()
+	return traces, res.Stats, err
 }
 
 // ProcessorUnion builds the processor-level masking trace of a

@@ -104,7 +104,7 @@ func (r *Runner) benchTraces(name string) (*turandot.ComponentTraces, error) {
 	}
 	r.mu.Unlock()
 
-	t, err := benchsim.Simulate(name, r.opt.Instructions, r.opt.Seed, r.opt.Log)
+	t, _, err := benchsim.Simulate(name, r.opt.Instructions, r.opt.Seed, r.opt.Log)
 	if err != nil {
 		return nil, err
 	}

@@ -105,11 +105,15 @@ func (r Reg) Index() int {
 	return int(r) - 1
 }
 
-// Inst is one dynamic instruction in a trace.
+// Inst is one dynamic instruction in a trace. The two addresses come
+// first so that the one-byte fields pack into a 24-byte instruction;
+// a trace holds one per simulated instruction.
 type Inst struct {
 	// PC is the instruction's byte address, used for instruction-cache
 	// and branch-predictor indexing.
 	PC uint64
+	// Addr is the effective byte address of a Load or Store.
+	Addr uint64
 	// Class selects functional unit and latency.
 	Class Class
 	// Dest is the destination register (RegNone for stores/branches).
@@ -117,8 +121,6 @@ type Inst struct {
 	// Src1 and Src2 are source registers (RegNone when absent).
 	Src1 Reg
 	Src2 Reg
-	// Addr is the effective byte address of a Load or Store.
-	Addr uint64
 	// Taken is the resolved direction of a Branch.
 	Taken bool
 }

@@ -127,16 +127,6 @@ func (c *Cache) Hits() uint64 { return c.hits }
 // Misses returns the number of misses recorded so far.
 func (c *Cache) Misses() uint64 { return c.misses }
 
-// Reset invalidates all lines and clears statistics.
-func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.age[i] = 0
-		c.tags[i] = 0
-	}
-	c.clock, c.hits, c.misses = 0, 0, 0
-}
-
 // TLBConfig describes a fully-associative translation buffer.
 type TLBConfig struct {
 	// Entries is the number of mappings held.
@@ -158,14 +148,18 @@ func (c TLBConfig) Validate() error {
 	return nil
 }
 
-// TLB is a fully-associative LRU translation buffer.
+// TLB is a fully-associative LRU translation buffer. A map finds a
+// resident page's entry, and the entries form a list from most to least
+// recently used, so a lookup and an eviction each take constant time.
 type TLB struct {
 	cfg      TLBConfig
 	pageBits int
+	entry    map[uint64]int32 // resident page -> its index in pages
 	pages    []uint64
-	valid    []bool
-	age      []uint64
-	clock    uint64
+	// prev and next link the entries in recency order; -1 ends the
+	// list at mru and lru.
+	prev, next []int32
+	mru, lru   int32
 
 	hits   uint64
 	misses uint64
@@ -179,9 +173,12 @@ func NewTLB(cfg TLBConfig) (*TLB, error) {
 	return &TLB{
 		cfg:      cfg,
 		pageBits: bits.TrailingZeros(uint(cfg.PageBytes)),
+		entry:    make(map[uint64]int32, cfg.Entries),
 		pages:    make([]uint64, cfg.Entries),
-		valid:    make([]bool, cfg.Entries),
-		age:      make([]uint64, cfg.Entries),
+		prev:     make([]int32, cfg.Entries),
+		next:     make([]int32, cfg.Entries),
+		mru:      -1,
+		lru:      -1,
 	}, nil
 }
 
@@ -190,29 +187,50 @@ func (t *TLB) Config() TLBConfig { return t.cfg }
 
 // Access translates addr, updating LRU state, and reports a hit.
 func (t *TLB) Access(addr uint64) bool {
-	t.clock++
 	page := addr >> uint(t.pageBits)
-	victim := 0
-	oldest := t.age[0]
-	for i := range t.pages {
-		if t.valid[i] && t.pages[i] == page {
-			t.age[i] = t.clock
-			t.hits++
-			return true
+	if e, ok := t.entry[page]; ok {
+		if e != t.mru {
+			t.unlink(e)
+			t.pushFront(e)
 		}
-		if !t.valid[i] {
-			victim = i
-			oldest = 0
-		} else if t.age[i] < oldest {
-			victim = i
-			oldest = t.age[i]
-		}
+		t.hits++
+		return true
 	}
-	t.pages[victim] = page
-	t.valid[victim] = true
-	t.age[victim] = t.clock
+	e := int32(len(t.entry))
+	if int(e) == len(t.pages) { // full: evict the least recently used
+		e = t.lru
+		delete(t.entry, t.pages[e])
+		t.unlink(e)
+	}
+	t.pages[e] = page
+	t.entry[page] = e
+	t.pushFront(e)
 	t.misses++
 	return false
+}
+
+func (t *TLB) unlink(e int32) {
+	p, n := t.prev[e], t.next[e]
+	if p >= 0 {
+		t.next[p] = n
+	} else {
+		t.mru = n
+	}
+	if n >= 0 {
+		t.prev[n] = p
+	} else {
+		t.lru = p
+	}
+}
+
+func (t *TLB) pushFront(e int32) {
+	t.prev[e], t.next[e] = -1, t.mru
+	if t.mru >= 0 {
+		t.prev[t.mru] = e
+	} else {
+		t.lru = e
+	}
+	t.mru = e
 }
 
 // Hits returns the number of hits recorded so far.

@@ -1,6 +1,10 @@
 package mem
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/soferr/soferr/internal/xrand"
+)
 
 func newCache(t *testing.T, size, line, ways, lat int) *Cache {
 	t.Helper()
@@ -83,18 +87,6 @@ func TestCacheFullyUtilized(t *testing.T) {
 	}
 	if c.Hits() != 16 || c.Misses() != 16 {
 		t.Errorf("hits=%d misses=%d, want 16,16", c.Hits(), c.Misses())
-	}
-}
-
-func TestCacheReset(t *testing.T) {
-	c := newCache(t, 1024, 64, 2, 1)
-	c.Access(0x40)
-	c.Reset()
-	if c.Hits() != 0 || c.Misses() != 0 {
-		t.Error("stats not cleared")
-	}
-	if c.Access(0x40) {
-		t.Error("line survived reset")
 	}
 }
 
@@ -193,5 +185,76 @@ func TestHierarchyConfigErrors(t *testing.T) {
 	_, err := NewHierarchy(HierarchyConfig{})
 	if err == nil {
 		t.Error("empty config should fail")
+	}
+}
+
+// scanTLB is the linear-scan LRU TLB that TLB replaced: valid bits and
+// age stamps per entry, a full scan per access. TLB must report the
+// same hit or miss on every access.
+type scanTLB struct {
+	pageBits int
+	pages    []uint64
+	valid    []bool
+	age      []uint64
+	clock    uint64
+}
+
+func (t *scanTLB) access(addr uint64) bool {
+	t.clock++
+	page := addr >> uint(t.pageBits)
+	victim := 0
+	oldest := t.age[0]
+	for i := range t.pages {
+		if t.valid[i] && t.pages[i] == page {
+			t.age[i] = t.clock
+			return true
+		}
+		if !t.valid[i] {
+			victim = i
+			oldest = 0
+		} else if t.age[i] < oldest {
+			victim = i
+			oldest = t.age[i]
+		}
+	}
+	t.pages[victim] = page
+	t.valid[victim] = true
+	t.age[victim] = t.clock
+	return false
+}
+
+func TestTLBMatchesLinearScan(t *testing.T) {
+	r := xrand.New(11)
+	for _, entries := range []int{1, 2, 3, 8, 128} {
+		// Page windows below, at and above the capacity, so that the
+		// streams mix hits, cold misses and evictions.
+		for _, window := range []int{entries / 2, entries, entries + 1, 2 * entries, 8 * entries} {
+			cfg := TLBConfig{Entries: entries, PageBytes: 4096}
+			tlb, err := NewTLB(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := &scanTLB{pageBits: 12, pages: make([]uint64, entries),
+				valid: make([]bool, entries), age: make([]uint64, entries)}
+			var misses uint64
+			for i := 0; i < 20000; i++ {
+				addr := uint64(r.Intn(window+1))<<12 | uint64(r.Intn(4096))
+				if i%3 == 0 {
+					addr = uint64(i%(window+1)) << 12 // a cyclic sweep: LRU's worst case
+				}
+				got, want := tlb.Access(addr), ref.access(addr)
+				if got != want {
+					t.Fatalf("entries %d, window %d, access %d (page %d): hit %v, linear scan %v",
+						entries, window, i, addr>>12, got, want)
+				}
+				if !want {
+					misses++
+				}
+			}
+			if tlb.Misses() != misses || tlb.Hits()+misses != 20000 {
+				t.Errorf("entries %d, window %d: counters %d hits %d misses, want %d misses",
+					entries, window, tlb.Hits(), tlb.Misses(), misses)
+			}
+		}
 	}
 }

@@ -90,7 +90,13 @@ func FromBits(bits []bool, cycleSeconds float64) (*Piecewise, error) {
 	if cycleSeconds <= 0 {
 		return nil, errNonPositiveCycle
 	}
-	segs := make([]Segment, 0, 64)
+	runs := 1
+	for i := 1; i < len(bits); i++ {
+		if bits[i] != bits[i-1] {
+			runs++
+		}
+	}
+	segs := make([]Segment, 0, runs)
 	runStart := 0
 	for i := 1; i <= len(bits); i++ {
 		if i < len(bits) && bits[i] == bits[runStart] {
@@ -120,7 +126,13 @@ func FromLevels(levels []float64, cycleSeconds float64) (*Piecewise, error) {
 	if cycleSeconds <= 0 {
 		return nil, errNonPositiveCycle
 	}
-	segs := make([]Segment, 0, 64)
+	runs := 1
+	for i := 1; i < len(levels); i++ {
+		if levels[i] != levels[i-1] {
+			runs++
+		}
+	}
+	segs := make([]Segment, 0, runs)
 	runStart := 0
 	for i := 1; i <= len(levels); i++ {
 		if i < len(levels) && levels[i] == levels[runStart] {

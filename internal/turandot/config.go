@@ -15,6 +15,16 @@
 // units were busy each cycle (a raw error in an idle unit is masked), and
 // the fraction of register-file entries holding a value that will be read
 // again (an error in a dead register is masked).
+//
+// Run is event-driven but bit-identical to a cycle-by-cycle loop. Each
+// cycle retires, issues, dispatches and fetches in that order; a cycle
+// in which none of these moved an instruction and no fetch stall began
+// changes no state, so Run jumps to the earliest time a stage can move
+// again (the reorder-buffer head's completion, a waiting instruction's
+// operands and unit, the end of a fetch stall) and charges the skipped
+// cycles to the stall counter the quiet cycle bumped. Issue scans only
+// the dispatched, unissued instructions. The cycle-by-cycle loop
+// survives in the tests as referenceRun, the oracle Run must match.
 package turandot
 
 import (

@@ -3,7 +3,6 @@ package turandot
 import (
 	"fmt"
 
-	"github.com/soferr/soferr/internal/isa"
 	"github.com/soferr/soferr/internal/trace"
 	"github.com/soferr/soferr/internal/units"
 )
@@ -75,7 +74,8 @@ type Result struct {
 	RegLive []float64
 }
 
-// busyRecorder accumulates busy bits during simulation with growth.
+// busyRecorder accumulates busy bits during simulation. Its bitmaps
+// only ever lengthen, so every bit past a bitmap's length is false.
 type busyRecorder struct {
 	decode []bool
 	intU   []bool
@@ -94,11 +94,19 @@ func newBusyRecorder(instructions int) *busyRecorder {
 	}
 }
 
+// grow extends b to cover index upto, doubling its capacity when it
+// must reallocate.
 func grow(b []bool, upto int64) []bool {
-	for int64(len(b)) <= upto {
-		b = append(b, false)
+	need := int(upto) + 1
+	if need <= len(b) {
+		return b
 	}
-	return b
+	if need > cap(b) {
+		nb := make([]bool, len(b), max(2*cap(b), need))
+		copy(nb, b)
+		b = nb
+	}
+	return b[:need]
 }
 
 func (r *busyRecorder) markDecode(cycle int64) {
@@ -120,23 +128,25 @@ func (r *busyRecorder) markFP(from, to int64) {
 	}
 }
 
-// buildBusy trims the busy bitmaps to the final cycle count.
-func (r *Result) buildBusy(b *busyRecorder, cycles int64) {
+// build returns the busy bitmaps trimmed to the final cycle count.
+func (r *busyRecorder) build(cycles int64) (decode, intU, fpU []bool) {
 	pad := func(bits []bool) []bool {
-		bits = grow(bits, cycles-1)
-		return bits[:cycles]
+		return grow(bits, cycles-1)[:cycles]
 	}
-	r.DecodeBusy = pad(b.decode)
-	r.IntBusy = pad(b.intU)
-	r.FPBusy = pad(b.fpU)
+	return pad(r.decode), pad(r.intU), pad(r.fpU)
 }
 
-// buildRegLive converts the def/use records into the per-cycle count of
+// regLive converts the def/use records into the per-cycle fraction of
 // live register values: a value is live — and an error in it unmasked —
 // from the cycle it is written until the last cycle it is read (Section
-// 4.1's conservative rule). Values never read contribute nothing.
-func (r *Result) buildRegLive(prog []isa.Inst, wbCycle, lastRead, initLastRead []int64, cycles int64, regFileEntries int) {
-	diff := make([]int32, cycles+1)
+// 4.1's conservative rule). Values never read contribute nothing; only
+// an instruction that writes a register is ever read, so lastRead alone
+// picks out the values.
+func regLive(wbCycle, lastRead, initLastRead []int64, cycles int64, regFileEntries int) []float64 {
+	// live starts as a difference array of live-value counts and is
+	// prefix-summed in place; the counts are integers, exact in a
+	// float64.
+	live := make([]float64, cycles)
 	mark := func(from, to int64) {
 		if to < from {
 			return
@@ -147,15 +157,14 @@ func (r *Result) buildRegLive(prog []isa.Inst, wbCycle, lastRead, initLastRead [
 		if to >= cycles {
 			to = cycles - 1
 		}
-		diff[from]++
-		diff[to+1]--
-	}
-	for id := range prog {
-		if prog[id].Dest == isa.RegNone {
-			continue
+		live[from]++
+		if to+1 < cycles {
+			live[to+1]--
 		}
-		if lastRead[id] >= 0 {
-			mark(wbCycle[id], lastRead[id])
+	}
+	for id, last := range lastRead {
+		if last >= 0 {
+			mark(wbCycle[id], last)
 		}
 	}
 	for reg := range initLastRead {
@@ -163,16 +172,12 @@ func (r *Result) buildRegLive(prog []isa.Inst, wbCycle, lastRead, initLastRead [
 			mark(0, initLastRead[reg])
 		}
 	}
-	r.RegLive = make([]float64, cycles)
-	live := int32(0)
-	for c := int64(0); c < cycles; c++ {
-		live += diff[c]
-		f := float64(live) / float64(regFileEntries)
-		if f > 1 {
-			f = 1
-		}
-		r.RegLive[c] = f
+	count := 0.0
+	for c := range live {
+		count += live[c]
+		live[c] = min(count/float64(regFileEntries), 1)
 	}
+	return live
 }
 
 // ComponentTraces bundles the masking traces of the four components
@@ -187,12 +192,7 @@ type ComponentTraces struct {
 // Traces converts the per-cycle masking information into masking traces
 // at the base clock (Table 1: 2.0 GHz).
 func (r *Result) Traces() (*ComponentTraces, error) {
-	return r.TracesAt(units.SecondsPerCycle)
-}
-
-// TracesAt converts the masking information using an explicit cycle
-// duration in seconds.
-func (r *Result) TracesAt(cycleSeconds float64) (*ComponentTraces, error) {
+	const cycleSeconds = units.SecondsPerCycle
 	decode, err := trace.FromBits(r.DecodeBusy, cycleSeconds)
 	if err != nil {
 		return nil, fmt.Errorf("turandot: decode trace: %w", err)

@@ -3,6 +3,7 @@ package turandot
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/soferr/soferr/internal/isa"
 	"github.com/soferr/soferr/internal/mem"
@@ -38,26 +39,48 @@ func New(cfg Config) (*Sim, error) {
 	}, nil
 }
 
-// robEntry is one in-flight instruction. The reorder buffer holds
-// consecutive dynamic instruction ids, so id % ROBSize addresses the
-// entry directly.
-type robEntry struct {
-	id       int64
-	class    isa.Class
-	dest     isa.Reg
-	src1Prod int64 // producing instruction id, or -1 if value already ready
-	src2Prod int64
-	issued   bool
-	issueAt  int64
-	doneAt   int64
-	addr     uint64
-	pc       uint64
+// notIssued is the completion time of an instruction that has not
+// issued: it is later than every cycle, so "done by cycle c" needs no
+// separate issued flag.
+const notIssued = math.MaxInt64
+
+// waitingInst is a dispatched instruction that has not issued, with the
+// ids of its operands' producers (-1: an architectural value that no
+// instruction in the program wrote before it).
+type waitingInst struct {
+	id         int64
+	src1, src2 int64
 }
 
-// fetchSlot is one entry of the fetch/decode queue.
-type fetchSlot struct {
-	idx       int64 // index into the program
-	fetchedAt int64
+// Functional-unit pools.
+const (
+	poolInt = iota
+	poolFP
+	poolLS
+	poolBr
+	numPools
+)
+
+// unitUse is how an instruction class uses its functional unit.
+type unitUse struct {
+	pool    int
+	latency int64 // loads take theirs from the memory hierarchy instead
+	occupy  int64 // how long the unit stays busy (unpipelined ops)
+}
+
+// unitUses returns each instruction class's unit, latency and
+// occupancy on this configuration.
+func (c Config) unitUses() [isa.Branch + 1]unitUse {
+	return [...]unitUse{
+		isa.IntALU: {poolInt, int64(c.IntALULatency), 1},
+		isa.IntMul: {poolInt, int64(c.IntMulLatency), 1},
+		isa.IntDiv: {poolInt, int64(c.IntDivLatency), int64(c.IntDivLatency)},
+		isa.FPOp:   {poolFP, int64(c.FPLatency), 1},
+		isa.FPDiv:  {poolFP, int64(c.FPDivLatency), 1},
+		isa.Load:   {poolLS, 0, 1},
+		isa.Store:  {poolLS, int64(c.StoreLatency), 1},
+		isa.Branch: {poolBr, int64(c.BranchLatency), 1},
+	}
 }
 
 // maxCyclesPerInst guards against livelock bugs: no realistic program
@@ -65,7 +88,8 @@ type fetchSlot struct {
 const maxCyclesPerInst = 1000
 
 // Run simulates prog to completion and returns the timing result,
-// including the per-cycle masking information of Section 4.1.
+// including the per-cycle masking information of Section 4.1. It skips
+// quiet cycles as the package documentation describes.
 func (s *Sim) Run(prog []isa.Inst) (*Result, error) {
 	if len(prog) == 0 {
 		return nil, errEmptyProgram
@@ -79,14 +103,20 @@ func (s *Sim) Run(prog []isa.Inst) (*Result, error) {
 	cfg := s.cfg
 	n := int64(len(prog))
 	maxCycles := n*maxCyclesPerInst + 10000
+	uses := cfg.unitUses()
 
 	var (
-		rob     = make([]robEntry, cfg.ROBSize)
+		// The reorder buffer holds the ids [headID, nextID) and the
+		// fetch/decode queue [nextID, fetched): an instruction's id is
+		// its program index, and fetch, dispatch and retirement all go
+		// in program order.
 		headID  = int64(0) // oldest in-flight id
 		nextID  = int64(0) // next id to dispatch
 		fetched = int64(0) // next program index to fetch
 
-		fetchQ = make([]fetchSlot, 0, cfg.FetchQueueSize)
+		// waiting holds the dispatched, unissued instructions, oldest
+		// first.
+		waiting = make([]waitingInst, 0, cfg.ROBSize)
 
 		// renameProd[r] is the id of the most recent in-flight or
 		// retired producer of architectural register r, or -1.
@@ -96,17 +126,24 @@ func (s *Sim) Run(prog []isa.Inst) (*Result, error) {
 		fpDefsInFlight  int
 		memOpsInFlight  int
 
-		intUnitFree = make([]int64, cfg.IntUnits)
-		fpUnitFree  = make([]int64, cfg.FPUnits)
-		lsUnitFree  = make([]int64, cfg.LSUnits)
-		brUnitFree  = make([]int64, cfg.BrUnits)
+		unitFree = [numPools][]int64{
+			poolInt: make([]int64, cfg.IntUnits),
+			poolFP:  make([]int64, cfg.FPUnits),
+			poolLS:  make([]int64, cfg.LSUnits),
+			poolBr:  make([]int64, cfg.BrUnits),
+		}
 
 		fetchBusyUntil int64 // icache miss / mispredict stall
 		blockingBranch = int64(-1)
 		curFetchLine   = uint64(1<<64 - 1)
 
-		// Per-instruction records for the register-liveness post-pass.
-		wbCycle  = make([]int64, n)
+		// doneAt[id] is the cycle instruction id completes, notIssued
+		// until it issues. A consumer's operand is ready once its
+		// producer's doneAt has come, the ROB head retires once its own
+		// has, and the register-liveness post-pass reads it as the
+		// write-back cycle.
+		doneAt = make([]int64, n)
+		// Per-instruction last reads for the register-liveness post-pass.
 		lastRead = make([]int64, n)
 		// Reads of pre-existing architectural values.
 		initLastRead [isa.NumRegs + 1]int64
@@ -117,7 +154,8 @@ func (s *Sim) Run(prog []isa.Inst) (*Result, error) {
 	for i := range renameProd {
 		renameProd[i] = -1
 	}
-	for i := range lastRead {
+	for i := range doneAt {
+		doneAt[i] = notIssued
 		lastRead[i] = -1
 	}
 	for i := range initLastRead {
@@ -127,76 +165,54 @@ func (s *Sim) Run(prog []isa.Inst) (*Result, error) {
 	intRenameCap := cfg.IntRenameRegs - isa.NumIntRegs
 	fpRenameCap := cfg.FPRenameRegs - isa.NumFPRegs
 
-	// ready reports whether producer id's value is available at cycle.
-	ready := func(prod, cycle int64) bool {
-		if prod < 0 || prod < headID {
-			return true // no producer, or producer retired
+	// recordRead notes, for the register-liveness post-pass, that the
+	// value of reg produced by prod is read at cycle.
+	recordRead := func(prod int64, reg isa.Reg, cycle int64) {
+		if reg == isa.RegNone {
+			return
 		}
-		e := &rob[prod%int64(cfg.ROBSize)]
-		return e.issued && e.doneAt <= cycle
+		if prod < 0 {
+			if cycle > initLastRead[reg] {
+				initLastRead[reg] = cycle
+			}
+		} else if cycle > lastRead[prod] {
+			lastRead[prod] = cycle
+		}
 	}
 
-	retiredAll := func() bool { return headID == n }
-
 	var cycle int64
-	for cycle = 0; cycle < maxCycles; cycle++ {
-		if retiredAll() {
-			break
-		}
+	for cycle = 0; cycle < maxCycles && headID < n; cycle++ {
+		moved := false // whether any stage changed state this cycle
 
 		// --- Retire: up to one dispatch group of completed entries, in order.
-		for k := 0; k < cfg.RetireWidth && headID < nextID; k++ {
-			e := &rob[headID%int64(cfg.ROBSize)]
-			if !e.issued || e.doneAt > cycle {
-				break
-			}
-			if e.dest != isa.RegNone {
-				if e.dest.IsInt() {
+		for k := 0; k < cfg.RetireWidth && headID < nextID && doneAt[headID] <= cycle; k++ {
+			in := &prog[headID]
+			if in.Dest != isa.RegNone {
+				if in.Dest.IsInt() {
 					intDefsInFlight--
 				} else {
 					fpDefsInFlight--
 				}
 			}
-			if e.class.IsMem() {
+			if in.Class.IsMem() {
 				memOpsInFlight--
 			}
 			stats.Retired++
 			headID++
+			moved = true
 		}
 
-		// --- Issue: oldest-first among dispatched entries with ready
+		// --- Issue: oldest-first among waiting instructions with ready
 		// operands and a free unit.
-		for id := headID; id < nextID; id++ {
-			e := &rob[id%int64(cfg.ROBSize)]
-			if e.issued {
+		kept := waiting[:0]
+		for _, w := range waiting {
+			if (w.src1 >= 0 && doneAt[w.src1] > cycle) || (w.src2 >= 0 && doneAt[w.src2] > cycle) {
+				kept = append(kept, w)
 				continue
 			}
-			if !ready(e.src1Prod, cycle) || !ready(e.src2Prod, cycle) {
-				continue
-			}
-			var (
-				pool    []int64
-				latency int64
-				occupy  int64 // how long the unit stays busy (unpipelined ops)
-			)
-			switch e.class {
-			case isa.IntALU:
-				pool, latency, occupy = intUnitFree, int64(cfg.IntALULatency), 1
-			case isa.IntMul:
-				pool, latency, occupy = intUnitFree, int64(cfg.IntMulLatency), 1
-			case isa.IntDiv:
-				pool, latency, occupy = intUnitFree, int64(cfg.IntDivLatency), int64(cfg.IntDivLatency)
-			case isa.FPOp:
-				pool, latency, occupy = fpUnitFree, int64(cfg.FPLatency), 1
-			case isa.FPDiv:
-				pool, latency, occupy = fpUnitFree, int64(cfg.FPDivLatency), 1
-			case isa.Load:
-				pool, latency, occupy = lsUnitFree, 0, 1 // latency from hierarchy below
-			case isa.Store:
-				pool, latency, occupy = lsUnitFree, int64(cfg.StoreLatency), 1
-			case isa.Branch:
-				pool, latency, occupy = brUnitFree, int64(cfg.BranchLatency), 1
-			}
+			in := &prog[w.id]
+			use := uses[in.Class]
+			pool := unitFree[use.pool]
 			unit := -1
 			for u := range pool {
 				if pool[u] <= cycle {
@@ -205,105 +221,80 @@ func (s *Sim) Run(prog []isa.Inst) (*Result, error) {
 				}
 			}
 			if unit < 0 {
-				continue // structural hazard; try younger ops (other classes)
+				kept = append(kept, w) // structural hazard; try younger ops (other classes)
+				continue
 			}
-			if e.class == isa.Load {
-				latency = int64(s.hier.DataLatency(e.addr))
-			} else if e.class == isa.Store {
+			latency := use.latency
+			if in.Class == isa.Load {
+				latency = int64(s.hier.DataLatency(in.Addr))
+			} else if in.Class == isa.Store {
 				// Stores probe the cache for timing state but complete
 				// quickly; their latency is hidden by the store queue.
-				s.hier.DataLatency(e.addr)
+				s.hier.DataLatency(in.Addr)
 			}
-			pool[unit] = cycle + occupy
-			e.issued = true
-			e.issueAt = cycle
-			e.doneAt = cycle + latency
+			pool[unit] = cycle + use.occupy
+			done := cycle + latency
+			doneAt[w.id] = done
 			stats.Issued++
+			moved = true
 
-			// Record reads for the register-liveness post-pass.
-			recordRead := func(prod int64, reg isa.Reg) {
-				if reg == isa.RegNone {
-					return
-				}
-				if prod < 0 {
-					if cycle > initLastRead[reg] {
-						initLastRead[reg] = cycle
-					}
-				} else if cycle > lastRead[prod] {
-					lastRead[prod] = cycle
-				}
-			}
-			in := &prog[id]
-			recordRead(e.src1Prod, in.Src1)
-			recordRead(e.src2Prod, in.Src2)
-			if e.dest != isa.RegNone {
-				wbCycle[id] = e.doneAt
-			}
+			recordRead(w.src1, in.Src1, cycle)
+			recordRead(w.src2, in.Src2, cycle)
 
 			// Busy accounting for the studied units (Section 4.1):
 			// a unit is busy every cycle it is processing an instruction.
 			switch {
-			case e.class.IsInt():
-				busy.markInt(cycle, e.doneAt)
-			case e.class.IsFP():
-				busy.markFP(cycle, e.doneAt)
+			case in.Class.IsInt():
+				busy.markInt(cycle, done)
+			case in.Class.IsFP():
+				busy.markFP(cycle, done)
 			}
 
 			// A resolving branch unblocks fetch after its resolution.
-			if e.class == isa.Branch && id == blockingBranch {
-				if e.doneAt+1 > fetchBusyUntil {
-					fetchBusyUntil = e.doneAt + 1
+			if in.Class == isa.Branch && w.id == blockingBranch {
+				if done+1 > fetchBusyUntil {
+					fetchBusyUntil = done + 1
 				}
 				blockingBranch = -1
 			}
 		}
+		waiting = kept
 
 		// --- Dispatch: move a group from the fetch queue into the ROB.
+		var stalled *uint64 // the stall counter dispatch bumped, if any
 		dispatched := 0
-		for dispatched < cfg.DispatchWidth && len(fetchQ) > 0 {
-			slot := fetchQ[0]
-			if slot.fetchedAt >= cycle {
-				break // decode takes one cycle
-			}
+		// Decode takes one cycle: dispatch runs before fetch, so an
+		// instruction fetched in cycle c dispatches in c+1 at the earliest.
+		for dispatched < cfg.DispatchWidth && nextID < fetched {
 			if nextID-headID >= int64(cfg.ROBSize) {
-				stats.StallROB++
+				stalled = &stats.StallROB
 				break
 			}
-			in := &prog[slot.idx]
+			in := &prog[nextID]
 			if in.Dest != isa.RegNone {
 				if in.Dest.IsInt() && intDefsInFlight >= intRenameCap {
-					stats.StallRename++
+					stalled = &stats.StallRename
 					break
 				}
 				if in.Dest.IsFP() && fpDefsInFlight >= fpRenameCap {
-					stats.StallRename++
+					stalled = &stats.StallRename
 					break
 				}
 			}
 			if in.Class.IsMem() && memOpsInFlight >= cfg.MemQueueSize {
-				stats.StallMemQ++
+				stalled = &stats.StallMemQ
 				break
 			}
 
-			id := nextID
-			e := &rob[id%int64(cfg.ROBSize)]
-			*e = robEntry{
-				id:       id,
-				class:    in.Class,
-				dest:     in.Dest,
-				src1Prod: -1,
-				src2Prod: -1,
-				addr:     in.Addr,
-				pc:       in.PC,
-			}
+			w := waitingInst{id: nextID, src1: -1, src2: -1}
 			if in.Src1 != isa.RegNone {
-				e.src1Prod = renameProd[in.Src1]
+				w.src1 = renameProd[in.Src1]
 			}
 			if in.Src2 != isa.RegNone {
-				e.src2Prod = renameProd[in.Src2]
+				w.src2 = renameProd[in.Src2]
 			}
 			if in.Dest != isa.RegNone {
-				renameProd[in.Dest] = id
+				renameProd[in.Dest] = nextID
 				if in.Dest.IsInt() {
 					intDefsInFlight++
 				} else {
@@ -313,18 +304,23 @@ func (s *Sim) Run(prog []isa.Inst) (*Result, error) {
 			if in.Class.IsMem() {
 				memOpsInFlight++
 			}
+			waiting = append(waiting, w)
 			nextID++
-			fetchQ = fetchQ[1:]
 			dispatched++
 			stats.Dispatched++
 		}
+		if stalled != nil {
+			*stalled++
+		}
 		if dispatched > 0 {
 			busy.markDecode(cycle)
+			moved = true
 		}
 
 		// --- Fetch: up to FetchWidth sequential instructions.
 		if blockingBranch < 0 && cycle >= fetchBusyUntil {
-			for w := 0; w < cfg.FetchWidth && fetched < n && len(fetchQ) < cfg.FetchQueueSize; w++ {
+			for w := 0; w < cfg.FetchWidth && fetched < n && fetched-nextID < int64(cfg.FetchQueueSize); w++ {
+				moved = true // this iteration fetches or starts a stall
 				in := &prog[fetched]
 				line := in.PC >> 7 // 128-byte fetch line
 				if line != curFetchLine {
@@ -337,7 +333,6 @@ func (s *Sim) Run(prog []isa.Inst) (*Result, error) {
 						break
 					}
 				}
-				fetchQ = append(fetchQ, fetchSlot{idx: fetched, fetchedAt: cycle})
 				stats.Fetched++
 				if in.Class == isa.Branch {
 					stats.Branches++
@@ -345,7 +340,7 @@ func (s *Sim) Run(prog []isa.Inst) (*Result, error) {
 					s.bp.update(in.PC, in.Taken)
 					if pred != in.Taken {
 						stats.Mispredicts++
-						blockingBranch = int64(fetched)
+						blockingBranch = fetched
 						fetched++
 						break // stall until the branch resolves
 					}
@@ -357,9 +352,51 @@ func (s *Sim) Run(prog []isa.Inst) (*Result, error) {
 				fetched++
 			}
 		}
+
+		// --- Skip the quiet cycles that follow a quiet cycle. Only
+		// these times can end them: the ROB head's completion, the
+		// earliest cycle a waiting instruction has both operands and a
+		// free unit, and the end of a fetch stall. A waiting
+		// instruction whose producer has not issued cannot issue before
+		// something else moves, so it names no time.
+		if !moved {
+			next := maxCycles
+			wake := func(t int64) {
+				if t > cycle && t < next {
+					next = t
+				}
+			}
+			if headID < nextID {
+				wake(doneAt[headID])
+			}
+			var unitAt [numPools]int64
+			for p, pool := range unitFree {
+				unitAt[p] = pool[0]
+				for _, free := range pool[1:] {
+					unitAt[p] = min(unitAt[p], free)
+				}
+			}
+			for _, w := range waiting {
+				t := unitAt[uses[prog[w.id].Class].pool]
+				if w.src1 >= 0 {
+					t = max(t, doneAt[w.src1])
+				}
+				if w.src2 >= 0 {
+					t = max(t, doneAt[w.src2])
+				}
+				wake(t)
+			}
+			wake(fetchBusyUntil)
+			if skipped := next - cycle - 1; skipped > 0 {
+				if stalled != nil {
+					*stalled += uint64(skipped)
+				}
+				cycle += skipped
+			}
+		}
 	}
 
-	if !retiredAll() {
+	if headID < n {
 		return nil, fmt.Errorf("turandot: exceeded %d cycles with %d/%d retired (livelock?)",
 			maxCycles, headID, n)
 	}
@@ -372,8 +409,8 @@ func (s *Sim) Run(prog []isa.Inst) (*Result, error) {
 		Config: cfg,
 		Stats:  stats,
 	}
-	res.buildBusy(busy, cycle)
-	res.buildRegLive(prog, wbCycle, lastRead, initLastRead[:], cycle, cfg.RegFileEntries)
+	res.DecodeBusy, res.IntBusy, res.FPBusy = busy.build(cycle)
+	res.RegLive = regLive(doneAt, lastRead, initLastRead[:], cycle, cfg.RegFileEntries)
 	return res, nil
 }
 

@@ -1,7 +1,7 @@
 package soferr
 
 import (
-	"github.com/soferr/soferr/internal/turandot"
+	"github.com/soferr/soferr/internal/benchsim"
 	"github.com/soferr/soferr/internal/workload"
 )
 
@@ -39,37 +39,23 @@ func (r *BenchmarkResult) IPC() float64 {
 
 // SimulateBenchmark generates the named synthetic benchmark and runs it
 // through the cycle-level out-of-order timing simulator configured per
-// the paper's Table 1, returning the component masking traces.
+// the paper's Table 1, returning the component masking traces. Besides
+// the Benchmarks names it accepts the phased programs (phased-int,
+// phased-fp) that a Spec's benchmark trace may name.
 //
 // instructions controls trace length (the paper used 100M; a few
 // hundred thousand give stable AVFs in seconds of CPU time). seed makes
 // generation deterministic.
 func SimulateBenchmark(name string, instructions int, seed uint64) (*BenchmarkResult, error) {
-	prof, err := workload.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := prof.Generate(instructions, seed)
-	if err != nil {
-		return nil, err
-	}
-	sim, err := turandot.New(turandot.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.Run(prog)
-	if err != nil {
-		return nil, err
-	}
-	traces, err := res.Traces()
+	traces, stats, err := benchsim.Simulate(name, instructions, seed, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &BenchmarkResult{
 		Name:                 name,
-		Cycles:               res.Stats.Cycles,
-		Instructions:         res.Stats.Instructions,
-		BranchMispredictRate: res.Stats.MispredictRate(),
+		Cycles:               stats.Cycles,
+		Instructions:         stats.Instructions,
+		BranchMispredictRate: stats.MispredictRate(),
 		Decode:               traces.Decode,
 		Int:                  traces.Int,
 		FP:                   traces.FP,

@@ -2,6 +2,7 @@ package soferr_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/soferr/soferr"
@@ -166,6 +167,22 @@ func TestSimulateBenchmarkAndCombined(t *testing.T) {
 	wantAVF := (gzip.Int.AVF() + swim.Int.AVF()) / 2
 	if math.Abs(combined.AVF()-wantAVF) > 0.02 {
 		t.Errorf("combined AVF = %v, want ~%v", combined.AVF(), wantAVF)
+	}
+}
+
+// TestSimulateBenchmarkAcceptsSpecBenchmarks pins SimulateBenchmark to
+// the names a Spec's benchmark trace accepts, the phased programs
+// included.
+func TestSimulateBenchmarkAcceptsSpecBenchmarks(t *testing.T) {
+	for _, name := range append(soferr.Benchmarks(), "phased-int", "phased-fp", "nope") {
+		specErr := soferr.TraceSpec{Kind: soferr.TraceKindBenchmark, Benchmark: name}.Validate()
+		if strings.HasPrefix(name, "phased-") && specErr != nil {
+			t.Fatalf("Spec validation rejects %q: %v", name, specErr)
+		}
+		_, simErr := soferr.SimulateBenchmark(name, 3000, 1)
+		if (specErr == nil) != (simErr == nil) {
+			t.Errorf("%q: Spec validation error %v, SimulateBenchmark error %v", name, specErr, simErr)
+		}
 	}
 }
 

@@ -599,7 +599,8 @@ func (c *Compiler) simulate(key simKey) (*turandot.ComponentTraces, error) {
 }
 
 func (c *Compiler) runSimulation(key simKey) (*turandot.ComponentTraces, error) {
-	return benchsim.Simulate(key.bench, key.instructions, key.seed, c.Log)
+	traces, _, err := benchsim.Simulate(key.bench, key.instructions, key.seed, c.Log)
+	return traces, err
 }
 
 func (c *Compiler) dropSim(key simKey, e *simEntry) {
