@@ -84,8 +84,7 @@ func Simulate(name string, instructions int, seed uint64, log io.Writer) (*turan
 	if err != nil {
 		return nil, turandot.Stats{}, fmt.Errorf("simulate %s: %w", name, err)
 	}
-	traces, err := res.Traces()
-	return traces, res.Stats, err
+	return &res.Traces, res.Stats, nil
 }
 
 // ProcessorUnion builds the processor-level masking trace of a

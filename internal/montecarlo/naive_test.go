@@ -92,10 +92,7 @@ func simulatedTrace(t *testing.T, name string) *trace.Piecewise {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traces, err := res.Traces()
-	if err != nil {
-		t.Fatal(err)
-	}
+	traces := res.Traces
 	return traces.Int
 }
 

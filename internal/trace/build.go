@@ -113,7 +113,7 @@ func FromBits(bits []bool, cycleSeconds float64) (*Piecewise, error) {
 		})
 		runStart = i
 	}
-	return NewPiecewise(segs)
+	return ownPiecewise(segs)
 }
 
 // FromLevels builds a trace from per-cycle vulnerability levels in
@@ -145,7 +145,7 @@ func FromLevels(levels []float64, cycleSeconds float64) (*Piecewise, error) {
 		})
 		runStart = i
 	}
-	return NewPiecewise(segs)
+	return ownPiecewise(segs)
 }
 
 // WeightedUnion combines k unit traces of a processor into one
@@ -176,8 +176,13 @@ func WeightedUnion(weights []float64, traces []*Piecewise) (*Piecewise, error) {
 	if totalW == 0 {
 		return nil, errAllWeightsZero
 	}
+	// Each output segment ends where some input segment ends.
+	total := 0
+	for _, tr := range traces {
+		total += len(tr.segs)
+	}
 	idx := make([]int, len(traces))
-	segs := make([]Segment, 0, len(traces[0].segs))
+	segs := make([]Segment, 0, total)
 	cursor := 0.0
 	for cursor < period {
 		// Current vulnerability and the nearest segment end among traces.
@@ -201,6 +206,8 @@ func WeightedUnion(weights []float64, traces []*Piecewise) (*Piecewise, error) {
 			}
 		}
 	}
+	// NewPiecewise's copy, unlike segs, holds no spare capacity: the
+	// trace may be kept for the life of the process.
 	return NewPiecewise(segs)
 }
 

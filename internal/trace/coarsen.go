@@ -52,5 +52,5 @@ func Coarsen(p *Piecewise, maxSegments int) (*Piecewise, error) {
 		prevExp = exp
 		start = end
 	}
-	return NewPiecewise(segs)
+	return ownPiecewise(segs)
 }

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -103,15 +104,25 @@ var _ Trace = (*Piecewise)(nil)
 // NewPiecewise builds a trace from segments. Segments must start at 0,
 // be contiguous and sorted, end at a positive period, and have
 // vulnerabilities in [0, 1]. Adjacent segments with equal vulnerability
-// are merged.
+// are merged. segs is copied; the caller keeps it.
 func NewPiecewise(segs []Segment) (*Piecewise, error) {
+	return ownPiecewise(slices.Clone(segs))
+}
+
+// ownPiecewise is NewPiecewise for a slice the caller hands over: it
+// checks and merges the segments in place instead of copying them. The
+// trace keeps segs' array, so only exactly sized slices are handed over
+// (FromBits, FromLevels and Coarsen build theirs that way).
+func ownPiecewise(segs []Segment) (*Piecewise, error) {
 	if len(segs) == 0 {
 		return nil, errNoSegments
 	}
 	if segs[0].Start != 0 {
 		return nil, fmt.Errorf("trace: first segment starts at %v, want 0", segs[0].Start)
 	}
-	merged := make([]Segment, 0, len(segs))
+	// merged shares segs' array; it never gets ahead of the reading.
+	merged := segs[:0]
+	prevEnd := 0.0
 	for i, s := range segs {
 		if s.End <= s.Start {
 			return nil, fmt.Errorf("trace: segment %d is empty or reversed: [%v, %v)", i, s.Start, s.End)
@@ -119,9 +130,10 @@ func NewPiecewise(segs []Segment) (*Piecewise, error) {
 		if s.Vuln < 0 || s.Vuln > 1 || math.IsNaN(s.Vuln) {
 			return nil, fmt.Errorf("trace: segment %d vulnerability %v outside [0,1]", i, s.Vuln)
 		}
-		if i > 0 && s.Start != segs[i-1].End { //soferr:allow floatprec segments must tile the period exactly; bitwise contiguity is the documented input contract and a gap must be rejected, not bridged
-			return nil, fmt.Errorf("trace: gap between segment %d end %v and segment %d start %v", i-1, segs[i-1].End, i, s.Start)
+		if i > 0 && s.Start != prevEnd { //soferr:allow floatprec segments must tile the period exactly; bitwise contiguity is the documented input contract and a gap must be rejected, not bridged
+			return nil, fmt.Errorf("trace: gap between segment %d end %v and segment %d start %v", i-1, prevEnd, i, s.Start)
 		}
+		prevEnd = s.End
 		if n := len(merged); n > 0 && merged[n-1].Vuln == s.Vuln { //soferr:allow floatprec coalescing bitwise-identical adjacent vulnerabilities; a near-equal miss only keeps an extra segment, never changes VulnAt
 			merged[n-1].End = s.End
 			continue

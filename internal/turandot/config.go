@@ -10,11 +10,12 @@
 // 32KB/64KB L1 caches, a 1MB unified L2, 128-entry TLBs, and 1/10/77-cycle
 // contentionless latencies.
 //
-// The simulator's product is the set of per-cycle masking traces of
-// Section 4.1: whether the instruction-decode, integer, and floating-point
-// units were busy each cycle (a raw error in an idle unit is masked), and
-// the fraction of register-file entries holding a value that will be read
-// again (an error in a dead register is masked).
+// The simulator's product is the set of cycle-granularity masking
+// traces of Section 4.1: whether the instruction-decode, integer, and
+// floating-point units were busy each cycle (a raw error in an idle unit
+// is masked), and the fraction of register-file entries holding a value
+// that will be read again (an error in a dead register is masked). Run
+// builds them as runs of cycles, never as per-cycle arrays.
 //
 // Run is event-driven but bit-identical to a cycle-by-cycle loop. Each
 // cycle retires, issues, dispatches and fetches in that order; a cycle

@@ -7,13 +7,16 @@ import (
 	"testing"
 
 	"github.com/soferr/soferr/internal/isa"
+	"github.com/soferr/soferr/internal/trace"
 	"github.com/soferr/soferr/internal/workload"
 )
 
-// Run skips quiet cycles and scans only waiting instructions; these
-// tests hold it to referenceRun, the cycle-by-cycle loop, bit for bit:
-// the same Stats, the same busy bitmaps and the same register-liveness
-// levels, or the same error.
+// Run skips quiet cycles, scans only waiting instructions and builds
+// its masking traces without per-cycle arrays; these tests hold it to
+// referenceRun, the cycle-by-cycle loop, bit for bit: the same Stats
+// and the same four masking traces (the reference compresses its
+// per-cycle busy bits and liveness levels with trace.FromBits and
+// trace.FromLevels), or the same error.
 
 // checkMatchesReference runs prog through Run and referenceRun, each on
 // a fresh simulator of cfg, and reports any difference.
@@ -30,22 +33,22 @@ func checkMatchesReference(t *testing.T, cfg Config, prog []isa.Inst) {
 	if got.Stats != want.Stats {
 		t.Fatalf("stats differ:\n  Run       %+v\n  reference %+v", got.Stats, want.Stats)
 	}
-	for _, b := range []struct {
+	for _, c := range []struct {
 		name      string
-		got, want []bool
+		got, want *trace.Piecewise
 	}{
-		{"DecodeBusy", got.DecodeBusy, want.DecodeBusy},
-		{"IntBusy", got.IntBusy, want.IntBusy},
-		{"FPBusy", got.FPBusy, want.FPBusy},
+		{"Decode", got.Traces.Decode, want.Traces.Decode},
+		{"Int", got.Traces.Int, want.Traces.Int},
+		{"FP", got.Traces.FP, want.Traces.FP},
+		{"RegFile", got.Traces.RegFile, want.Traces.RegFile},
 	} {
-		if !slices.Equal(b.got, b.want) {
-			t.Fatalf("%s differs (lengths %d and %d)", b.name, len(b.got), len(b.want))
+		if !slices.EqualFunc(c.got.Segments(), c.want.Segments(), func(a, b trace.Segment) bool {
+			return math.Float64bits(a.Start) == math.Float64bits(b.Start) &&
+				math.Float64bits(a.End) == math.Float64bits(b.End) &&
+				math.Float64bits(a.Vuln) == math.Float64bits(b.Vuln)
+		}) {
+			t.Fatalf("%s trace differs (%d and %d segments)", c.name, c.got.NumSegments(), c.want.NumSegments())
 		}
-	}
-	if !slices.EqualFunc(got.RegLive, want.RegLive, func(a, b float64) bool {
-		return math.Float64bits(a) == math.Float64bits(b)
-	}) {
-		t.Fatalf("RegLive differs (lengths %d and %d)", len(got.RegLive), len(want.RegLive))
 	}
 }
 

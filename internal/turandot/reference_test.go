@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"github.com/soferr/soferr/internal/isa"
+	"github.com/soferr/soferr/internal/trace"
+	"github.com/soferr/soferr/internal/units"
 )
 
 // referenceRun is the cycle-by-cycle simulation loop that Run replaced:
@@ -329,13 +331,36 @@ func referenceRun(s *Sim, prog []isa.Inst) (*Result, error) {
 	stats.Instructions = uint64(n)
 	s.fillMemStats(&stats)
 
-	res := &Result{
-		Config: cfg,
-		Stats:  stats,
+	decode, intU, fpU := busy.build(cycle)
+	live := refRegLive(prog, wbCycle, lastRead, initLastRead[:], cycle, cfg.RegFileEntries)
+	traces, err := refTraces(decode, intU, fpU, live)
+	if err != nil {
+		return nil, err
 	}
-	res.DecodeBusy, res.IntBusy, res.FPBusy = busy.build(cycle)
-	res.RegLive = refRegLive(prog, wbCycle, lastRead, initLastRead[:], cycle, cfg.RegFileEntries)
-	return res, nil
+	return &Result{Config: cfg, Stats: stats, Traces: *traces}, nil
+}
+
+// refTraces compresses the reference loop's per-cycle busy bits and
+// register-liveness levels into masking traces at the base clock.
+func refTraces(decode, intU, fpU []bool, regLive []float64) (*ComponentTraces, error) {
+	const cycleSeconds = units.SecondsPerCycle
+	var (
+		t   ComponentTraces
+		err error
+	)
+	if t.Decode, err = trace.FromBits(decode, cycleSeconds); err != nil {
+		return nil, fmt.Errorf("turandot: decode trace: %w", err)
+	}
+	if t.Int, err = trace.FromBits(intU, cycleSeconds); err != nil {
+		return nil, fmt.Errorf("turandot: int trace: %w", err)
+	}
+	if t.FP, err = trace.FromBits(fpU, cycleSeconds); err != nil {
+		return nil, fmt.Errorf("turandot: fp trace: %w", err)
+	}
+	if t.RegFile, err = trace.FromLevels(regLive, cycleSeconds); err != nil {
+		return nil, fmt.Errorf("turandot: register-file trace: %w", err)
+	}
+	return &t, nil
 }
 
 // refBusyRecorder is the reference loop's busy-bit recorder, which

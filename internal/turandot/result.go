@@ -2,6 +2,7 @@ package turandot
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/soferr/soferr/internal/trace"
 	"github.com/soferr/soferr/internal/units"
@@ -55,98 +56,87 @@ func (s Stats) String() string {
 }
 
 // Result is the outcome of one simulation: timing statistics plus the
-// per-cycle masking information for the four studied components.
+// masking traces of the four studied components.
 type Result struct {
 	Config Config
 	Stats  Stats
 
-	// DecodeBusy, IntBusy, and FPBusy record, per cycle, whether the
-	// instruction-decode, integer, and floating-point units were
-	// processing an instruction (Section 4.1's masking rule: a raw
-	// error in an idle unit is masked).
-	DecodeBusy []bool
-	IntBusy    []bool
-	FPBusy     []bool
-
-	// RegLive records, per cycle, the fraction of register-file entries
-	// holding a value that will be read again (an error in any other
-	// entry is masked).
-	RegLive []float64
+	// Traces are the masking traces at the base clock (Table 1: 2.0
+	// GHz). Decode, Int and FP are vulnerable in the cycles their unit
+	// was processing an instruction (Section 4.1's masking rule: a raw
+	// error in an idle unit is masked); RegFile's level is the fraction
+	// of register-file entries holding a value that will be read again
+	// (an error in any other entry is masked).
+	Traces ComponentTraces
 }
 
-// busyRecorder accumulates busy bits during simulation. Its bitmaps
-// only ever lengthen, so every bit past a bitmap's length is false.
-type busyRecorder struct {
-	decode []bool
-	intU   []bool
-	fpU    []bool
+// busyRuns records when one unit is busy directly as the alternating
+// idle and busy segments of its masking trace; no per-cycle bitmap is
+// built. Marks start at the cycle an instruction issues, which never
+// decreases, so the open busy run [start, end) is final once a mark
+// starts past its end.
+type busyRuns struct {
+	segs       []trace.Segment
+	closed     int64 // segs cover the cycles [0, closed)
+	start, end int64 // the open busy run; empty when start == end
 }
 
-func newBusyRecorder(instructions int) *busyRecorder {
-	est := instructions * 2
-	if est < 1024 {
-		est = 1024
+// mark records that the unit is busy in the cycles [from, to).
+func (b *busyRuns) mark(from, to int64) {
+	if to <= from {
+		return
 	}
-	return &busyRecorder{
-		decode: make([]bool, 0, est),
-		intU:   make([]bool, 0, est),
-		fpU:    make([]bool, 0, est),
+	if b.start < b.end && from <= b.end {
+		b.end = max(b.end, to)
+		return
 	}
+	b.flush()
+	b.start, b.end = from, to
 }
 
-// grow extends b to cover index upto, doubling its capacity when it
-// must reallocate.
-func grow(b []bool, upto int64) []bool {
-	need := int(upto) + 1
-	if need <= len(b) {
-		return b
+// flush closes the open busy run, preceded by the idle gap before it.
+func (b *busyRuns) flush() {
+	if b.start == b.end {
+		return
 	}
-	if need > cap(b) {
-		nb := make([]bool, len(b), max(2*cap(b), need))
-		copy(nb, b)
-		b = nb
+	if len(b.segs)+2 > cap(b.segs) {
+		// Double, rather than append's gentler growth for large
+		// slices, to keep the discarded arrays small.
+		b.segs = slices.Grow(b.segs, len(b.segs)+2)
 	}
-	return b[:need]
+	if b.closed < b.start {
+		b.segs = append(b.segs, cycleSegment(b.closed, b.start, 0))
+	}
+	b.segs = append(b.segs, cycleSegment(b.start, b.end, 1))
+	b.closed, b.start = b.end, b.end
 }
 
-func (r *busyRecorder) markDecode(cycle int64) {
-	r.decode = grow(r.decode, cycle)
-	r.decode[cycle] = true
-}
-
-func (r *busyRecorder) markInt(from, to int64) {
-	r.intU = grow(r.intU, to-1)
-	for c := from; c < to; c++ {
-		r.intU[c] = true
+// trace closes the record at the final cycle count and builds the
+// unit's masking trace.
+func (b *busyRuns) trace(cycles int64) (*trace.Piecewise, error) {
+	b.flush()
+	if b.closed < cycles {
+		b.segs = append(b.segs, cycleSegment(b.closed, cycles, 0))
 	}
+	return trace.NewPiecewise(b.segs)
 }
 
-func (r *busyRecorder) markFP(from, to int64) {
-	r.fpU = grow(r.fpU, to-1)
-	for c := from; c < to; c++ {
-		r.fpU[c] = true
-	}
+// cycleSegment is the segment covering the cycles [from, to).
+func cycleSegment(from, to int64, vuln float64) trace.Segment {
+	const cycleSeconds = units.SecondsPerCycle
+	return trace.Segment{Start: float64(from) * cycleSeconds, End: float64(to) * cycleSeconds, Vuln: vuln}
 }
 
-// build returns the busy bitmaps trimmed to the final cycle count.
-func (r *busyRecorder) build(cycles int64) (decode, intU, fpU []bool) {
-	pad := func(bits []bool) []bool {
-		return grow(bits, cycles-1)[:cycles]
-	}
-	return pad(r.decode), pad(r.intU), pad(r.fpU)
-}
-
-// regLive converts the def/use records into the per-cycle fraction of
-// live register values: a value is live — and an error in it unmasked —
-// from the cycle it is written until the last cycle it is read (Section
-// 4.1's conservative rule). Values never read contribute nothing; only
-// an instruction that writes a register is ever read, so lastRead alone
-// picks out the values.
-func regLive(wbCycle, lastRead, initLastRead []int64, cycles int64, regFileEntries int) []float64 {
+// regLive builds the register-file trace from the def/use records: its
+// level in a cycle is the fraction of live register values, and a value
+// is live — an error in it unmasked — from the cycle it is written
+// until the last cycle it is read (Section 4.1's conservative rule).
+// Values never read contribute nothing; only an instruction that writes
+// a register is ever read, so lastRead alone picks out the values.
+func regLive(wbCycle, lastRead, initLastRead []int64, cycles int64, regFileEntries int) (*trace.Piecewise, error) {
 	// live starts as a difference array of live-value counts and is
-	// prefix-summed in place; the counts are integers, exact in a
-	// float64.
-	live := make([]float64, cycles)
+	// prefix-summed in place.
+	live := make([]int32, cycles)
 	mark := func(from, to int64) {
 		if to < from {
 			return
@@ -172,12 +162,25 @@ func regLive(wbCycle, lastRead, initLastRead []int64, cycles int64, regFileEntri
 			mark(0, initLastRead[reg])
 		}
 	}
-	count := 0.0
-	for c := range live {
-		count += live[c]
-		live[c] = min(count/float64(regFileEntries), 1)
+	level := func(count int32) float64 {
+		return min(float64(count)/float64(regFileEntries), 1)
 	}
-	return live
+	runs, prev := 1, level(live[0])
+	for c := 1; c < len(live); c++ {
+		live[c] += live[c-1]
+		if l := level(live[c]); l != prev {
+			runs, prev = runs+1, l
+		}
+	}
+	segs := make([]trace.Segment, 0, runs)
+	runStart, runLevel := int64(0), level(live[0])
+	for c := int64(1); c < cycles; c++ {
+		if l := level(live[c]); l != runLevel {
+			segs = append(segs, cycleSegment(runStart, c, runLevel))
+			runStart, runLevel = c, l
+		}
+	}
+	return trace.NewPiecewise(append(segs, cycleSegment(runStart, cycles, runLevel)))
 }
 
 // ComponentTraces bundles the masking traces of the four components
@@ -187,27 +190,4 @@ type ComponentTraces struct {
 	Int     *trace.Piecewise
 	FP      *trace.Piecewise
 	RegFile *trace.Piecewise
-}
-
-// Traces converts the per-cycle masking information into masking traces
-// at the base clock (Table 1: 2.0 GHz).
-func (r *Result) Traces() (*ComponentTraces, error) {
-	const cycleSeconds = units.SecondsPerCycle
-	decode, err := trace.FromBits(r.DecodeBusy, cycleSeconds)
-	if err != nil {
-		return nil, fmt.Errorf("turandot: decode trace: %w", err)
-	}
-	intTr, err := trace.FromBits(r.IntBusy, cycleSeconds)
-	if err != nil {
-		return nil, fmt.Errorf("turandot: int trace: %w", err)
-	}
-	fpTr, err := trace.FromBits(r.FPBusy, cycleSeconds)
-	if err != nil {
-		return nil, fmt.Errorf("turandot: fp trace: %w", err)
-	}
-	reg, err := trace.FromLevels(r.RegLive, cycleSeconds)
-	if err != nil {
-		return nil, fmt.Errorf("turandot: register-file trace: %w", err)
-	}
-	return &ComponentTraces{Decode: decode, Int: intTr, FP: fpTr, RegFile: reg}, nil
 }

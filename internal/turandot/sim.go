@@ -88,7 +88,7 @@ func (c Config) unitUses() [isa.Branch + 1]unitUse {
 const maxCyclesPerInst = 1000
 
 // Run simulates prog to completion and returns the timing result,
-// including the per-cycle masking information of Section 4.1. It skips
+// including the masking traces of Section 4.1. It skips
 // quiet cycles as the package documentation describes.
 func (s *Sim) Run(prog []isa.Inst) (*Result, error) {
 	if len(prog) == 0 {
@@ -148,7 +148,9 @@ func (s *Sim) Run(prog []isa.Inst) (*Result, error) {
 		// Reads of pre-existing architectural values.
 		initLastRead [isa.NumRegs + 1]int64
 
-		busy  = newBusyRecorder(int(n))
+		// Busy runs of the decode, integer and floating-point units.
+		decodeBusy, intBusy, fpBusy busyRuns
+
 		stats Stats
 	)
 	for i := range renameProd {
@@ -245,9 +247,9 @@ func (s *Sim) Run(prog []isa.Inst) (*Result, error) {
 			// a unit is busy every cycle it is processing an instruction.
 			switch {
 			case in.Class.IsInt():
-				busy.markInt(cycle, done)
+				intBusy.mark(cycle, done)
 			case in.Class.IsFP():
-				busy.markFP(cycle, done)
+				fpBusy.mark(cycle, done)
 			}
 
 			// A resolving branch unblocks fetch after its resolution.
@@ -313,7 +315,7 @@ func (s *Sim) Run(prog []isa.Inst) (*Result, error) {
 			*stalled++
 		}
 		if dispatched > 0 {
-			busy.markDecode(cycle)
+			decodeBusy.mark(cycle, cycle+1)
 			moved = true
 		}
 
@@ -409,8 +411,19 @@ func (s *Sim) Run(prog []isa.Inst) (*Result, error) {
 		Config: cfg,
 		Stats:  stats,
 	}
-	res.DecodeBusy, res.IntBusy, res.FPBusy = busy.build(cycle)
-	res.RegLive = regLive(doneAt, lastRead, initLastRead[:], cycle, cfg.RegFileEntries)
+	var err error
+	if res.Traces.Decode, err = decodeBusy.trace(cycle); err != nil {
+		return nil, fmt.Errorf("turandot: decode trace: %w", err)
+	}
+	if res.Traces.Int, err = intBusy.trace(cycle); err != nil {
+		return nil, fmt.Errorf("turandot: int trace: %w", err)
+	}
+	if res.Traces.FP, err = fpBusy.trace(cycle); err != nil {
+		return nil, fmt.Errorf("turandot: fp trace: %w", err)
+	}
+	if res.Traces.RegFile, err = regLive(doneAt, lastRead, initLastRead[:], cycle, cfg.RegFileEntries); err != nil {
+		return nil, fmt.Errorf("turandot: register-file trace: %w", err)
+	}
 	return res, nil
 }
 

@@ -246,27 +246,15 @@ func TestBusyBitsMatchWorkloadClass(t *testing.T) {
 		fpOnly[i] = isa.Inst{Class: isa.FPOp, Dest: isa.FPReg(4 + i%16), Src1: isa.FPReg(1)}
 	}
 	res := run(t, seqPCs(fpOnly))
-	for c, b := range res.IntBusy {
-		if b {
-			t.Fatalf("integer unit busy at cycle %d in FP-only program", c)
+	for _, s := range res.Traces.Int.Segments() {
+		if s.Vuln != 0 {
+			t.Fatalf("integer unit busy at %v s in FP-only program", s.Start)
 		}
 	}
-	fpBusy := 0
-	for _, b := range res.FPBusy {
-		if b {
-			fpBusy++
-		}
-	}
-	if fpBusy == 0 {
+	if res.Traces.FP.AVF() == 0 {
 		t.Error("FP unit never busy in FP-only program")
 	}
-	decodeBusy := 0
-	for _, b := range res.DecodeBusy {
-		if b {
-			decodeBusy++
-		}
-	}
-	if decodeBusy == 0 {
+	if res.Traces.Decode.AVF() == 0 {
 		t.Error("decode never busy")
 	}
 }
@@ -281,13 +269,7 @@ func TestBusyDurationsScaleWithLatency(t *testing.T) {
 		prog[i] = isa.Inst{Class: isa.FPOp, Dest: isa.FPReg(4 + i%16), Src1: isa.FPReg(1)}
 	}
 	res := run(t, seqPCs(prog))
-	busy := 0
-	for _, b := range res.FPBusy {
-		if b {
-			busy++
-		}
-	}
-	if frac := float64(busy) / float64(res.Stats.Cycles); frac < 0.75 {
+	if frac := res.Traces.FP.AVF(); frac < 0.75 {
 		t.Errorf("FP busy fraction = %v, want > 0.75 for a saturated FP stream", frac)
 	}
 }
@@ -311,23 +293,16 @@ func TestRegLiveReflectsDeadValues(t *testing.T) {
 	}
 	live := run(t, mkLive())
 	dead := run(t, mkDead())
-	avg := func(xs []float64) float64 {
-		s := 0.0
-		for _, x := range xs {
-			s += x
-		}
-		return s / float64(len(xs))
-	}
-	liveAvg, deadAvg := avg(live.RegLive), avg(dead.RegLive)
+	liveAvg, deadAvg := live.Traces.RegFile.AVF(), dead.Traces.RegFile.AVF()
 	if liveAvg <= deadAvg {
 		t.Errorf("reg liveness: live program %v <= dead program %v", liveAvg, deadAvg)
 	}
 	if deadAvg > 0.02 {
 		t.Errorf("dead program liveness = %v, want ~0", deadAvg)
 	}
-	for c, f := range live.RegLive {
-		if f < 0 || f > 1 {
-			t.Fatalf("liveness out of range at cycle %d: %v", c, f)
+	for _, s := range live.Traces.RegFile.Segments() {
+		if s.Vuln < 0 || s.Vuln > 1 {
+			t.Fatalf("liveness out of range at %v s: %v", s.Start, s.Vuln)
 		}
 	}
 }
@@ -343,10 +318,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestTracesRoundTrip(t *testing.T) {
 	res := run(t, aluIndependent(3000))
-	traces, err := res.Traces()
-	if err != nil {
-		t.Fatal(err)
-	}
+	traces := res.Traces
 	wantPeriod := float64(res.Stats.Cycles) * 0.5e-9
 	for name, tr := range map[string]interface {
 		Period() float64

@@ -33,10 +33,7 @@ func TestIntBenchmarkUtilization(t *testing.T) {
 	// An integer benchmark must exercise the integer unit far more than
 	// the FP unit (Section 4.1's masking traces depend on this contrast).
 	res := simulate(t, "gzip", 60000)
-	traces, err := res.Traces()
-	if err != nil {
-		t.Fatal(err)
-	}
+	traces := res.Traces
 	if traces.Int.AVF() < 0.05 {
 		t.Errorf("gzip integer AVF = %v, implausibly idle", traces.Int.AVF())
 	}
@@ -53,10 +50,7 @@ func TestIntBenchmarkUtilization(t *testing.T) {
 
 func TestFPBenchmarkUtilization(t *testing.T) {
 	res := simulate(t, "swim", 60000)
-	traces, err := res.Traces()
-	if err != nil {
-		t.Fatal(err)
-	}
+	traces := res.Traces
 	if traces.FP.AVF() < 0.10 {
 		t.Errorf("swim FP AVF = %v, implausibly idle", traces.FP.AVF())
 	}
@@ -101,10 +95,7 @@ func TestAllBenchmarksRunAndProduceTraces(t *testing.T) {
 			if ipc := res.Stats.IPC(); ipc < 0.02 || ipc > 5 {
 				t.Errorf("IPC = %v implausible", ipc)
 			}
-			traces, err := res.Traces()
-			if err != nil {
-				t.Fatal(err)
-			}
+			traces := res.Traces
 			for name, avf := range map[string]float64{
 				"decode": traces.Decode.AVF(),
 				"int":    traces.Int.AVF(),
