@@ -70,13 +70,17 @@ lint-fix-baseline:
 # it once found (a 1e70/yr gzip trace; a 2.1e8 s busy/idle period), so
 # they are replayed on every run. FuzzSimulatorMatchesReference holds
 # the event-driven timing simulator to its cycle-by-cycle reference loop
-# on random short programs and configurations.
+# on random short programs and configurations. Its execs cost ~0.3 ms,
+# so the default 60 s -fuzzminimizetime, spent shrinking the first
+# new-coverage input, would outlast the 15 s budget with the exec count
+# flat (138 execs, no new input); capped at 2 s it fuzzes (~33k execs,
+# ~40 new inputs). The other targets run ~330k execs without the cap.
 fuzz-smoke:
 	$(GO) test -run FuzzSpecDecode -fuzz FuzzSpecDecode -fuzztime 15s .
 	$(GO) test -run FuzzMergedExposure -fuzz FuzzMergedExposure -fuzztime 15s ./internal/trace
 	$(GO) test -run FuzzBatchedInversion -fuzz FuzzBatchedInversion -fuzztime 15s ./internal/trace
 	$(GO) test -run FuzzExactEngine -fuzz FuzzExactEngine -fuzztime 15s .
-	$(GO) test -run FuzzSimulatorMatchesReference -fuzz FuzzSimulatorMatchesReference -fuzztime 15s ./internal/turandot
+	$(GO) test -run FuzzSimulatorMatchesReference -fuzz FuzzSimulatorMatchesReference -fuzztime 15s -fuzzminimizetime 2s ./internal/turandot
 
 # bench-go runs the Go benchmarks of the root package (experiments,
 # queries, substrates), of the Monte-Carlo engines (among them

@@ -19,7 +19,9 @@
 //
 //   - Masking traces (Trace): periodic descriptions of when a raw error
 //     in a component would be masked, built from schedules, bit vectors,
-//     or the bundled cycle-level processor simulator.
+//     or the bundled cycle-level processor simulator. Every estimator
+//     reads a trace through its cumulative exposure, which each trace
+//     tabulates, evaluates and inverts.
 //   - A compiled System (NewSystem): validate components once,
 //     precompute what every estimator shares, then query MTTF by method
 //     (AVFSOFR, MonteCarlo, SoftArch), compare methods on identical
@@ -37,10 +39,9 @@
 //     wherever every draw of a trial has a Sobol dimension:
 //     quasi-Monte-Carlo reaches a 1% precision target in a quarter of
 //     the PCG trial count, with the standard error estimated from 256
-//     independently scrambled replicates. Fixed-trial queries and
-//     systems with thinning-fallback components run PCG, and
-//     WithSampler names either sampler outright. Every estimate records
-//     the sampler that ran (Estimate.Sampler).
+//     independently scrambled replicates. Fixed-trial queries run PCG,
+//     and WithSampler names either sampler outright. Every estimate
+//     records the sampler that ran (Estimate.Sampler).
 //   - A design-space sweep engine (Sweep, SweepStream, SweepCells): a
 //     Grid of named axes — workloads/traces, raw rates, component
 //     counts, estimator methods — evaluated concurrently with one

@@ -311,8 +311,8 @@ func TestNameParsingCaseInsensitive(t *testing.T) {
 	}
 
 	engineCases := map[string]soferr.Engine{
-		"Fused": soferr.Fused, "FUSED": soferr.EngineFused,
-		"exact": soferr.Exact, "Exact": soferr.EngineExact,
+		"Fused": soferr.Fused, "FUSED": soferr.Fused,
+		"exact": soferr.Exact, "Exact": soferr.Exact,
 	}
 	for name, want := range engineCases {
 		got, err := soferr.EngineByName(name)

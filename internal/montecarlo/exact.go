@@ -25,15 +25,6 @@ var ErrExactUnavailable = errors.New("montecarlo: exact engine cannot tabulate t
 // queries are unaffected.
 var ErrExactNoSamples = errors.New("montecarlo: exact engine is deterministic and has no failure-time samples to collect")
 
-// exactExposure is the capability a single component's trace must
-// provide for the distribution queries (Reliability, FailureQuantile):
-// an evaluable and invertible cumulative exposure. trace.Piecewise and
-// the lazy trace.LongLoop both provide it.
-type exactExposure interface {
-	Exposure(x float64) float64
-	InvertExposure(e float64) float64
-}
-
 // exactState is the Exact engine's precomputation: the one-hyperperiod
 // survival integral, the per-hyperperiod hazard, and the (evaluate,
 // invert) pair over the cumulative hazard H. Every exact query is then
@@ -59,9 +50,7 @@ type exactState struct {
 	integral float64 // int_0^P exp(-H(s)) ds
 	mttf     float64
 	// cumHaz evaluates H on [0, P]; invert is its right-continuous
-	// generalized inverse. nil (with err nil) only for a single trace
-	// that can integrate survival but not evaluate exposure (a custom
-	// Trace); MTTF still works, the distribution queries refuse.
+	// generalized inverse.
 	cumHaz func(x float64) float64
 	invert func(h float64) float64
 }
@@ -93,17 +82,14 @@ func newExactState(components []Component) *exactState {
 		// m(t). This covers every trace kind, lazy LongLoops and
 		// tables beyond the merge cap included, so a one-component
 		// system is never refused.
-		comp := live[0]
-		integral, exposure := comp.Trace.SurvivalIntegral(comp.Rate)
+		tr, rate := live[0].Trace, live[0].Rate
+		integral, exposure := tr.SurvivalIntegral(rate)
 		es := &exactState{
-			period:   comp.Trace.Period(),
+			period:   tr.Period(),
 			totalHaz: exposure,
 			integral: integral,
-		}
-		if et, ok := comp.Trace.(exactExposure); ok {
-			rate := comp.Rate
-			es.cumHaz = func(x float64) float64 { return rate * et.Exposure(x) }
-			es.invert = func(h float64) float64 { return et.InvertExposure(h / rate) }
+			cumHaz:   func(x float64) float64 { return rate * tr.Exposure(x) },
+			invert:   func(h float64) float64 { return tr.InvertExposure(h / rate) },
 		}
 		es.finish()
 		return es
@@ -182,9 +168,6 @@ func (c *Compiled) ExactReliability(t float64) (float64, error) {
 	if es.infinite {
 		return 1, nil
 	}
-	if es.cumHaz == nil {
-		return 0, fmt.Errorf("%w: trace cannot evaluate cumulative exposure", ErrExactUnavailable)
-	}
 	if math.IsInf(t, 1) {
 		return 0, nil
 	}
@@ -231,9 +214,6 @@ func (c *Compiled) ExactFailureQuantile(p float64) (float64, error) {
 	}
 	if es.infinite || p == 1 {
 		return math.Inf(1), nil
-	}
-	if es.invert == nil {
-		return 0, fmt.Errorf("%w: trace cannot invert cumulative exposure", ErrExactUnavailable)
 	}
 	// F(t) > p  <=>  H(t) > -log1p(-p). Log1p keeps tiny p exact: the
 	// target hazard for p = 1e-18 is 1e-18, not the 0 that log(1-p)

@@ -227,6 +227,64 @@ func TestExactLazySingleComponent(t *testing.T) {
 	}
 }
 
+// TestExactSingleComponentAnyTrace: one failing component needs no
+// merge, so the Exact engine answers MTTF, Reliability and
+// FailureQuantile on any Trace through its exposure methods. A trace
+// implemented outside package trace that forwards a Piecewise's or a
+// LongLoop's method set gets the same answers, bit for bit, as the
+// trace it wraps.
+func TestExactSingleComponentAnyTrace(t *testing.T) {
+	frac, err := trace.NewPiecewise([]trace.Segment{
+		{Start: 0, End: 2, Vuln: 0.5}, {Start: 2, End: 5, Vuln: 0}, {Start: 5, End: 6, Vuln: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ll, err := trace.NewLongLoop(trace.LoopPhase{Inner: busyIdle(t, 10, 4), Reps: 3}, trace.LoopPhase{Inner: frac, Reps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rate = 0.02
+	for _, tc := range []struct {
+		name string
+		tr   trace.Trace
+	}{
+		{"busy-idle", busyIdle(t, 10, 4)},
+		{"fractional", frac},
+		{"long loop", ll},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bare := mustCompile(t, []Component{{Rate: rate, Trace: tc.tr}})
+			wrapped := mustCompile(t, []Component{{Rate: rate, Trace: opaqueTrace{tc.tr}}})
+			want, err := bare.ExactMTTF()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := wrapped.ExactMTTF(); err != nil || got != want {
+				t.Errorf("ExactMTTF = %v, %v; want %v", got, err, want)
+			}
+			for _, x := range []float64{0, 1.5, 4, 7, 33.3, 1e3} {
+				want, err := bare.ExactReliability(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err := wrapped.ExactReliability(x); err != nil || got != want {
+					t.Errorf("ExactReliability(%v) = %v, %v; want %v", x, got, err, want)
+				}
+			}
+			for _, p := range []float64{0, 0.1, 0.5, 0.99} {
+				want, err := bare.ExactFailureQuantile(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err := wrapped.ExactFailureQuantile(p); err != nil || got != want {
+					t.Errorf("ExactFailureQuantile(%v) = %v, %v; want %v", p, got, err, want)
+				}
+			}
+		})
+	}
+}
+
 func TestExactNeverFailing(t *testing.T) {
 	// Zero AVF: the well-typed never-failing answer on every exact
 	// query — +Inf MTTF through the run path included.

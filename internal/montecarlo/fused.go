@@ -22,13 +22,13 @@ import (
 // costs O(log S_total) regardless of the component count.
 //
 // Components fall back out of the merge in two ways, both preserving
-// exactness: a non-materialized trace (lazy LongLoop, or any custom
-// Trace) is sampled per component (closed form via its own
-// ExposureInverter, or thinning), and if the materialized traces'
-// periods are incommensurate — or the merged table would exceed the
-// segment cap — the whole merge degrades to per-component inverted
-// sampling. The min of the merged draw and the fallback draws is the
-// system failure time either way.
+// exactness: a non-materialized trace (lazy LongLoop, or any other
+// Trace that is not a Piecewise) is sampled per component by inverting
+// its own exposure, and if the materialized traces' periods are
+// incommensurate — or the merged table would exceed the segment cap —
+// the whole merge degrades to per-component inverted sampling. The min
+// of the merged draw and the fallback draws is the system failure time
+// either way.
 type fusedState struct {
 	// merged is nil when no component could join the merge (or the
 	// merge failed); rest then carries every live component.
@@ -86,14 +86,13 @@ func newFusedState(components []Component) *fusedState {
 }
 
 // trialFused samples one system failure time: one closed-form draw on
-// the merged hazard table, then per-component fallback draws for
-// components outside the merge (exposure inversion, or thinning for
-// traces without an exposure table), taking the min. A trial in which
-// nothing fails within the representable horizon (every per-period
-// exposure underflowed to zero) reports +Inf rather than an error.
+// the merged hazard table, then one exposure-inversion draw per
+// component outside the merge, taking the min. A trial in which nothing
+// fails within the representable horizon (every per-period exposure
+// underflowed to zero) reports +Inf.
 //
 //soferr:hotpath
-func trialFused(fs *fusedState, ds *drawSource, maxArrivals int) (float64, error) {
+func trialFused(fs *fusedState, ds *drawSource) float64 {
 	best := math.Inf(1)
 	if fs.merged != nil && fs.totalHaz > 0 {
 		// Identical math to invComp.sample, one level up: whole survived
@@ -105,20 +104,9 @@ func trialFused(fs *fusedState, ds *drawSource, maxArrivals int) (float64, error
 		best = k*fs.period + fs.merged.Invert(h)
 	}
 	for i := range fs.rest {
-		ic := &fs.rest[i]
-		if ic.thinning {
-			t, failed, err := thinFirstArrival(ic.comp, &ds.rng, best, maxArrivals)
-			if err != nil {
-				return 0, err
-			}
-			if failed && t < best {
-				best = t
-			}
-			continue
-		}
-		if t := ic.sample(ds); t < best {
+		if t := fs.rest[i].sample(ds); t < best {
 			best = t
 		}
 	}
-	return best, nil
+	return best
 }

@@ -15,10 +15,8 @@ type goldenRun struct {
 	samples bool // pin the first 8 TTFSamples instead of the summary
 }
 
-// goldenSystems are the three Fused trial paths: a merged table alone,
-// an incommensurate pair (no merge, per-component inversion), and a
-// merged table beside a component without an exposure table
-// (thinning).
+// goldenSystems are the two Fused trial paths: a merged table alone,
+// and an incommensurate pair (no merge, per-component inversion).
 func goldenSystems(t *testing.T) map[string][]Component {
 	return map[string][]Component{
 		"merged": fusedTestSystem(t),
@@ -26,28 +24,19 @@ func goldenSystems(t *testing.T) map[string][]Component {
 			{Name: "unit", Rate: 0.1, Trace: busyIdle(t, 1, 0.4)},
 			{Name: "pi", Rate: 0.07, Trace: busyIdle(t, math.Pi, 1)},
 		},
-		"thinning": append(fusedTestSystem(t), Component{Name: "opaque", Rate: 0.05, Trace: opaqueTrace{p: busyIdle(t, 1e-3, 0.5e-3)}}),
 	}
 }
 
 // goldenRuns covers fixed and adaptive summaries and raw samples under
 // both samplers, each named outright (DefaultSampler resolves to one of
-// them; TestDefaultSamplerResolution pins which). Sobol refuses the
-// thinning system, so it runs PCG only.
-func goldenRuns(system string) []goldenRun {
-	runs := []goldenRun{
-		{name: "pcg/fixed", cfg: Config{Trials: 3*trialBlock + 123, Seed: 11, Workers: 3, Sampler: PCG}},
-		{name: "pcg/adaptive", cfg: Config{Trials: 16 * trialBlock, Seed: 11, Workers: 3, Sampler: PCG, TargetRelStdErr: 0.01}},
-		{name: "pcg/samples", cfg: Config{Trials: trialBlock + 5, Seed: 11, Workers: 3, Sampler: PCG}, samples: true},
-	}
-	if system == "thinning" {
-		return runs
-	}
-	return append(runs,
-		goldenRun{name: "sobol/fixed", cfg: Config{Trials: 3 * trialBlock, Seed: 23, Workers: 3, Sampler: Sobol}},
-		goldenRun{name: "sobol/adaptive", cfg: Config{Trials: 16 * trialBlock, Seed: 23, Workers: 3, Sampler: Sobol, TargetRelStdErr: 0.0003}},
-		goldenRun{name: "sobol/samples", cfg: Config{Trials: trialBlock + 5, Seed: 23, Workers: 3, Sampler: Sobol}, samples: true},
-	)
+// them; TestDefaultSamplerResolution pins which).
+var goldenRuns = []goldenRun{
+	{name: "pcg/fixed", cfg: Config{Trials: 3*trialBlock + 123, Seed: 11, Workers: 3, Sampler: PCG}},
+	{name: "pcg/adaptive", cfg: Config{Trials: 16 * trialBlock, Seed: 11, Workers: 3, Sampler: PCG, TargetRelStdErr: 0.01}},
+	{name: "pcg/samples", cfg: Config{Trials: trialBlock + 5, Seed: 11, Workers: 3, Sampler: PCG}, samples: true},
+	{name: "sobol/fixed", cfg: Config{Trials: 3 * trialBlock, Seed: 23, Workers: 3, Sampler: Sobol}},
+	{name: "sobol/adaptive", cfg: Config{Trials: 16 * trialBlock, Seed: 23, Workers: 3, Sampler: Sobol, TargetRelStdErr: 0.0003}},
+	{name: "sobol/samples", cfg: Config{Trials: trialBlock + 5, Seed: 23, Workers: 3, Sampler: Sobol}, samples: true},
 }
 
 // goldenBits runs one pinned query and returns its output as bits:
@@ -93,9 +82,6 @@ var goldenWant = map[string][]uint64{
 	"incommensurate/sobol/fixed":    {0x402ee438feec4742, 0x3f9f06a935a4a70c, 0x3000},
 	"incommensurate/sobol/adaptive": {0x402ef2d7d456b2cd, 0x3f7d0e6ee319f269, 0x10000},
 	"incommensurate/sobol/samples":  {0x3fea7d8903076649, 0x40312134cbe6dcf7, 0x401535cbc53d556e, 0x4042e80d7a2f28f7, 0x40419b9886a05a6e, 0x403b54a35b66eb36, 0x40082ca131256ea5, 0x404797f69f23fc70},
-	"thinning/pcg/fixed":            {0x402ca11ea88b498c, 0x3fc1cf9244ce8caa, 0x307b},
-	"thinning/pcg/adaptive":         {0x402ca7fbc106f50e, 0x3fbf088f3ca356c0, 0x4000},
-	"thinning/pcg/samples":          {0x4043d4e8814b174e, 0x403c41a3ebfeb7a8, 0x3ffb495174b5a3e7, 0x4024373e461b3f05, 0x400090819e55afa4, 0x40492c2c930ddb57, 0x40395de9a325819d, 0x3fe1792584ab5537},
 }
 
 // TestFusedSeededStreamGolden pins seeded Fused answers bit for bit
@@ -117,7 +103,7 @@ func TestFusedSeededStreamGolden(t *testing.T) {
 		case system != "incommensurate" && fs.merged == nil:
 			t.Fatalf("%s: no merged table", system)
 		}
-		for _, run := range goldenRuns(system) {
+		for _, run := range goldenRuns {
 			key := system + "/" + run.name
 			got := goldenBits(t, c, run)
 			want, ok := goldenWant[key]

@@ -4,19 +4,8 @@ import (
 	"math"
 
 	"github.com/soferr/soferr/internal/numeric"
+	"github.com/soferr/soferr/internal/trace"
 )
-
-// ExposureInverter is the trace capability per-component inverted
-// sampling needs: a precomputed cumulative-exposure table that can be
-// inverted in O(log S). trace.Piecewise and the lazy trace.LongLoop
-// implement it; the Fused engine samples components outside its merged
-// table through it, and falls back to literal thinning for traces that
-// do not implement it.
-type ExposureInverter interface {
-	Period() float64
-	TotalExposure() float64
-	InvertExposure(e float64) float64
-}
 
 // invComp is the per-component precomputation for inverted sampling.
 //
@@ -37,16 +26,11 @@ type invComp struct {
 	pFail float64
 	// perPeriodExposure = rate * m(L): the cumulative hazard of one period.
 	perPeriodExposure float64
-	inv               ExposureInverter
-
-	// Fallback when the trace cannot invert exposure: literal thinning.
-	thinning bool
-	comp     *Component
+	tr                trace.Trace
 }
 
 // newInvComps precomputes inverted samplers for every component that
-// can fail. Components whose traces lack an exposure table fall back to
-// thinning.
+// can fail.
 func newInvComps(components []Component) []invComp {
 	out := make([]invComp, 0, len(components))
 	for i := range components {
@@ -54,18 +38,13 @@ func newInvComps(components []Component) []invComp {
 		if c.Rate == 0 || c.Trace.AVF() == 0 {
 			continue // can never fail; contributes +Inf to the min
 		}
-		inv, ok := c.Trace.(ExposureInverter)
-		if !ok {
-			out = append(out, invComp{thinning: true, comp: c})
-			continue
-		}
-		h := c.Rate * inv.TotalExposure()
+		h := c.Rate * c.Trace.TotalExposure()
 		out = append(out, invComp{
 			rate:              c.Rate,
-			period:            inv.Period(),
+			period:            c.Trace.Period(),
 			pFail:             numeric.OneMinusExpNeg(h),
 			perPeriodExposure: h,
-			inv:               inv,
+			tr:                c.Trace,
 		})
 	}
 	return out
@@ -94,5 +73,5 @@ func (ic *invComp) sample(ds *drawSource) float64 {
 	// exponential with mass pFail, mapped back to time by one binary
 	// search over the trace's cumulative-exposure table.
 	e := numeric.TruncExpInvCDF(ds.Float64(), ic.pFail) / ic.rate
-	return k*ic.period + ic.inv.InvertExposure(e)
+	return k*ic.period + ic.tr.InvertExposure(e)
 }

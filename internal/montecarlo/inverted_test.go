@@ -153,31 +153,6 @@ func TestInvertedDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestInvertedFallbackNonInvertibleTrace(t *testing.T) {
-	// A custom trace with no exposure table cannot join the merge or be
-	// inverted; Fused must fall back to literal thinning for it and
-	// still match the closed form.
-	const rate, period, busy = 0.05, 10.0, 5.0
-	c, err := Compile([]Component{{Name: "opaque", Rate: rate, Trace: opaqueTrace{p: busyIdle(t, period, busy)}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs := c.fusedState(); fs.merged != nil || len(fs.rest) != 1 || !fs.rest[0].thinning {
-		t.Fatalf("opaque trace not on the thinning fallback: merged %v, rest %+v", fs.merged != nil, fs.rest)
-	}
-	res, err := c.MTTF(context.Background(), Config{Trials: 60000, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := analytic.BusyIdleMTTF(rate, period, busy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if numeric.RelErr(res.MTTF, want) > 0.02 {
-		t.Errorf("MTTF = %v, closed form %v (relerr %v, stderr %v)", res.MTTF, want, numeric.RelErr(res.MTTF, want), res.RelStdErr())
-	}
-}
-
 func TestInvertedSamplesMatchSummary(t *testing.T) {
 	// The collect path (raw samples) and the streaming path must agree
 	// on the mean exactly up to accumulation order.
@@ -224,29 +199,10 @@ func TestEngineNames(t *testing.T) {
 	}
 }
 
-func TestFailFastOnBadTrace(t *testing.T) {
-	// A vanishing-AVF component without an exposure table runs on the
-	// thinning fallback; with a tiny arrival cap it must error out, and
-	// cancellation must keep it from burning the whole budget (the test
-	// would time out if every trial ran to the cap).
-	p, err := trace.NewPiecewise([]trace.Segment{{Start: 0, End: 10, Vuln: 1e-15}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = SystemMTTF(
-		context.Background(),
-		[]Component{{Name: "bad", Rate: 1, Trace: opaqueTrace{p: p}}},
-		Config{Trials: 1 << 20, Seed: 1, MaxArrivalsPerTrial: 100},
-	)
-	if err == nil {
-		t.Fatal("expected an arrival-cap error")
-	}
-}
-
 func BenchmarkEngines(b *testing.B) {
 	// Head-to-head cost on the same low-AVF narrow-window trace, where
-	// arrival enumeration is most expensive: the merged Fused trial,
-	// the per-component inverted path, and the thinning fallback.
+	// arrival enumeration would be most expensive: the merged Fused
+	// trial and the per-component inverted path.
 	tr, err := trace.BusyIdle(1000, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -258,7 +214,6 @@ func BenchmarkEngines(b *testing.B) {
 	}{
 		{"fused", mustCompile(b, comps)},
 		{"inverted", perComponent(b, comps)},
-		{"thinning", mustCompile(b, []Component{{Rate: 0.01, Trace: opaqueTrace{p: tr}}})},
 	} {
 		b.Run(e.name, func(b *testing.B) {
 			if _, err := e.c.MTTF(context.Background(), Config{Trials: b.N, Seed: 1}); err != nil {

@@ -19,10 +19,9 @@
 //     O(log S_total) per trial, independent of the raw rate, the AVF,
 //     and the component count. Components outside the merge
 //     (non-materialized traces, incommensurate periods, over-cap
-//     tables) are sampled per component inside the same trial: by
-//     inverting their own exposure table when they have one, and by
-//     literal thinning of raw arrivals when they do not. It is the
-//     default (the zero Engine).
+//     tables) are sampled per component inside the same trial, each by
+//     inverting its own cumulative exposure. It is the default (the
+//     zero Engine).
 //   - The exact engine is not a sampler at all: it integrates the
 //     merged hazard table once — segment-wise closed-form
 //     int exp(-H(t)) dt within one hyperperiod, geometric tail
@@ -84,9 +83,8 @@ const (
 	// trial, O(log S_total), independent of rate, AVF, and component
 	// count. Components whose traces cannot join the merge
 	// (non-materialized traces, incommensurate periods) are sampled
-	// per component inside the same trial: by exposure inversion, or by
-	// thinning for traces without an exposure table (see
-	// ExposureInverter). The default engine.
+	// per component inside the same trial by exposure inversion. The
+	// default engine.
 	Fused Engine = iota
 	// Exact integrates the merged cumulative-hazard table in closed
 	// form instead of sampling it: MTTF = int_0^inf exp(-H(t)) dt,
@@ -160,11 +158,6 @@ type Config struct {
 	Workers int
 	// Engine selects the trial implementation (default Fused).
 	Engine Engine
-	// MaxArrivalsPerTrial aborts pathological trials (vanishing AVF with
-	// a non-zero rate) in the thinning fallback, the only path that
-	// enumerates raw arrivals (components whose traces have no exposure
-	// table). Default 100 million.
-	MaxArrivalsPerTrial int
 	// TargetRelStdErr, when positive, switches the run to adaptive
 	// precision targeting: trials run in deterministic doubling rounds
 	// until the streamed relative standard error (StdErr/MTTF) reaches
@@ -176,9 +169,7 @@ type Config struct {
 	TargetRelStdErr float64
 	// Sampler selects the uniform source beneath the trial kernels.
 	// DefaultSampler resolves per run: Sobol for an adaptive run that
-	// allows it, PCG otherwise (see DefaultSampler). An explicit Sobol
-	// requires a fully invertible system (no thinning fallback); see
-	// ErrSamplerUnsupported.
+	// allows it, PCG otherwise (see DefaultSampler).
 	Sampler Sampler
 }
 
@@ -246,7 +237,6 @@ const fiRelayPoint = "montecarlo.cancelrelay"
 // trial loop.
 type Compiled struct {
 	components []Component
-	total      float64
 	// anyVulnerable records whether some component can ever fail; when
 	// false every MTTF query reports +Inf (and TTFSamples returns
 	// ErrNoFailurePossible).
@@ -284,19 +274,12 @@ func Compile(components []Component) (*Compiled, error) {
 		if comp.Trace == nil {
 			return nil, fmt.Errorf("montecarlo: component %d (%s) has nil trace", i, comp.Name)
 		}
-		c.total += comp.Rate
 		if comp.Rate > 0 && comp.Trace.AVF() > 0 {
 			c.anyVulnerable = true
 		}
 	}
 	return c, nil
 }
-
-// Components returns the compiled component list (shared; read-only).
-func (c *Compiled) Components() []Component { return c.components }
-
-// TotalRate returns the summed raw error rate in errors/second.
-func (c *Compiled) TotalRate() float64 { return c.total }
 
 // MTTF estimates the system MTTF. Failure times are folded into
 // streaming accumulators as they are produced, so memory is O(workers),
@@ -434,31 +417,21 @@ func mergeBlockAccs(merged, accs []numeric.Welford) {
 
 // newBlockRunner resolves a Config into a ready-to-run blockRunner:
 // the Fused trial kernel and the sampler mode. It is the one place that
-// knows the system's draw layout, so it validates an explicit Sobol
-// against it and resolves DefaultSampler for a run of trials (the cap,
-// when adaptive).
+// knows the system's draw layout, so it resolves DefaultSampler for a
+// run of trials (the cap, when adaptive).
 func (c *Compiled) newBlockRunner(cfg Config, trials int, adaptive bool) (*blockRunner, error) {
 	if cfg.Engine != Fused {
 		return nil, fmt.Errorf("montecarlo: unknown engine %v", cfg.Engine)
 	}
-	maxArrivals := cfg.MaxArrivalsPerTrial
-	if maxArrivals <= 0 {
-		maxArrivals = 100_000_000
-	}
 	fs := c.fusedState()
 	br := &blockRunner{
-		trial: func(ds *drawSource) (float64, error) {
-			return trialFused(fs, ds, maxArrivals)
-		},
+		trial:   func(ds *drawSource) float64 { return trialFused(fs, ds) },
 		seed:    cfg.Seed,
 		reps:    1,
 		sampler: PCG,
 	}
 
-	var (
-		dims int
-		err  error
-	)
+	dims := fs.qmcTrialDims()
 	switch cfg.Sampler {
 	case PCG:
 		return br, nil
@@ -467,16 +440,10 @@ func (c *Compiled) newBlockRunner(cfg Config, trials int, adaptive bool) (*block
 		// whose replicates each hold at least trialBlock/qmcReplicates
 		// points and draw every uniform from the sequence; fixed runs keep
 		// the PCG streams published tables were made with.
-		if !adaptive || trials < trialBlock {
-			return br, nil
-		}
-		if dims, err = fs.qmcTrialDims(); err != nil || dims == 0 || dims > xrand.MaxSobolDims {
+		if !adaptive || trials < trialBlock || dims == 0 || dims > xrand.MaxSobolDims {
 			return br, nil
 		}
 	case Sobol:
-		if dims, err = fs.qmcTrialDims(); err != nil {
-			return nil, err
-		}
 		br.sampler = Sobol
 		// dims == 0 means no sampler consumes draws (every per-period
 		// exposure underflowed): all trials are +Inf whatever the
@@ -593,7 +560,7 @@ func (br *blockRunner) runRounds(ctx context.Context, target float64, cap, worke
 // TestTrialLoopDoesNotAllocate); per-run setup (accumulator slices,
 // goroutines) stays O(workers + blocks).
 type blockRunner struct {
-	trial func(ds *drawSource) (float64, error)
+	trial func(ds *drawSource) float64
 	seed  uint64
 	// qmc is non-nil for the Sobol sampler; reps is the number of
 	// interleaved replicate accumulators per block (1 for PCG). sampler
@@ -728,11 +695,7 @@ func (br *blockRunner) runRange(lo, hi, workers int, accs []numeric.Welford, sam
 						return
 					}
 					ds.beginTrial(br.seed, i)
-					v, err := br.trial(&ds)
-					if err != nil {
-						br.fail(err)
-						return
-					}
+					v := br.trial(&ds)
 					if samples != nil {
 						samples[i] = v
 					} else {
@@ -760,27 +723,4 @@ func ComponentMTTF(ctx context.Context, c Component, cfg Config) (Result, error)
 //soferr:hotpath
 func reseedTrialStream(r *xrand.Rand, seed, trial uint64) {
 	r.Reseed(seed*0x9e3779b97f4a7c15 + trial + 1)
-}
-
-// thinFirstArrival draws raw arrivals for one component and thins them
-// against the trace until the first unmasked arrival, giving up once t
-// exceeds cutoff (a later arrival cannot beat the running minimum).
-// failed reports whether an unmasked arrival at t < cutoff was found.
-//
-//soferr:hotpath
-func thinFirstArrival(c *Component, r *xrand.Rand, cutoff float64, maxArrivals int) (t float64, failed bool, err error) {
-	if c.Rate == 0 || c.Trace.AVF() == 0 {
-		return 0, false, nil
-	}
-	for n := 0; n < maxArrivals; n++ {
-		t += r.Exp(c.Rate) //soferr:allow floatprec arrival clock; compensated summation would reorder the rounding and change every seeded trial result, and the clock's error is dwarfed by Monte-Carlo error
-		if t >= cutoff {
-			return 0, false, nil
-		}
-		if r.Bool(c.Trace.VulnAt(t)) {
-			return t, true, nil
-		}
-	}
-	//soferr:allow allocfree abort path past the arrival cap; the error formatting boxes its arguments off the steady state
-	return 0, false, fmt.Errorf("montecarlo: component %s exceeded %d arrivals", c.Name, maxArrivals) //soferr:allow hotpath abort path past the arrival cap; allocating off the steady state is fine
 }

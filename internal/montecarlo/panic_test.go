@@ -10,22 +10,29 @@ import (
 	"github.com/soferr/soferr/internal/faultinject"
 )
 
-// panicTrace is a masking trace whose VulnAt panics after a scripted
-// number of calls — the "corrupted trace implementation" failure mode
-// the worker containment must survive.
+// panicTrace is a constant-vulnerability masking trace whose
+// InvertExposure, the call every Fused trial makes on a trace outside
+// the merge, panics after a scripted number of calls — the "corrupted
+// trace implementation" failure mode the worker containment must
+// survive.
 type panicTrace struct {
 	period, avf float64
 	after       int64
 	calls       atomic.Int64
 }
 
-func (p *panicTrace) Period() float64 { return p.period }
-func (p *panicTrace) AVF() float64    { return p.avf }
-func (p *panicTrace) VulnAt(t float64) float64 {
+func (p *panicTrace) Period() float64          { return p.period }
+func (p *panicTrace) AVF() float64             { return p.avf }
+func (p *panicTrace) VulnAt(t float64) float64 { return p.avf }
+func (p *panicTrace) Exposure(x float64) float64 {
+	return p.avf * min(max(x, 0), p.period)
+}
+func (p *panicTrace) TotalExposure() float64 { return p.avf * p.period }
+func (p *panicTrace) InvertExposure(e float64) float64 {
 	if p.calls.Add(1) > p.after {
 		panic("panicTrace: scripted trace failure")
 	}
-	return p.avf
+	return min(max(e, 0)/p.avf, p.period)
 }
 func (p *panicTrace) SurvivalIntegral(rate float64) (float64, float64) {
 	return p.period, p.avf * p.period

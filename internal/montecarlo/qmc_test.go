@@ -2,7 +2,6 @@ package montecarlo
 
 import (
 	"context"
-	"errors"
 	"math"
 	"testing"
 
@@ -84,33 +83,49 @@ func TestSobolSamplerDeterminism(t *testing.T) {
 	}
 }
 
-// TestSobolSamplerRejectsUnsupported: thinning-fallback components have
-// no fixed per-trial draw count, so the Sobol sampler must refuse any
-// system holding one — alone or beside a merged table — with the typed
-// error.
-func TestSobolSamplerRejectsUnsupported(t *testing.T) {
-	c, err := Compile(fusedTestSystem(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestSobolSamplerRunsOutsideTheMerge: a trace that is not a
+// *trace.Piecewise stays outside the Fused merge and is sampled by
+// inverting its exposure, one draw per trial like any merged table, so
+// an explicit Sobol runs on it, alone or beside a merged table, and
+// converges to the exact MTTF of the same system on the bare traces.
+func TestSobolSamplerRunsOutsideTheMerge(t *testing.T) {
 	ctx := context.Background()
-	opaque := Component{Name: "opaque", Rate: 0.05, Trace: opaqueTrace{p: busyIdle(t, 1e-3, 0.5e-3)}}
-	for name, comps := range map[string][]Component{
-		"opaque": {opaque}, "merged+opaque": append(fusedTestSystem(t), opaque),
+	for _, tc := range []struct {
+		name      string
+		base      []Component
+		rate      float64
+		inner     *trace.Piecewise
+		wantMerge bool
+	}{
+		{"non-Piecewise single", nil, 0.05, busyIdle(t, 10, 4), false},
+		{"merged beside a non-Piecewise trace", fusedTestSystem(t), 0.05, busyIdle(t, 6, 2), true},
 	} {
-		sc, err := Compile(comps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = sc.MTTF(ctx, Config{Trials: 64, Sampler: Sobol})
-		if !errors.Is(err, ErrSamplerUnsupported) {
-			t.Errorf("%s: err = %v, want ErrSamplerUnsupported", name, err)
-		}
-	}
-
-	// The Exact engine ignores samplers entirely: no trials, no draws.
-	if _, err := c.MTTF(ctx, Config{Engine: Exact, Sampler: Sobol}); err != nil {
-		t.Errorf("exact engine with sampler set: %v", err)
+		t.Run(tc.name, func(t *testing.T) {
+			outside := Component{Name: "opaque", Rate: tc.rate, Trace: opaqueTrace{tc.inner}}
+			bare := Component{Name: "opaque", Rate: tc.rate, Trace: tc.inner}
+			want, err := mustCompile(t, append(append([]Component(nil), tc.base...), bare)).ExactMTTF()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := mustCompile(t, append(append([]Component(nil), tc.base...), outside))
+			if fs := c.fusedState(); (fs.merged != nil) != tc.wantMerge || len(fs.rest) != 1 {
+				t.Fatalf("merged %v with %d components outside it, want merged %v with 1", fs.merged != nil, len(fs.rest), tc.wantMerge)
+			}
+			const trials = 2 * trialBlock
+			res, err := c.MTTF(ctx, Config{Trials: trials, Seed: 17, Sampler: Sobol})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Sampler != Sobol || res.Trials != trials {
+				t.Fatalf("ran %d trials on %v, want %d on sobol", res.Trials, res.Sampler, trials)
+			}
+			if !(res.StdErr > 0) || math.IsInf(res.StdErr, 0) {
+				t.Errorf("replicate stderr = %v, want finite positive", res.StdErr)
+			}
+			if math.Abs(res.MTTF-want) > 6*res.StdErr {
+				t.Errorf("QMC MTTF = %v, exact %v: off by %v > 6 stderr (%v)", res.MTTF, want, math.Abs(res.MTTF-want), res.StdErr)
+			}
+		})
 	}
 }
 
@@ -258,8 +273,6 @@ func TestDefaultSamplerResolution(t *testing.T) {
 			{Name: "lazy", Rate: 0.02, Trace: long},
 			{Name: "loop", Rate: 0.05, Trace: busyIdle(t, 10, 4)},
 		}),
-		"thinning": mustCompile(t, append(fusedTestSystem(t),
-			Component{Name: "opaque", Rate: 0.05, Trace: opaqueTrace{p: busyIdle(t, 1e-3, 0.5e-3)}})),
 		"wide": perComponent(t, wide),
 	}
 	fixed := Config{Trials: 2 * trialBlock, Seed: 5, Workers: 2}
@@ -276,8 +289,6 @@ func TestDefaultSamplerResolution(t *testing.T) {
 		{"incommensurate", adaptive, Sobol},
 		{"combined", fixed, PCG},
 		{"combined", adaptive, Sobol},
-		{"thinning", fixed, PCG},
-		{"thinning", adaptive, PCG},
 		{"wide", withCap(adaptive, 2*trialBlock), PCG},
 		{"merged", withCap(adaptive, trialBlock-1), PCG},
 		{"merged", withCap(adaptive, trialBlock), Sobol},
@@ -299,16 +310,21 @@ func TestDefaultSamplerResolution(t *testing.T) {
 		}
 	}
 
-	// Runs without trials name PCG: the Exact engine, and a system that
-	// can never fail.
+	// Runs without trials name PCG: the Exact engine, which ignores
+	// samplers, and a system that can never fail.
 	never := mustCompile(t, []Component{{Name: "idle", Rate: 0, Trace: busyIdle(t, 10, 4)}})
-	for name, run := range map[string]func() (Result, error){
-		"exact":         func() (Result, error) { return systems["merged"].MTTF(context.Background(), Config{Engine: Exact}) },
-		"never-failing": func() (Result, error) { return never.MTTF(context.Background(), adaptive) },
+	for _, tt := range []struct {
+		name string
+		c    *Compiled
+		cfg  Config
+	}{
+		{"exact", systems["merged"], Config{Engine: Exact}},
+		{"exact sobol", systems["merged"], Config{Engine: Exact, Sampler: Sobol}},
+		{"never-failing", never, adaptive},
 	} {
-		res, err := run()
+		res, err := tt.c.MTTF(context.Background(), tt.cfg)
 		if err != nil || res.Sampler != PCG {
-			t.Errorf("%s: sampler %v, err %v; want pcg", name, res.Sampler, err)
+			t.Errorf("%s: sampler %v, err %v; want pcg", tt.name, res.Sampler, err)
 		}
 	}
 }

@@ -16,8 +16,8 @@ const (
 	// Fused run resolves it to one. It resolves to Sobol when the run is
 	// adaptive (Config.TargetRelStdErr > 0), its trial cap is at least
 	// trialBlock (so every replicate holds at least 16 points), and
-	// every draw of a trial has a Sobol dimension (no thinning fallback,
-	// no PCG padding past xrand.MaxSobolDims); otherwise to PCG.
+	// every draw of a trial has a Sobol dimension (no PCG padding past
+	// xrand.MaxSobolDims); otherwise to PCG.
 	// Fixed-trial runs therefore keep their PCG streams. Result.Sampler
 	// names the sampler that ran, never DefaultSampler.
 	DefaultSampler Sampler = iota
@@ -32,14 +32,11 @@ const (
 	//
 	// The Fused kernel qualifies because it consumes a fixed number of
 	// uniforms per trial (two per closed-form inversion), so trial i can
-	// be assigned point i of a fixed-dimension sequence. Systems with
-	// thinning-fallback components draw a variable, value-dependent
-	// number of uniforms per trial, which has no meaningful
-	// low-discrepancy assignment; an explicit Sobol run on one is
-	// refused with ErrSamplerUnsupported. Trials are striped across
-	// qmcReplicates independently scrambled copies of the sequence, so
-	// the reported standard error is the honest spread of independent
-	// replicate estimates rather than the iid formula QMC invalidates.
+	// be assigned point i of a fixed-dimension sequence. Trials are
+	// striped across qmcReplicates independently scrambled copies of
+	// the sequence, so the reported standard error is the honest spread
+	// of independent replicate estimates rather than the iid formula
+	// QMC invalidates.
 	Sobol
 )
 
@@ -97,13 +94,6 @@ func (s *Sampler) UnmarshalText(text []byte) error {
 	*s = v
 	return nil
 }
-
-// ErrSamplerUnsupported tags a run that names the Sobol sampler on a
-// system it cannot drive: Sobol requires a fixed per-trial draw count,
-// which the closed-form Fused kernel provides unless a component falls
-// back to thinning. DefaultSampler never fails this way; it resolves to
-// PCG there.
-var ErrSamplerUnsupported = errors.New("montecarlo: sampler unsupported for this system")
 
 // qmcReplicates is the number of independently scrambled Sobol
 // replicates a QMC run stripes its trials across. It divides trialBlock
@@ -226,24 +216,18 @@ func (ds *drawSource) Float64Open() float64 {
 }
 
 // qmcTrialDims returns the fixed per-trial uniform draw count of the
-// Fused kernel over this system, or an ErrSamplerUnsupported-wrapped
-// error when a thinning fallback makes the draw count depend on the
-// sampled values.
-func (fs *fusedState) qmcTrialDims() (int, error) {
+// Fused kernel over this system: two for the merged table and two per
+// component outside it, except where a per-period hazard underflowed to
+// zero (those draws return +Inf without consuming a uniform).
+func (fs *fusedState) qmcTrialDims() int {
 	dims := 0
 	if fs.merged != nil && fs.totalHaz > 0 {
 		dims = 2
 	}
 	for i := range fs.rest {
-		ic := &fs.rest[i]
-		if ic.thinning {
-			return 0, fmt.Errorf("%w: component %q has no exposure table (thinning fallback draws a variable number of uniforms); use the pcg sampler", ErrSamplerUnsupported, ic.comp.Name)
-		}
-		// Samplers whose per-period exposure underflowed to zero return
-		// +Inf without consuming draws, so they occupy no dimensions.
-		if ic.perPeriodExposure > 0 {
+		if fs.rest[i].perPeriodExposure > 0 {
 			dims += 2
 		}
 	}
-	return dims, nil
+	return dims
 }

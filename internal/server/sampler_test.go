@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -58,13 +57,6 @@ func TestSamplerServed(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "halton") {
 		t.Errorf("unknown-sampler error does not name the sampler: %s", body)
-	}
-
-	// Sobol on a system with a thinning fallback (a custom trace, which
-	// no Spec kind produces) maps ErrSamplerUnsupported to 422 —
-	// answerable with pcg, not as asked.
-	if st := statusFor(fmt.Errorf("query: %w", soferr.ErrSamplerUnsupported)); st != http.StatusUnprocessableEntity {
-		t.Errorf("ErrSamplerUnsupported: status %d, want 422", st)
 	}
 
 	// The sweep endpoint threads the same field through every cell.
@@ -125,8 +117,7 @@ func TestSamplerServed(t *testing.T) {
 // table: a request with no sampler reports the sampler it ran — sobol
 // for an adaptive request with a cap of at least 4,096 trials, pcg for
 // a fixed one or a lower cap — and is bit-identical to the request
-// naming that sampler. (A thinning system needs a custom trace, which
-// no Spec kind builds; the library table covers it.)
+// naming that sampler.
 func TestDefaultSamplerServed(t *testing.T) {
 	srv := httptest.NewServer(New(Config{}))
 	defer srv.Close()

@@ -340,11 +340,6 @@ func statusFor(err error) int {
 		// lazy trace mixtures): semantically unanswerable as asked, not
 		// a server fault. A fused-engine MTTF query answers it.
 		return http.StatusUnprocessableEntity
-	case errors.Is(err, soferr.ErrSamplerUnsupported):
-		// The client asked for the Sobol sampler on a system without a
-		// fixed per-trial draw count: unanswerable as asked, answerable
-		// with the PCG sampler.
-		return http.StatusUnprocessableEntity
 	default:
 		return http.StatusInternalServerError
 	}

@@ -17,7 +17,6 @@ var (
 	errEmptyLevelTrace    = errors.New("trace: empty level trace")
 	errWeightedUnionShape = errors.New("trace: WeightedUnion needs equal non-zero numbers of weights and traces")
 	errAllWeightsZero     = errors.New("trace: all weights zero")
-	errConcatEmpty        = errors.New("trace: Concat of nothing")
 	errLongLoopEmpty      = errors.New("trace: LongLoop with no phases")
 )
 
@@ -70,12 +69,17 @@ func BusyIdle(period, busy float64) (*Piecewise, error) {
 }
 
 // Always returns a trace that is vulnerable during the whole period:
-// every raw error causes failure (AVF = 1).
+// every raw error causes failure (AVF = 1). No program path builds one;
+// it is kept as a named cross-package test helper, the AVF = 1 limit
+// the montecarlo and softarch tests check against the unmasked
+// exponential.
 func Always(period float64) (*Piecewise, error) {
 	return NewPiecewise([]Segment{{Start: 0, End: period, Vuln: 1}})
 }
 
-// Never returns a trace that masks every raw error (AVF = 0).
+// Never returns a trace that masks every raw error (AVF = 0). BusyIdle
+// builds it for a zero busy time; it is also a named cross-package test
+// helper for never-failing components.
 func Never(period float64) (*Piecewise, error) {
 	return NewPiecewise([]Segment{{Start: 0, End: period, Vuln: 0}})
 }
@@ -211,24 +215,6 @@ func WeightedUnion(weights []float64, traces []*Piecewise) (*Piecewise, error) {
 	return NewPiecewise(segs)
 }
 
-// Concat joins traces back to back into a single period equal to the sum
-// of the parts (used to build the paper's "combined" workload from two
-// benchmark halves).
-func Concat(traces ...*Piecewise) (*Piecewise, error) {
-	if len(traces) == 0 {
-		return nil, errConcatEmpty
-	}
-	var segs []Segment
-	offset := 0.0
-	for _, tr := range traces {
-		for _, s := range tr.segs {
-			segs = append(segs, Segment{Start: offset + s.Start, End: offset + s.End, Vuln: s.Vuln})
-		}
-		offset += tr.period
-	}
-	return NewPiecewise(segs)
-}
-
 // LongLoop is a lazy trace: a sequence of phases, each repeating an
 // inner materialized trace a (possibly enormous) number of times. It
 // represents workloads like the paper's "combined" schedule — a SPEC
@@ -355,10 +341,9 @@ func (l *LongLoop) Exposure(x float64) float64 {
 // InvertExposure is the right-continuous generalized inverse of
 // Exposure, mirroring Piecewise.InvertExposure: the first instant at
 // which the loop's exposure accumulates beyond e, clamped to Period for
-// e >= TotalExposure(). With it, LongLoop satisfies the Monte-Carlo
-// engine's ExposureInverter capability, so day-scale combined schedules
-// sample first unmasked arrivals in closed form instead of thinning
-// billions of raw arrivals.
+// e >= TotalExposure(). It composes the phases without enumerating
+// repetitions, so day-scale combined schedules sample first unmasked
+// arrivals in O(log phases + log S).
 //
 //soferr:hotpath
 func (l *LongLoop) InvertExposure(e float64) float64 {

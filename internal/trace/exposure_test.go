@@ -16,11 +16,7 @@ func materializeLoop(t *testing.T, phases ...LoopPhase) *Piecewise {
 			flat = append(flat, ph.Inner)
 		}
 	}
-	p, err := Concat(flat...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return concat(t, flat...)
 }
 
 func TestLongLoopExposureMatchesMaterialized(t *testing.T) {

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -98,74 +97,5 @@ func TestShiftNegativeOffset(t *testing.T) {
 		if a.VulnAt(x) != b.VulnAt(x) {
 			t.Errorf("Shift(-3) != Shift(7) at %v", x)
 		}
-	}
-}
-
-func TestEncodingRoundTrip(t *testing.T) {
-	p := mustPiecewise(t, []Segment{{0, 1.5, 0.75}, {1.5, 4, 0}, {4, 9.25, 1}})
-	var buf bytes.Buffer
-	n, err := p.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-	}
-	q, err := ReadPiecewise(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Period() != p.Period() || q.AVF() != p.AVF() || q.NumSegments() != p.NumSegments() {
-		t.Errorf("round trip mismatch: %v/%v vs %v/%v", q.Period(), q.AVF(), p.Period(), p.AVF())
-	}
-	for _, x := range []float64{0.1, 2, 5, 9} {
-		if q.VulnAt(x) != p.VulnAt(x) {
-			t.Errorf("VulnAt(%v) differs after round trip", x)
-		}
-	}
-}
-
-func TestEncodingRejectsGarbage(t *testing.T) {
-	if _, err := ReadPiecewise(bytes.NewReader([]byte("not a trace"))); err == nil {
-		t.Error("garbage accepted")
-	}
-	// Right magic, wrong version.
-	var buf bytes.Buffer
-	buf.Write([]byte{0x53, 0x46, 0x54, 0x52}) // SFTR
-	buf.Write([]byte{9, 0, 0, 0})             // version 9
-	if _, err := ReadPiecewise(&buf); err == nil {
-		t.Error("bad version accepted")
-	}
-	// Truncated stream.
-	var buf2 bytes.Buffer
-	p := mustBusyIdle(t, 10, 4)
-	if _, err := p.WriteTo(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf2.Bytes()[:buf2.Len()-5]
-	if _, err := ReadPiecewise(bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated stream accepted")
-	}
-}
-
-func TestEncodingLargeTrace(t *testing.T) {
-	bits := make([]bool, 4096)
-	for i := range bits {
-		bits[i] = i%3 == 0
-	}
-	p, err := FromBits(bits, 1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := p.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	q, err := ReadPiecewise(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if numeric.RelErr(q.AVF(), p.AVF()) > 1e-12 {
-		t.Errorf("AVF drifted: %v vs %v", q.AVF(), p.AVF())
 	}
 }

@@ -33,7 +33,14 @@ var (
 	errNoSegments = errors.New("trace: no segments")
 )
 
-// Trace is an infinitely repeating masking pattern.
+// Trace is an infinitely repeating masking pattern. Every estimator
+// reads it through its cumulative exposure m(x), the integral of the
+// vulnerability over [0, x): the AVF is m(L)/L, the survival model
+// integrates e^(-rate*m), and the first unmasked arrival of a raw
+// Poisson process of the given rate is m^-1(E/rate) for E ~ Exp(1). An
+// implementation therefore provides m, its total over one period and
+// its inverse, besides the vulnerability itself; Piecewise and
+// LongLoop tabulate m once and answer each in O(log S).
 type Trace interface {
 	// Period returns the loop iteration length L in seconds.
 	Period() float64
@@ -47,17 +54,29 @@ type Trace interface {
 	// Period.
 	VulnAt(t float64) float64
 
+	// Exposure returns m(x) for x in [0, Period]: 0 at or below 0 and
+	// TotalExposure at or beyond Period.
+	Exposure(x float64) float64
+
+	// TotalExposure returns m(Period) = AVF x Period.
+	TotalExposure() float64
+
+	// InvertExposure returns the right-continuous generalized inverse
+	// of Exposure, inf{x : m(x) > e}, clamped to Period for
+	// e >= TotalExposure: the first instant at which the exposure
+	// accumulates beyond e. It jumps across masked spans, where m is
+	// flat, because failures only land at vulnerable instants.
+	InvertExposure(e float64) float64
+
 	// SurvivalIntegral returns, for a raw error process of the given
 	// rate (errors/second):
 	//
 	//	integral = int_0^Period exp(-rate * m(s)) ds
 	//	exposure = rate * m(Period)
 	//
-	// where m(s) is the expected unmasked-error exposure accumulated by
-	// time s (the integral of the vulnerability). These two numbers are
-	// sufficient to compute the exact first-principles MTTF of the
-	// component (see the Exact engine in package montecarlo) without
-	// enumerating periods.
+	// These two numbers are sufficient to compute the exact
+	// first-principles MTTF of the component (see the Exact engine in
+	// package montecarlo) without enumerating periods.
 	SurvivalIntegral(rate float64) (integral, exposure float64)
 }
 
@@ -224,9 +243,8 @@ func (p *Piecewise) TotalExposure() float64 { return p.cumExp[len(p.segs)] }
 //
 // Exposure inversion is what lets a Monte-Carlo trial sample the first
 // unmasked arrival in closed form (package montecarlo's per-component
-// sampler, the Fused engine's fallback): the thinned arrival process
-// has cumulative hazard rate*m(t), so equating it to an Exp(1) draw
-// reduces to inverting m.
+// sampler): the thinned arrival process has cumulative hazard
+// rate*m(t), so equating it to an Exp(1) draw reduces to inverting m.
 //
 //soferr:hotpath
 func (p *Piecewise) InvertExposure(e float64) float64 {
@@ -247,21 +265,6 @@ func (p *Piecewise) InvertExposure(e float64) float64 {
 		x = s.End
 	}
 	return x
-}
-
-// ExposureQuantile returns the time by which a fraction q in [0, 1] of
-// one period's total exposure has accumulated: InvertExposure(q *
-// TotalExposure()). It is the quantile function of the distribution of
-// the (wrapped) position of an unmasked arrival in the rate*Period -> 0
-// limit (Theorem 1's uniform-raw-arrival regime).
-func (p *Piecewise) ExposureQuantile(q float64) float64 {
-	if q <= 0 {
-		return p.InvertExposure(0)
-	}
-	if q >= 1 {
-		return p.period
-	}
-	return p.InvertExposure(q * p.TotalExposure())
 }
 
 // SurvivalIntegral implements Trace. Because the integral walks every

@@ -233,13 +233,26 @@ func TestWeightedUnionSingleIdentity(t *testing.T) {
 	}
 }
 
+// concat joins traces back to back into one Piecewise whose period is
+// the sum of the parts: the materialized reference LongLoop is checked
+// against.
+func concat(t *testing.T, traces ...*Piecewise) *Piecewise {
+	t.Helper()
+	var segs []Segment
+	offset := 0.0
+	for _, tr := range traces {
+		for _, s := range tr.segs {
+			segs = append(segs, Segment{Start: offset + s.Start, End: offset + s.End, Vuln: s.Vuln})
+		}
+		offset += tr.period
+	}
+	return mustPiecewise(t, segs)
+}
+
 func TestConcat(t *testing.T) {
 	a := mustBusyIdle(t, 4, 2)
 	b := mustBusyIdle(t, 6, 6)
-	c, err := Concat(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := concat(t, a, b)
 	if c.Period() != 10 {
 		t.Errorf("Period = %v, want 10", c.Period())
 	}
@@ -248,7 +261,7 @@ func TestConcat(t *testing.T) {
 		t.Errorf("AVF = %v, want %v", c.AVF(), wantAVF)
 	}
 	if c.VulnAt(1) != 1 || c.VulnAt(3) != 0 || c.VulnAt(5) != 1 || c.VulnAt(9.5) != 1 {
-		t.Error("Concat VulnAt wrong")
+		t.Error("concat VulnAt wrong")
 	}
 }
 
@@ -258,10 +271,7 @@ func TestLongLoopMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, err := Concat(inner, inner, inner)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mat := concat(t, inner, inner, inner)
 	if numeric.RelErr(ll.Period(), mat.Period()) > 1e-12 {
 		t.Errorf("period %v vs %v", ll.Period(), mat.Period())
 	}
@@ -292,10 +302,7 @@ func TestLongLoopTwoPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, err := Concat(a, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mat := concat(t, a, a, b)
 	for x := 0.05; x < 7; x += 0.23 {
 		if ll.VulnAt(x) != mat.VulnAt(x) {
 			t.Errorf("VulnAt(%v): %v vs %v", x, ll.VulnAt(x), mat.VulnAt(x))
@@ -434,18 +441,6 @@ func TestInvertExposureSegmentBoundaries(t *testing.T) {
 	for _, tt := range cases {
 		if got := p.InvertExposure(tt.e); math.Abs(got-tt.want) > 1e-12 {
 			t.Errorf("InvertExposure(%v) = %v, want %v", tt.e, got, tt.want)
-		}
-	}
-}
-
-func TestExposureQuantile(t *testing.T) {
-	p := mustBusyIdle(t, 10, 4) // vulnerable [0,4), total exposure 4
-	cases := []struct{ q, want float64 }{
-		{0, 0}, {0.25, 1}, {0.5, 2}, {1, 10},
-	}
-	for _, tt := range cases {
-		if got := p.ExposureQuantile(tt.q); math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("ExposureQuantile(%v) = %v, want %v", tt.q, got, tt.want)
 		}
 	}
 }

@@ -24,6 +24,13 @@ var (
 // a raw soft error striking a component would be masked. All times are
 // seconds; the instantaneous vulnerability is a probability in [0, 1],
 // and its time-average over one period is the component's AVF.
+//
+// Every estimator reads a trace through its cumulative exposure m(x),
+// the integral of the vulnerability over [0, x), so an implementation
+// provides m, its one-period total and its inverse besides the
+// vulnerability itself. The constructors in this package return traces
+// that tabulate m once; a Trace implemented elsewhere must supply all
+// seven methods.
 type Trace interface {
 	// Period returns the workload loop length in seconds.
 	Period() float64
@@ -32,11 +39,29 @@ type Trace interface {
 	// VulnAt returns the probability that a raw error arriving at time
 	// t is unmasked.
 	VulnAt(t float64) float64
+	// Exposure returns m(x) for x in [0, Period]: 0 at or below 0 and
+	// TotalExposure at or beyond Period.
+	Exposure(x float64) float64
+	// TotalExposure returns m(Period) = AVF x Period.
+	TotalExposure() float64
+	// InvertExposure returns the first instant x in [0, Period] at which
+	// the exposure accumulates beyond e, inf{x : m(x) > e}, clamped to
+	// Period for e >= TotalExposure. It jumps across masked spans, where
+	// m is flat: failures only land at vulnerable instants.
+	InvertExposure(e float64) float64
 	// SurvivalIntegral returns the one-period survival integral and
 	// total exposure for a raw error process of the given rate in
 	// errors/second; see DESIGN.md's Exact-engine section for the math.
 	SurvivalIntegral(rate float64) (integral, exposure float64)
 }
+
+// Trace and the internal trace.Trace have one method set, so values
+// convert between them implicitly (toSweepSources and the engines'
+// components rely on it).
+var (
+	_ trace.Trace = Trace(nil)
+	_ Trace       = trace.Trace(nil)
+)
 
 // Interval is a half-open vulnerable time span [Start, End) in seconds.
 type Interval struct {
@@ -181,13 +206,9 @@ const (
 	// thinned processes, aligned on their hyperperiod): one Exp(1) draw
 	// plus one binary search per trial, O(log S_total), independent of
 	// rate, AVF, and the component count. Components whose traces
-	// cannot join the merge fall back to per-component sampling inside
-	// the same trial: exposure inversion, or literal thinning for a
-	// custom Trace without an exposure table. The default engine.
+	// cannot join the merge are sampled one by one inside the same
+	// trial, each by inverting its own exposure. The default engine.
 	Fused = montecarlo.Fused
-	// EngineFused is an alias for Fused, matching the engine's wire
-	// name ("fused") as the server and CLI docs spell it.
-	EngineFused = montecarlo.Fused
 	// Exact integrates the merged cumulative-hazard table in closed
 	// form instead of sampling it: zero trials, zero standard error,
 	// microsecond queries. Estimates record Trials = 0 and Seed = 0;
@@ -198,9 +219,6 @@ const (
 	// alongside other components) return ErrExactUnavailable. The same
 	// state answers SoftArch, Reliability, and FailureQuantile.
 	Exact = montecarlo.Exact
-	// EngineExact is an alias for Exact, matching the engine's wire
-	// name ("exact") as the server and CLI docs spell it.
-	EngineExact = montecarlo.Exact
 )
 
 // ErrExactUnavailable tags closed-form queries on systems whose
@@ -221,12 +239,10 @@ const (
 	// DefaultSampler is the zero value: the query names no sampler and
 	// each Fused run picks one. An adaptive query (WithTargetRelStdErr)
 	// whose trial cap is at least 4,096 runs Sobol when every draw of
-	// its trials has a Sobol dimension (no thinning-fallback component,
-	// at most 64 draws per trial); every other query runs PCG, so
-	// fixed-trial answers keep their PCG streams. It never fails with
-	// ErrSamplerUnsupported, and Estimate.Sampler records the sampler
-	// that ran. The CLI and the wire spell it as the empty or absent
-	// name.
+	// its trials has a Sobol dimension (at most 64 draws per trial);
+	// every other query runs PCG, so fixed-trial answers keep their PCG
+	// streams. Estimate.Sampler records the sampler that ran. The CLI
+	// and the wire spell it as the empty or absent name.
 	DefaultSampler = montecarlo.DefaultSampler
 	// PCG is the pseudo-random sampler: per-trial reseeded PCG streams,
 	// bit-identical for any worker count.
@@ -236,17 +252,8 @@ const (
 	// reaching a precision target in a quarter of the trials PCG needs.
 	// The standard error comes from 256 independently scrambled
 	// replicates, so adaptive precision targeting works unchanged.
-	// Systems without a fixed per-trial draw count (any system with
-	// thinning-fallback components) reject an explicit Sobol with
-	// ErrSamplerUnsupported.
 	Sobol = montecarlo.Sobol
 )
-
-// ErrSamplerUnsupported tags queries that name the Sobol sampler on
-// systems without a fixed per-trial draw count (systems whose
-// components fall back to literal thinning). Callers branch with
-// errors.Is and fall back to PCG or DefaultSampler.
-var ErrSamplerUnsupported = montecarlo.ErrSamplerUnsupported
 
 // MonteCarloResult is a first-principles MTTF estimate.
 type MonteCarloResult struct {

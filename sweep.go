@@ -219,9 +219,9 @@ func SweepCells(ctx context.Context, sources []TraceSource, cells []Cell, method
 }
 
 // toSweepSources adapts the public sources to the engine's. The public
-// Trace interface and the internal trace.Trace are structurally
-// identical, so values convert implicitly; only the Build signature
-// needs a wrapper.
+// Trace interface and the internal trace.Trace have one method set
+// (asserted beside Trace), so values convert implicitly; only the Build
+// signature needs a wrapper.
 func toSweepSources(sources []TraceSource) []sweep.Source {
 	out := make([]sweep.Source, len(sources))
 	for i, s := range sources {

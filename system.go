@@ -93,14 +93,6 @@ func Methods() []Method { return []Method{AVFSOFR, MonteCarlo, SoftArch} }
 // DefaultTrials is the default Monte-Carlo trial count.
 const DefaultTrials = montecarlo.DefaultTrials
 
-// ErrNoFailurePossible is returned by sample-collecting Monte-Carlo
-// runs on a system in which no component can ever fail (every rate or
-// AVF is zero): such a system has no failure-time distribution to
-// sample. MTTF queries no longer return it — every method, Monte-Carlo
-// included, reports MTTF = +Inf with FIT = 0 for a never-failing
-// system.
-var ErrNoFailurePossible = montecarlo.ErrNoFailurePossible
-
 // ErrInvalidArgument tags query errors caused by out-of-domain
 // arguments (a negative time, a probability outside [0, 1]). Callers
 // serving untrusted queries can errors.Is against it to distinguish
@@ -365,9 +357,8 @@ type Query struct {
 	// near O(1/n) instead of O(1/sqrt n), so adaptive precision targets
 	// are reached in far fewer trials. DefaultSampler, the zero value,
 	// runs Sobol for adaptive queries that allow it and PCG otherwise
-	// (see DefaultSampler); Estimate.Sampler records which ran. Systems
-	// with thinning-fallback components reject an explicit Sobol with
-	// ErrSamplerUnsupported; the Exact engine ignores samplers.
+	// (see DefaultSampler); Estimate.Sampler records which ran. The
+	// Exact engine ignores samplers.
 	Sampler Sampler `json:"sampler,omitempty"`
 	// Trials is the trial count, and the cap of an adaptive run;
 	// zero or negative means DefaultTrials.

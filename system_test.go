@@ -777,17 +777,77 @@ func TestWithTargetRelStdErr(t *testing.T) {
 	}
 }
 
-// opaqueTrace hides a trace's exposure table behind the bare Trace
-// interface, so the Fused engine thins raw arrivals against it and a
-// trial draws a value-dependent number of uniforms.
-type opaqueTrace struct{ soferr.Trace }
+// userTrace is a Trace implemented outside the library: it forwards the
+// full method set of the trace it wraps, as a caller's own trace type
+// must, and is none of the library's trace types.
+type userTrace struct{ soferr.Trace }
+
+// TestTraceImplementedOutsideTheLibrary: a caller's own Trace runs on
+// every engine and sampler. On a single component the Exact engine's
+// MTTF, Reliability and FailureQuantile equal those of the trace it
+// wraps bit for bit, and Fused runs under either sampler land within 6
+// standard errors of that MTTF.
+func TestTraceImplementedOutsideTheLibrary(t *testing.T) {
+	ctx := context.Background()
+	inner := mustBusyIdle(t, 3600, 1000)
+	system := func(tr soferr.Trace) *soferr.System {
+		sys, err := soferr.NewSystem([]soferr.Component{{Name: "c", RatePerYear: 1e6, Trace: tr}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	bare, own := system(inner), system(userTrace{inner})
+	want, err := bare.MTTF(ctx, soferr.MonteCarlo, soferr.WithEngine(soferr.Exact))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("exact", func(t *testing.T) {
+		got, err := own.MTTF(ctx, soferr.MonteCarlo, soferr.WithEngine(soferr.Exact))
+		if err != nil || got.MTTF != want.MTTF {
+			t.Errorf("exact MTTF = %v, %v; want %v", got.MTTF, err, want.MTTF)
+		}
+		for _, x := range []float64{0, 20, 1800, 5.5 * 3600} {
+			r, err := bare.Reliability(ctx, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := own.Reliability(ctx, x); err != nil || got != r {
+				t.Errorf("Reliability(%v) = %v, %v; want %v", x, got, err, r)
+			}
+		}
+		for _, p := range []float64{0, 0.3, 0.9} {
+			q, err := bare.FailureQuantile(ctx, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := own.FailureQuantile(ctx, p); err != nil || got != q {
+				t.Errorf("FailureQuantile(%v) = %v, %v; want %v", p, got, err, q)
+			}
+		}
+	})
+	for _, s := range []soferr.Sampler{soferr.PCG, soferr.Sobol} {
+		t.Run("fused "+s.String(), func(t *testing.T) {
+			got, err := own.MTTF(ctx, soferr.MonteCarlo, soferr.WithTrials(8192), soferr.WithSeed(3), soferr.WithSampler(s))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Engine != soferr.Fused || got.Sampler != s {
+				t.Errorf("ran %v on %v, want fused on %v", got.Engine, got.Sampler, s)
+			}
+			if !(got.StdErr > 0) || math.Abs(got.MTTF-want.MTTF) > 6*got.StdErr {
+				t.Errorf("MTTF = %v ± %v, exact %v: want within 6 stderr", got.MTTF, got.StdErr, want.MTTF)
+			}
+		})
+	}
+}
 
 // TestDefaultSamplerResolvedPerQuery is the library half of the
 // default-sampler table: a query naming no sampler runs Sobol when it
-// is adaptive with a cap of at least 4,096 trials on a system without
-// thinning, PCG otherwise, and its Estimate records the one that ran,
-// bit-identical to the query naming that sampler. The default stays a
-// memo key of its own.
+// is adaptive with a cap of at least 4,096 trials, PCG otherwise, and
+// its Estimate records the one that ran, bit-identical to the query
+// naming that sampler. The default stays a memo key of its own.
 func TestDefaultSamplerResolvedPerQuery(t *testing.T) {
 	ctx := context.Background()
 	combined, err := soferr.Spec{Components: []soferr.ComponentSpec{
@@ -809,7 +869,6 @@ func TestDefaultSamplerResolvedPerQuery(t *testing.T) {
 		"merged":         system(soferr.Component{Name: "a", RatePerYear: 3e6, Trace: a}, soferr.Component{Name: "b", RatePerYear: 1e6, Trace: mustBusyIdle(t, 20, 7)}),
 		"incommensurate": system(soferr.Component{Name: "a", RatePerYear: 3e6, Trace: a}, soferr.Component{Name: "b", RatePerYear: 1e6, Trace: b}),
 		"combined":       combined,
-		"thinning":       system(soferr.Component{Name: "a", RatePerYear: 3e6, Trace: a}, soferr.Component{Name: "opaque", RatePerYear: 1e6, Trace: opaqueTrace{b}}),
 	}
 	fixed := soferr.Query{Trials: 8192, Seed: 4}
 	adaptive := soferr.Query{Seed: 4, TargetRelStdErr: 0.01}
@@ -826,8 +885,6 @@ func TestDefaultSamplerResolvedPerQuery(t *testing.T) {
 		{"incommensurate", adaptive, soferr.Sobol},
 		{"combined", fixed, soferr.PCG},
 		{"combined", adaptive, soferr.Sobol},
-		{"thinning", fixed, soferr.PCG},
-		{"thinning", adaptive, soferr.PCG},
 	} {
 		sys := systems[tt.system]
 		got, err := sys.MTTF(ctx, soferr.MonteCarlo, soferr.WithQuery(tt.q))
@@ -847,11 +904,7 @@ func TestDefaultSamplerResolvedPerQuery(t *testing.T) {
 		}
 	}
 
-	// Naming Sobol on the thinning system is still refused; the Exact
-	// engine's estimate names PCG whatever the query named.
-	if _, err := systems["thinning"].MTTF(ctx, soferr.MonteCarlo, soferr.WithQuery(adaptive), soferr.WithSampler(soferr.Sobol)); !errors.Is(err, soferr.ErrSamplerUnsupported) {
-		t.Errorf("sobol on thinning: err = %v, want ErrSamplerUnsupported", err)
-	}
+	// The Exact engine's estimate names PCG whatever the query named.
 	for _, s := range []soferr.Sampler{soferr.DefaultSampler, soferr.PCG, soferr.Sobol} {
 		est, err := systems["merged"].MTTF(ctx, soferr.MonteCarlo, soferr.WithEngine(soferr.Exact), soferr.WithSampler(s))
 		if err != nil || est.Sampler != soferr.PCG {
