@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 )
@@ -162,23 +163,37 @@ func TestRunEngineFlag(t *testing.T) {
 	}
 }
 
-// TestRunExtdistExactEngine: extdist collects failure-time samples,
-// which only a sampler can draw, so under -engine exact it samples with
-// the fused engine and prints the same table as -engine fused.
-func TestRunExtdistExactEngine(t *testing.T) {
-	fused, _, err := runCLI(t, "run", "extdist", "-quick", "-engine", "fused")
+// TestRunExtdistIgnoresEngineAndSeed: extdist computes every column in
+// closed form, so neither the engine nor the seed moves a byte of its
+// table, and the table is the one EXPERIMENTS.md records.
+func TestRunExtdistIgnoresEngineAndSeed(t *testing.T) {
+	var outs []string
+	for _, args := range [][]string{
+		{"-engine", "fused", "-seed", "1"},
+		{"-engine", "exact", "-seed", "1"},
+		{"-engine", "fused", "-seed", "2"},
+		{"-engine", "exact", "-seed", "2"},
+	} {
+		out, _, err := runCLI(t, append([]string{"run", "extdist"}, args...)...)
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if len(outs) > 0 && out != outs[0] {
+			t.Errorf("%v: table differs from -engine fused -seed 1:\n%s\nvs\n%s", args, out, outs[0])
+		}
+		outs = append(outs, out)
+	}
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, _, err := runCLI(t, "run", "extdist", "-quick", "-engine", "exact")
-	if err != nil {
-		t.Fatalf("-engine exact: %v", err)
+	start := strings.Index(string(doc), "== extdist:")
+	if start < 0 {
+		t.Fatal("EXPERIMENTS.md records no extdist table")
 	}
-	if !strings.Contains(fused, "extdist") || !strings.Contains(fused, "KS vs exp") {
-		t.Errorf("extdist output malformed:\n%s", fused)
-	}
-	if exact != fused {
-		t.Errorf("-engine exact table differs from -engine fused:\n%s\nvs\n%s", exact, fused)
+	recorded, _, _ := strings.Cut(string(doc[start:]), "\n\n")
+	if got := strings.TrimRight(outs[0], "\n"); got != recorded {
+		t.Errorf("extdist table differs from EXPERIMENTS.md:\n%s\nvs recorded\n%s", got, recorded)
 	}
 }
 

@@ -11,7 +11,9 @@ import (
 
 	"github.com/soferr/soferr"
 	"github.com/soferr/soferr/internal/montecarlo"
+	"github.com/soferr/soferr/internal/numeric"
 	"github.com/soferr/soferr/internal/softarch"
+	"github.com/soferr/soferr/internal/trace"
 	"github.com/soferr/soferr/internal/units"
 )
 
@@ -388,9 +390,10 @@ func TestExactMatchesDerivationOneProperty(t *testing.T) {
 }
 
 // TestExactMetamorphic covers the metamorphic relations of the exact
-// integrator: rate scaling on always-vulnerable traces, monotone
-// reliability from R(0) = 1, and quantile/reliability inversion on the
-// merged-table path (commensurate unequal periods).
+// integrator: rate scaling on always-vulnerable traces, time scaling on
+// a busy/idle trace, monotone reliability from R(0) = 1, and
+// quantile/reliability inversion on the merged-table path
+// (commensurate unequal periods).
 func TestExactMetamorphic(t *testing.T) {
 	ctx := context.Background()
 
@@ -421,6 +424,64 @@ func TestExactMetamorphic(t *testing.T) {
 		mk := alwaysMTTF(base * k)
 		if re := math.Abs(mk-m1/k) / (m1 / k); re > 1e-12 {
 			t.Errorf("MTTF(%g*rate) = %v, want MTTF/k = %v (rel err %v)", k, mk, m1/k, re)
+		}
+	}
+
+	// Time scaling: a busy/idle trace with its period and busy time
+	// multiplied by k, under the rate divided by k, is the same system
+	// measured in units k times longer. The Exact MTTF and every
+	// quantile scale by k; on the trace-level TTF shape the mean scales
+	// by k, and CV and KS do not move.
+	const ratePerYear = 0.05 * units.SecondsPerYear
+	type scaledAnswers struct {
+		mttf, mean, cv, ks float64
+		quantiles          []float64
+	}
+	probes := []float64{1e-6, 0.1, 0.5, 0.9, 0.999}
+	scaled := func(k float64) scaledAnswers {
+		t.Helper()
+		tr, err := trace.BusyIdle(10*k, 4*k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := soferr.NewSystem([]soferr.Component{{Name: "c", RatePerYear: ratePerYear / k, Trace: tr}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, err := sys.MTTF(ctx, soferr.MonteCarlo, soferr.WithEngine(soferr.Exact))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := scaledAnswers{mttf: est.MTTF}
+		for _, p := range probes {
+			q, err := sys.FailureQuantile(ctx, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.quantiles = append(a.quantiles, q)
+		}
+		m, err := trace.NewMergedExposure([]float64{units.PerYearToPerSecond(ratePerYear / k)}, []*trace.Piecewise{tr}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var second float64
+		a.mean, second, a.ks = m.TTFShape()
+		a.cv = math.Sqrt(second/(a.mean*a.mean) - 1)
+		return a
+	}
+	unit := scaled(1)
+	for _, k := range []float64{2, 10, 1e6} {
+		got := scaled(k)
+		if numeric.RelErr(got.mttf, k*unit.mttf) > 1e-12 || numeric.RelErr(got.mean, k*unit.mean) > 1e-12 {
+			t.Errorf("time scale %g: MTTF %v, shape mean %v, want %v", k, got.mttf, got.mean, k*unit.mttf)
+		}
+		for i, p := range probes {
+			if numeric.RelErr(got.quantiles[i], k*unit.quantiles[i]) > 1e-12 {
+				t.Errorf("time scale %g: Q(%v) = %v, want %v", k, p, got.quantiles[i], k*unit.quantiles[i])
+			}
+		}
+		if math.Abs(got.cv-unit.cv) > 1e-12 || math.Abs(got.ks-unit.ks) > 1e-12 {
+			t.Errorf("time scale %g: CV %v, KS %v, want %v, %v", k, got.cv, got.ks, unit.cv, unit.ks)
 		}
 	}
 

@@ -42,21 +42,12 @@ func WrappedExpPDF(rate, l, x float64) float64 {
 	return rate * numeric.ExpNeg(rate*x) / numeric.OneMinusExpNeg(rate*l)
 }
 
-// WrappedExpCDF returns P(T mod L <= x).
-func WrappedExpCDF(rate, l, x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	if x >= l {
-		return 1
-	}
-	return numeric.OneMinusExpNeg(rate*x) / numeric.OneMinusExpNeg(rate*l)
-}
-
 // WrappedExpUniformityGap returns the maximum absolute deviation of the
 // wrapped density from the uniform density 1/L, scaled by L (so it is a
 // dimensionless measure of non-uniformity). It vanishes as rate*L -> 0,
-// which is Theorem 1's statement.
+// which is Theorem 1's statement. No experiment tabulates it: it and
+// WrappedExpPDF are kept as Theorem 1's named test oracle, which the
+// package's tests hold to the theorem.
 func WrappedExpUniformityGap(rate, l float64) float64 {
 	// The wrapped density is monotone decreasing; its extremes are at 0
 	// and at L^-.

@@ -41,18 +41,6 @@ func TestWrappedExpTendsToUniform(t *testing.T) {
 	}
 }
 
-func TestWrappedExpCDFEndpoints(t *testing.T) {
-	if got := WrappedExpCDF(1, 2, 0); got != 0 {
-		t.Errorf("CDF(0) = %v", got)
-	}
-	if got := WrappedExpCDF(1, 2, 2); got != 1 {
-		t.Errorf("CDF(L) = %v", got)
-	}
-	if got := WrappedExpCDF(1, 2, 5); got != 1 {
-		t.Errorf("CDF beyond L = %v", got)
-	}
-}
-
 func TestBusyIdleMTTFMatchesPaperForm(t *testing.T) {
 	// The simplified closed form and the paper's printed expression are
 	// algebraically identical; verify numerically over a wide space.

@@ -16,17 +16,12 @@ import (
 	"math"
 
 	"github.com/soferr/soferr/internal/trace"
-	"github.com/soferr/soferr/internal/units"
 )
 
 // Sentinel errors of this package; callers branch with errors.Is.
 var (
 	errNilTrace = errors.New("avf: nil trace")
 )
-
-// OfTrace returns the AVF of a masking trace: the fraction of time a raw
-// error would be unmasked.
-func OfTrace(tr trace.Trace) float64 { return tr.AVF() }
 
 // MTTF returns the AVF-step MTTF estimate (Equation 1) in seconds for a
 // component with the given raw error rate (errors/second) and AVF.
@@ -52,16 +47,4 @@ func ComponentMTTF(rate float64, tr trace.Trace) (float64, error) {
 		return 0, errNilTrace
 	}
 	return MTTF(rate, tr.AVF())
-}
-
-// DeratedFIT returns the component's failure rate in FITs after AVF
-// derating, for a raw rate given in errors/second.
-func DeratedFIT(rate, avf float64) (float64, error) {
-	if rate < 0 || math.IsNaN(rate) {
-		return 0, fmt.Errorf("avf: invalid rate %v", rate)
-	}
-	if avf < 0 || avf > 1 || math.IsNaN(avf) {
-		return 0, fmt.Errorf("avf: AVF %v outside [0,1]", avf)
-	}
-	return units.PerYearToFIT(units.PerSecondToPerYear(rate * avf)), nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"github.com/soferr/soferr/internal/trace"
-	"github.com/soferr/soferr/internal/units"
 )
 
 func TestMTTFEquationOne(t *testing.T) {
@@ -47,16 +46,6 @@ func TestMTTFValidation(t *testing.T) {
 	}
 }
 
-func TestOfTrace(t *testing.T) {
-	p, err := trace.BusyIdle(10, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := OfTrace(p); math.Abs(got-0.3) > 1e-12 {
-		t.Errorf("OfTrace = %v, want 0.3", got)
-	}
-}
-
 func TestComponentMTTF(t *testing.T) {
 	p, err := trace.BusyIdle(10, 5)
 	if err != nil {
@@ -87,32 +76,5 @@ func TestMTTFScalesInversely(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDeratedFIT(t *testing.T) {
-	// A raw rate of 1 error/year with AVF 1 is ~114 FIT
-	// (1e9 hours / 8760 hours-per-year).
-	rate := units.PerYearToPerSecond(1)
-	got, err := DeratedFIT(rate, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 1e9 / 8760.0
-	if math.Abs(got-want)/want > 1e-9 {
-		t.Errorf("FIT = %v, want %v", got, want)
-	}
-	half, err := DeratedFIT(rate, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(half-want/2)/want > 1e-9 {
-		t.Errorf("derated FIT = %v, want %v", half, want/2)
-	}
-	if _, err := DeratedFIT(-1, 0.5); err == nil {
-		t.Error("negative rate should fail")
-	}
-	if _, err := DeratedFIT(1, 2); err == nil {
-		t.Error("AVF > 1 should fail")
 	}
 }

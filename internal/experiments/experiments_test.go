@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"strconv"
 	"strings"
 	"testing"
@@ -210,11 +211,11 @@ func TestSec54SoftArchAgreesWithMC(t *testing.T) {
 			t.Errorf("malformed point estimate: %+v", pe)
 		}
 	}
-	var buf bytes.Buffer
-	if err := tab.WriteJSON(&buf); err != nil {
+	js, err := json.MarshalIndent(tab, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
+	out := string(js)
 	for _, want := range []string{`"id": "sec54"`, `"estimates"`, `"method": "montecarlo"`, `"method": "softarch"`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("JSON output missing %q", want)
@@ -312,25 +313,23 @@ func TestFig6aSmallCAccurate(t *testing.T) {
 }
 
 func TestExtDistShapes(t *testing.T) {
+	// Every column is closed form, so the quick rows are pinned exactly:
+	// near-exponential at small NxS, visibly not at NxS = 1e11.
 	tab, err := quickRunner().ExtDist(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First row (small NxS) must be near-exponential.
-	first := tab.Rows[0]
-	cv, err2 := strconv.ParseFloat(first[2], 64)
-	if err2 != nil {
-		t.Fatal(err2)
+	want := [][]string{
+		{"1e+08", "2yr", "1.000", "0.001", "0.693"},
+		{"1e+11", "12.8h", "1.288", "0.140", "0.473"},
 	}
-	if cv < 0.9 || cv > 1.1 {
-		t.Errorf("CV at small NxS = %v, want ~1", cv)
+	if len(tab.Rows) != len(want) {
+		t.Fatalf("got %d rows, want %d", len(tab.Rows), len(want))
 	}
-	ks, err2 := strconv.ParseFloat(first[3], 64)
-	if err2 != nil {
-		t.Fatal(err2)
-	}
-	if ks > 0.05 {
-		t.Errorf("KS at small NxS = %v, want ~0", ks)
+	for i, row := range tab.Rows {
+		if strings.Join(row, " ") != strings.Join(want[i], " ") {
+			t.Errorf("row %d = %q, want %q", i, row, want[i])
+		}
 	}
 }
 

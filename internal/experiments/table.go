@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -47,14 +46,6 @@ func (t *Table) AddEstimates(point string, ests ...soferr.Estimate) {
 	for _, e := range ests {
 		t.Estimates = append(t.Estimates, PointEstimate{Point: point, Estimate: e})
 	}
-}
-
-// WriteJSON renders the table as one JSON object (the machine-readable
-// counterpart of Fprint/WriteCSV), including any typed estimates.
-func (t *Table) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
 }
 
 // Fprint renders the table as aligned text.

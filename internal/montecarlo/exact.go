@@ -19,12 +19,6 @@ import (
 // every system).
 var ErrExactUnavailable = errors.New("montecarlo: exact engine cannot tabulate this system's hazard")
 
-// ErrExactNoSamples is returned by sample-collecting runs (TTFSamples)
-// under the Exact engine: the closed-form integrator draws no random
-// variates, so there are no per-trial failure times to return. MTTF
-// queries are unaffected.
-var ErrExactNoSamples = errors.New("montecarlo: exact engine is deterministic and has no failure-time samples to collect")
-
 // exactState is the Exact engine's precomputation: the one-hyperperiod
 // survival integral, the per-hyperperiod hazard, and the (evaluate,
 // invert) pair over the cumulative hazard H. Every exact query is then
@@ -56,18 +50,16 @@ type exactState struct {
 }
 
 // exactState returns (building on first use) the Exact engine's
-// integration state. It is built independently of fusedState because
-// the two treat merge refusal oppositely: Fused silently degrades to
-// per-component sampling, Exact must surface the typed error.
+// integration state.
 func (c *Compiled) exactState() *exactState {
-	c.exactOnce.Do(func() { c.exact = newExactState(c.components) })
+	c.exactOnce.Do(func() { c.exact = c.newExactState() })
 	return c.exact
 }
 
-func newExactState(components []Component) *exactState {
+func (c *Compiled) newExactState() *exactState {
 	var live []*Component
-	for i := range components {
-		comp := &components[i]
+	for i := range c.components {
+		comp := &c.components[i]
 		if comp.Rate == 0 || comp.Trace.AVF() == 0 {
 			continue // can never fail; contributes nothing to H
 		}
@@ -97,20 +89,19 @@ func newExactState(components []Component) *exactState {
 
 	// Two or more live components integrate on the merged system table,
 	// which aligns every component on the common hyperperiod and so
-	// needs materialized traces.
-	rates := make([]float64, len(live))
-	pieces := make([]*trace.Piecewise, len(live))
-	for i, comp := range live {
-		p, ok := comp.Trace.(*trace.Piecewise)
-		if !ok {
+	// needs materialized traces. With every live trace materialized, the
+	// Fused state's table merges exactly these components, so Exact
+	// reads that one table (or its recorded refusal) and builds none.
+	for _, comp := range live {
+		if _, ok := comp.Trace.(*trace.Piecewise); !ok {
 			return &exactState{err: fmt.Errorf("%w: non-materialized trace in a %d-component system", ErrExactUnavailable, len(live))}
 		}
-		rates[i], pieces[i] = comp.Rate, p
 	}
-	m, err := trace.NewMergedExposure(rates, pieces, 0)
-	if err != nil {
-		return &exactState{err: fmt.Errorf("%w: %w", ErrExactUnavailable, err)}
+	fs := c.fusedState()
+	if fs.mergeErr != nil {
+		return &exactState{err: fmt.Errorf("%w: %w", ErrExactUnavailable, fs.mergeErr)}
 	}
+	m := fs.merged
 	es := &exactState{
 		period:   m.Period(),
 		totalHaz: m.Total(),

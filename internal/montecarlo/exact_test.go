@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"github.com/soferr/soferr/internal/analytic"
@@ -136,9 +137,6 @@ func TestExactRunIntegration(t *testing.T) {
 			t.Errorf("MTTF(%+v) = %+v, want {MTTF: %v, StdErr: 0, Trials: 0}", cfg, res, want)
 		}
 	}
-	if _, err := c.TTFSamples(ctx, Config{Engine: Exact}); !errors.Is(err, ErrExactNoSamples) {
-		t.Errorf("TTFSamples under Exact: err = %v, want ErrExactNoSamples", err)
-	}
 }
 
 func TestExactTypedRefusals(t *testing.T) {
@@ -186,6 +184,55 @@ func TestExactTypedRefusals(t *testing.T) {
 	if _, err := c2.ExactMTTF(); !errors.Is(err, ErrExactUnavailable) {
 		t.Errorf("lazy-mixture ExactMTTF err = %v, want ErrExactUnavailable", err)
 	}
+	// That refusal needs no merge, so it builds none.
+	if c2.fused != nil {
+		t.Error("refused lazy-mixture ExactMTTF built the Fused state")
+	}
+}
+
+func TestExactReadsFusedTable(t *testing.T) {
+	// A multi-component Exact query integrates the Fused state's merged
+	// table, so a system queried under both engines builds it once.
+	c := mustCompile(t, []Component{
+		{Rate: 0.02, Trace: busyIdle(t, 6, 2)},
+		{Rate: 0.01, Trace: busyIdle(t, 8, 5)},
+	})
+	got, err := c.ExactMTTF()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.fused == nil || c.fused.merged == nil {
+		t.Fatal("ExactMTTF did not build the Fused state's merged table")
+	}
+	m := c.fused.merged
+	if want := m.SurvivalIntegral() / numeric.OneMinusExpNeg(m.Total()); got != want {
+		t.Errorf("ExactMTTF = %v, want the Fused table's integral %v", got, want)
+	}
+
+	// First queries of both engines racing on a fresh system build the
+	// one table between them and agree with the sequential answers.
+	fused, err := c.MTTF(context.Background(), Config{Trials: 100, Seed: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := mustCompile(t, c.components)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g%2 == 0 {
+				if e, err := fresh.ExactMTTF(); err != nil || e != got {
+					t.Errorf("concurrent ExactMTTF = %v, %v; want %v", e, err, got)
+				}
+				return
+			}
+			if r, err := fresh.MTTF(context.Background(), Config{Trials: 100, Seed: 1, Workers: 1}); err != nil || r != fused {
+				t.Errorf("concurrent Fused MTTF = %+v, %v; want %+v", r, err, fused)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestExactLazySingleComponent(t *testing.T) {

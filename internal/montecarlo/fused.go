@@ -32,7 +32,10 @@ import (
 type fusedState struct {
 	// merged is nil when no component could join the merge (or the
 	// merge failed); rest then carries every live component.
-	merged   *trace.MergedExposure
+	merged *trace.MergedExposure
+	// mergeErr is the merge's refusal (ErrIncommensurate or
+	// ErrMergedTooLarge), which the Exact engine surfaces.
+	mergeErr error
 	totalHaz float64 // merged.Total(): cumulative hazard per hyperperiod
 	pFail    float64 // 1 - e^(-totalHaz), kept in probability space
 	period   float64 // merged.Period(): the hyperperiod
@@ -66,6 +69,7 @@ func newFusedState(components []Component) *fusedState {
 	if len(pieces) > 0 {
 		m, err := trace.NewMergedExposure(rates, pieces, 0)
 		if err != nil {
+			fs.mergeErr = err
 			// Incommensurate periods or an over-cap table: degrade to
 			// per-component inverted sampling, which is exact for any
 			// period mixture. Fall back with the components in their

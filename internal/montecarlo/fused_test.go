@@ -80,19 +80,13 @@ func TestFusedMatchesInvertedDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 60000
-	fused, err := c.TTFSamples(context.Background(), Config{Trials: n, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inv, err := perComponent(t, comps).TTFSamples(context.Background(), Config{Trials: n, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fused := trialTimes(t, c, Config{Trials: n, Seed: 3})
+	inv := trialTimes(t, perComponent(t, comps), Config{Trials: n, Seed: 4})
 	sort.Float64s(fused)
 	sort.Float64s(inv)
 
-	fm, fse := numeric.MeanStdErr(fused)
-	im, ise := numeric.MeanStdErr(inv)
+	fm, fse := meanStdErr(fused)
+	im, ise := meanStdErr(inv)
 	if diff, bound := math.Abs(fm-im), 5*(fse+ise); diff > bound {
 		t.Errorf("means differ: fused %v vs inverted %v (|diff| %v > %v)", fm, im, diff, bound)
 	}
@@ -110,6 +104,15 @@ func TestFusedMatchesInvertedDistribution(t *testing.T) {
 	if numeric.RelErr(fm, sup.MTTF) > 0.03 {
 		t.Errorf("fused %v vs naive %v", fm, sup.MTTF)
 	}
+}
+
+// meanStdErr returns the mean of xs and its iid standard error.
+func meanStdErr(xs []float64) (mean, stderr float64) {
+	var w numeric.Welford
+	for _, x := range xs {
+		w.Add(x)
+	}
+	return w.Mean(), w.StdErr()
 }
 
 // ksTwoSample returns the Kolmogorov-Smirnov distance between two

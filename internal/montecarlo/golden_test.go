@@ -12,7 +12,7 @@ import (
 type goldenRun struct {
 	name    string
 	cfg     Config
-	samples bool // pin the first 8 TTFSamples instead of the summary
+	samples bool // pin the first 8 trial failure times instead of the summary
 }
 
 // goldenSystems are the two Fused trial paths: a merged table alone,
@@ -46,10 +46,7 @@ func goldenBits(t *testing.T, c *Compiled, run goldenRun) []uint64 {
 	t.Helper()
 	ctx := context.Background()
 	if run.samples {
-		samples, err := c.TTFSamples(ctx, run.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		samples := trialTimes(t, c, run.cfg)
 		bits := make([]uint64, 8)
 		for i := range bits {
 			bits[i] = math.Float64bits(samples[i])
@@ -61,6 +58,27 @@ func goldenBits(t *testing.T, c *Compiled, run goldenRun) []uint64 {
 		t.Fatal(err)
 	}
 	return []uint64{math.Float64bits(res.MTTF), math.Float64bits(res.StdErr), uint64(res.Trials)}
+}
+
+// trialTimes returns the failure times of trials [0, cfg.Trials) in
+// trial order, drawn exactly as a fixed-trial run draws them: the
+// runner cfg resolves to, one draw source, and each trial's stream
+// positioned at (seed, index). It is how tests see the per-trial
+// values the runner folds into its accumulators.
+func trialTimes(t *testing.T, c *Compiled, cfg Config) []float64 {
+	t.Helper()
+	br, err := c.newBlockRunner(cfg, cfg.Trials, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ds drawSource
+	br.initDrawSource(&ds)
+	times := make([]float64, cfg.Trials)
+	for i := range times {
+		ds.beginTrial(br.seed, i)
+		times[i] = br.trial(&ds)
+	}
+	return times
 }
 
 // goldenWant holds the outputs recorded before the batched inversion

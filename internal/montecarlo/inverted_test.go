@@ -154,22 +154,16 @@ func TestInvertedDeterminismAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestInvertedSamplesMatchSummary(t *testing.T) {
-	// The collect path (raw samples) and the streaming path must agree
-	// on the mean exactly up to accumulation order.
+	// The per-trial times the trialTimes helper draws and the runner's
+	// streamed summary must agree on the mean exactly up to
+	// accumulation order: the helper sees what the runner folds.
 	c := perComponent(t, []Component{{Rate: 0.1, Trace: busyIdle(t, 10, 4)}})
 	cfg := Config{Trials: 30000, Seed: 5}
 	sum, err := c.MTTF(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples, err := c.TTFSamples(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != cfg.Trials {
-		t.Fatalf("got %d samples, want %d", len(samples), cfg.Trials)
-	}
-	mean := numeric.Mean(samples)
+	mean, _ := meanStdErr(trialTimes(t, c, cfg))
 	if numeric.RelErr(sum.MTTF, mean) > 1e-12 {
 		t.Errorf("streaming mean %v vs sample mean %v", sum.MTTF, mean)
 	}

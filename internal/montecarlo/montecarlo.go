@@ -164,8 +164,7 @@ type Config struct {
 	// the target, the Trials cap is hit, or ctx ends. The round
 	// schedule depends only on the trial indices (per-trial streams
 	// derive from the seed), so adaptive results are bit-identical for
-	// any worker count, exactly like fixed-trial runs. Sample-collecting
-	// runs (TTFSamples) ignore it.
+	// any worker count, exactly like fixed-trial runs.
 	TargetRelStdErr float64
 	// Sampler selects the uniform source beneath the trial kernels.
 	// DefaultSampler resolves per run: Sobol for an adaptive run that
@@ -202,14 +201,6 @@ type Result struct {
 // RelStdErr returns StdErr/MTTF (NaN for a zero-MTTF result).
 func (r Result) RelStdErr() float64 { return r.StdErr / r.MTTF }
 
-// ErrNoFailurePossible is returned by sample-collecting runs
-// (TTFSamples) when every component has AVF = 0 or rate = 0: a
-// never-failing system has no failure-time distribution to sample.
-// MTTF queries on such a system do not error; they report MTTF = +Inf
-// with zero standard error, consistent with the deterministic
-// estimators.
-var ErrNoFailurePossible = errors.New("montecarlo: no component can ever fail (zero rate or zero AVF)")
-
 // ErrTrialPanic tags a run whose trial worker panicked — a panicking
 // trace implementation, a corrupted table, or an injected chaos fault.
 // The panic is contained in the worker goroutine and surfaced as a
@@ -238,21 +229,17 @@ const fiRelayPoint = "montecarlo.cancelrelay"
 type Compiled struct {
 	components []Component
 	// anyVulnerable records whether some component can ever fail; when
-	// false every MTTF query reports +Inf (and TTFSamples returns
-	// ErrNoFailurePossible).
+	// false every MTTF query reports +Inf.
 	anyVulnerable bool
 
-	// fused is the Fused engine's merged-hazard precomputation, built
-	// lazily on first use: the merge walks every segment of every
-	// component over the hyperperiod, which Exact queries and
-	// compile-only callers should never pay for.
+	// fused is the Fused engine's precomputation, built lazily on first
+	// use: the merge walks every segment of every component over the
+	// hyperperiod, which compile-only callers should never pay for. Its
+	// merged table is the system's only one; the Exact state reads it.
 	fusedOnce sync.Once
 	fused     *fusedState
 
-	// exact is the Exact engine's closed-form integration state. It is
-	// built separately from fused because the two handle merge refusal
-	// oppositely: the Fused sampler silently degrades to per-component
-	// draws, while the Exact integrator must surface the typed error.
+	// exact is the Exact engine's closed-form integration state.
 	exactOnce sync.Once
 	exact     *exactState
 }
@@ -281,22 +268,6 @@ func Compile(components []Component) (*Compiled, error) {
 	return c, nil
 }
 
-// MTTF estimates the system MTTF. Failure times are folded into
-// streaming accumulators as they are produced, so memory is O(workers),
-// not O(trials). Cancelling ctx aborts the run mid-trial and returns
-// ctx.Err(), distinct from any trial error.
-func (c *Compiled) MTTF(ctx context.Context, cfg Config) (Result, error) {
-	res, _, err := c.run(ctx, cfg, false)
-	return res, err
-}
-
-// TTFSamples runs the engine and returns the raw per-trial failure
-// times in trial order; SystemTTFSamples returns them sorted.
-func (c *Compiled) TTFSamples(ctx context.Context, cfg Config) ([]float64, error) {
-	_, samples, err := c.run(ctx, cfg, true)
-	return samples, err
-}
-
 // SystemMTTF estimates the MTTF of a series system of components: a
 // single-use convenience over Compile + MTTF. Cancelling ctx aborts the
 // run and returns ctx.Err().
@@ -314,17 +285,15 @@ func SystemMTTF(ctx context.Context, components []Component, cfg Config) (Result
 // first round of an adaptive (TargetRelStdErr) run.
 const trialBlock = 4096
 
-// run executes the engine. With collect it also returns the raw
-// per-trial failure times (in trial order); otherwise samples are
-// folded into per-block Welford accumulators and never materialized.
-func (c *Compiled) run(ctx context.Context, cfg Config, collect bool) (Result, []float64, error) {
+// MTTF estimates the system MTTF. Failure times are folded into
+// per-block Welford accumulators as they are produced, so memory is
+// O(workers + blocks), not O(trials). Cancelling ctx aborts the run
+// mid-trial and returns ctx.Err(), distinct from any trial error.
+func (c *Compiled) MTTF(ctx context.Context, cfg Config) (Result, error) {
 	if err := ctx.Err(); err != nil {
-		return Result{}, nil, err
+		return Result{}, err
 	}
 	if !c.anyVulnerable {
-		if collect {
-			return Result{}, nil, ErrNoFailurePossible
-		}
 		// A system that can never fail has a well-defined answer, not an
 		// error: MTTF = +Inf, known exactly (consistent with the
 		// deterministic estimators and with FIT = 0). No draw is made,
@@ -334,25 +303,21 @@ func (c *Compiled) run(ctx context.Context, cfg Config, collect bool) (Result, [
 		if sampler == DefaultSampler {
 			sampler = PCG
 		}
-		return Result{MTTF: math.Inf(1), Sampler: sampler}, nil, nil
+		return Result{MTTF: math.Inf(1), Sampler: sampler}, nil
 	}
 	if cfg.TargetRelStdErr < 0 || math.IsNaN(cfg.TargetRelStdErr) {
-		return Result{}, nil, fmt.Errorf("montecarlo: invalid TargetRelStdErr %v", cfg.TargetRelStdErr)
+		return Result{}, fmt.Errorf("montecarlo: invalid TargetRelStdErr %v", cfg.TargetRelStdErr)
 	}
 
 	if cfg.Engine == Exact {
 		// The Exact engine runs no trials: the answer is the closed-form
 		// integral, independent of Trials, Seed, Workers, and
-		// TargetRelStdErr. Sample collection is impossible without an
-		// RNG, so TTFSamples refuses with a typed error.
-		if collect {
-			return Result{}, nil, ErrExactNoSamples
-		}
+		// TargetRelStdErr.
 		mttf, err := c.ExactMTTF()
 		if err != nil {
-			return Result{}, nil, err
+			return Result{}, err
 		}
-		return Result{MTTF: mttf, Sampler: PCG}, nil, nil
+		return Result{MTTF: mttf, Sampler: PCG}, nil
 	}
 
 	trials := cfg.Trials
@@ -367,21 +332,14 @@ func (c *Compiled) run(ctx context.Context, cfg Config, collect bool) (Result, [
 		workers = trials
 	}
 
-	br, err := c.newBlockRunner(cfg, trials, !collect && cfg.TargetRelStdErr > 0)
+	br, err := c.newBlockRunner(cfg, trials, cfg.TargetRelStdErr > 0)
 	if err != nil {
-		return Result{}, nil, err
+		return Result{}, err
 	}
 	stopRelay := br.startCancelRelay(ctx)
 	defer stopRelay()
 
-	var res Result
-	var samples []float64
-	if collect {
-		samples = make([]float64, trials)
-		br.runRange(0, trials, workers, nil, samples)
-	} else {
-		res = br.runRounds(ctx, cfg.TargetRelStdErr, trials, workers)
-	}
+	res := br.runRounds(ctx, cfg.TargetRelStdErr, trials, workers)
 	// Join the relay before reading the error state: its failure path
 	// writes trialErr, and stopping it here makes the read race-free,
 	// the injected-fault tests deterministic, and a relay-side failure
@@ -390,16 +348,12 @@ func (c *Compiled) run(ctx context.Context, cfg Config, collect bool) (Result, [
 	// Context cancellation wins over trial errors: the caller asked the
 	// run to stop, and partial-trial errors after that are moot.
 	if err := ctx.Err(); err != nil {
-		return Result{}, nil, err
+		return Result{}, err
 	}
 	if err := br.err(); err != nil {
-		return Result{}, nil, err
+		return Result{}, err
 	}
-	if collect {
-		mean, se := numeric.MeanStdErr(samples)
-		res = Result{MTTF: mean, StdErr: se, Trials: trials, Sampler: br.sampler}
-	}
-	return res, samples, nil
+	return res, nil
 }
 
 // mergeBlockAccs folds per-block accumulators (reps consecutive
@@ -540,7 +494,7 @@ func (br *blockRunner) runRounds(ctx context.Context, target float64, cap, worke
 	for {
 		numBlocks := (round - done + trialBlock - 1) / trialBlock
 		accs := make([]numeric.Welford, numBlocks*br.reps)
-		br.runRange(done, round, workers, accs, nil)
+		br.runRange(done, round, workers, accs)
 		if ctx.Err() != nil || br.err() != nil {
 			return Result{}
 		}
@@ -636,15 +590,14 @@ func (br *blockRunner) startCancelRelay(ctx context.Context) (stop func()) {
 }
 
 // runRange executes trials [lo, hi) of the absolute trial-index space;
-// lo must be trialBlock-aligned. Summary mode (samples nil) folds each
-// block into reps consecutive accumulators starting at
+// lo must be trialBlock-aligned. It folds each block into reps
+// consecutive accumulators starting at
 // accs[(blockIndex-lo/trialBlock)*reps], one per Sobol replicate
 // (trial i belongs to replicate i mod reps; reps is 1 for PCG, so the
-// layout and fold order are exactly the historical ones). Collect mode
-// writes samples[i] per trial. Blocks are claimed off an atomic
-// counter, so any worker count produces the same per-block
-// accumulators.
-func (br *blockRunner) runRange(lo, hi, workers int, accs []numeric.Welford, samples []float64) {
+// layout and fold order are exactly the historical ones). Blocks are
+// claimed off an atomic counter, so any worker count produces the same
+// per-block accumulators.
+func (br *blockRunner) runRange(lo, hi, workers int, accs []numeric.Welford) {
 	baseBlock := lo / trialBlock
 	endBlock := (hi + trialBlock - 1) / trialBlock
 	if workers > endBlock-baseBlock {
@@ -695,16 +648,9 @@ func (br *blockRunner) runRange(lo, hi, workers int, accs []numeric.Welford, sam
 						return
 					}
 					ds.beginTrial(br.seed, i)
-					v := br.trial(&ds)
-					if samples != nil {
-						samples[i] = v
-					} else {
-						accLocal[i%reps].Add(v)
-					}
+					accLocal[i%reps].Add(br.trial(&ds))
 				}
-				if samples == nil {
-					copy(accs[(b-baseBlock)*reps:], accLocal)
-				}
+				copy(accs[(b-baseBlock)*reps:], accLocal)
 			}
 		}()
 	}

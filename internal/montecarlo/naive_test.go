@@ -66,7 +66,7 @@ func naiveMTTF(t testing.TB, c *Compiled, trials int, seed uint64) Result {
 		reps: 1,
 	}
 	accs := make([]numeric.Welford, (trials+trialBlock-1)/trialBlock)
-	br.runRange(0, trials, 2, accs, nil)
+	br.runRange(0, trials, 2, accs)
 	if err := br.err(); err != nil {
 		t.Fatal(err)
 	}
@@ -78,13 +78,14 @@ func naiveMTTF(t testing.TB, c *Compiled, trials int, seed uint64) Result {
 // perComponent compiles comps with the Fused merge refused, so every
 // trial takes the per-component path Fused degrades to on
 // incommensurate periods: each component's first unmasked arrival by
-// exposure inversion, in component order.
+// exposure inversion, in component order. Its Exact answers come from
+// an ordinary compile of the same components, since Exact reads the
+// merged table this one withholds.
 func perComponent(t testing.TB, comps []Component) *Compiled {
 	t.Helper()
-	c, err := Compile(comps)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := mustCompile(t, comps).exactState()
+	c := mustCompile(t, comps)
+	c.exactOnce.Do(func() { c.exact = exact })
 	c.fusedOnce.Do(func() { c.fused = &fusedState{rest: newInvComps(c.components)} })
 	return c
 }

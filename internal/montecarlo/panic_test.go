@@ -40,31 +40,17 @@ func (p *panicTrace) SurvivalIntegral(rate float64) (float64, float64) {
 
 // TestTrialPanicContained: a panicking trace surfaces as a typed
 // ErrTrialPanic error on the estimate path — carrying the panic value
-// — instead of crashing the process, for both summary and
-// sample-collecting runs.
+// — instead of crashing the process.
 func TestTrialPanicContained(t *testing.T) {
-	for _, collect := range []bool{false, true} {
-		tr := &panicTrace{period: 10, avf: 0.5, after: 100}
-		comp := []Component{{Name: "bad", Rate: 0.1, Trace: tr}}
-		cfg := Config{Trials: 20000, Seed: 1, Engine: Fused, Workers: 4}
-		var err error
-		if collect {
-			_, err = func() ([]float64, error) {
-				c, cerr := Compile(comp)
-				if cerr != nil {
-					return nil, cerr
-				}
-				return c.TTFSamples(context.Background(), cfg)
-			}()
-		} else {
-			_, err = SystemMTTF(context.Background(), comp, cfg)
-		}
-		if !errors.Is(err, ErrTrialPanic) {
-			t.Fatalf("collect=%v: err = %v, want ErrTrialPanic", collect, err)
-		}
-		if !strings.Contains(err.Error(), "scripted trace failure") {
-			t.Errorf("collect=%v: error %q lacks the panic value", collect, err)
-		}
+	tr := &panicTrace{period: 10, avf: 0.5, after: 100}
+	_, err := SystemMTTF(context.Background(),
+		[]Component{{Name: "bad", Rate: 0.1, Trace: tr}},
+		Config{Trials: 20000, Seed: 1, Engine: Fused, Workers: 4})
+	if !errors.Is(err, ErrTrialPanic) {
+		t.Fatalf("err = %v, want ErrTrialPanic", err)
+	}
+	if !strings.Contains(err.Error(), "scripted trace failure") {
+		t.Errorf("error %q lacks the panic value", err)
 	}
 }
 

@@ -155,24 +155,6 @@ func (k *KahanSum) Add(x float64) {
 // Sum returns the compensated total.
 func (k *KahanSum) Sum() float64 { return k.sum + k.c }
 
-// GeometricSeriesSum returns sum_{i=0..inf} r^i = 1/(1-r) for |r| < 1.
-func GeometricSeriesSum(r float64) float64 {
-	if math.Abs(r) >= 1 {
-		return math.Inf(1)
-	}
-	return 1 / (1 - r)
-}
-
-// ArithGeometricSeriesSum returns sum_{i=0..inf} i*r^i = r/(1-r)^2 for
-// |r| < 1 (the identity used in Derivation 1 of the paper's appendix).
-func ArithGeometricSeriesSum(r float64) float64 {
-	if math.Abs(r) >= 1 {
-		return math.Inf(1)
-	}
-	d := 1 - r
-	return r / (d * d)
-}
-
 // RelErr returns |got-want| / |want|; if want is zero it returns |got|.
 func RelErr(got, want float64) float64 {
 	if want == 0 {
@@ -180,40 +162,6 @@ func RelErr(got, want float64) float64 {
 	}
 	return math.Abs(got-want) / math.Abs(want)
 }
-
-// Mean returns the arithmetic mean of xs (NaN for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var k KahanSum
-	for _, x := range xs {
-		k.Add(x)
-	}
-	return k.Sum() / float64(len(xs))
-}
-
-// MeanStdErr returns the sample mean and its standard error.
-func MeanStdErr(xs []float64) (mean, stderr float64) {
-	n := float64(len(xs))
-	if n == 0 {
-		return math.NaN(), math.NaN()
-	}
-	mean = Mean(xs)
-	if n == 1 {
-		return mean, 0
-	}
-	var k KahanSum
-	for _, x := range xs {
-		d := x - mean
-		k.Add(d * d)
-	}
-	variance := k.Sum() / (n - 1)
-	return mean, math.Sqrt(variance / n)
-}
-
-// Erf is math.Erf re-exported so callers need only this package.
-func Erf(x float64) float64 { return math.Erf(x) }
 
 // Bisect finds a root of f in [a, b] where f(a) and f(b) have opposite
 // signs, to within xtol.

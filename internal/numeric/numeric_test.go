@@ -3,7 +3,6 @@ package numeric
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestOneMinusExpNegSmall(t *testing.T) {
@@ -97,63 +96,12 @@ func TestKahanSum(t *testing.T) {
 	}
 }
 
-func TestGeometricSeries(t *testing.T) {
-	f := func(r float64) bool {
-		r = math.Mod(math.Abs(r), 0.999)
-		direct := 0.0
-		p := 1.0
-		for i := 0; i < 10000; i++ {
-			direct += p
-			p *= r
-		}
-		return RelErr(GeometricSeriesSum(r), direct) < 1e-6 || p > 1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	if !math.IsInf(GeometricSeriesSum(1), 1) {
-		t.Error("GeometricSeriesSum(1) should be +Inf")
-	}
-}
-
-func TestArithGeometricSeries(t *testing.T) {
-	const r = 0.5
-	direct := 0.0
-	p := 1.0
-	for i := 0; i < 200; i++ {
-		direct += float64(i) * p
-		p *= r
-	}
-	if RelErr(ArithGeometricSeriesSum(r), direct) > 1e-12 {
-		t.Errorf("sum i*r^i = %v, want %v", ArithGeometricSeriesSum(r), direct)
-	}
-}
-
 func TestRelErr(t *testing.T) {
 	if got := RelErr(1.1, 1.0); math.Abs(got-0.1) > 1e-15 {
 		t.Errorf("RelErr(1.1,1) = %v", got)
 	}
 	if RelErr(0.5, 0) != 0.5 {
 		t.Errorf("RelErr(0.5,0) = %v", RelErr(0.5, 0))
-	}
-}
-
-func TestMeanStdErr(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	mean, se := MeanStdErr(xs)
-	if mean != 5 {
-		t.Errorf("mean = %v, want 5", mean)
-	}
-	// Sample stddev = sqrt(32/7); stderr = that / sqrt(8).
-	want := math.Sqrt(32.0/7.0) / math.Sqrt(8)
-	if RelErr(se, want) > 1e-12 {
-		t.Errorf("stderr = %v, want %v", se, want)
-	}
-}
-
-func TestMeanEmpty(t *testing.T) {
-	if !math.IsNaN(Mean(nil)) {
-		t.Error("Mean(nil) should be NaN")
 	}
 }
 

@@ -69,7 +69,7 @@ func (w *Welford) Mean() float64 {
 }
 
 // Variance returns the unbiased sample variance (0 for a single
-// sample, NaN when empty — matching MeanStdErr's conventions).
+// sample, NaN when empty).
 func (w *Welford) Variance() float64 {
 	if w.n < 2 {
 		if w.n == 1 {

@@ -43,13 +43,34 @@ func TestTruncExpInvCDF(t *testing.T) {
 	}
 }
 
+// twoPassMeanStdErr is the textbook two-pass sample mean and standard
+// error, the oracle the streaming accumulator is checked against.
+func twoPassMeanStdErr(xs []float64) (mean, stderr float64) {
+	n := float64(len(xs))
+	var sum, sq KahanSum
+	for _, x := range xs {
+		sum.Add(x)
+	}
+	mean = sum.Sum() / n
+	for _, x := range xs {
+		sq.Add((x - mean) * (x - mean))
+	}
+	return mean, math.Sqrt(sq.Sum() / (n - 1) / n)
+}
+
 func TestWelfordMatchesTwoPass(t *testing.T) {
+	// Known answer: sample stddev sqrt(32/7), stderr that / sqrt(8).
+	mean, se := twoPassMeanStdErr([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	if want := math.Sqrt(32.0/7.0) / math.Sqrt(8); mean != 5 || RelErr(se, want) > 1e-12 {
+		t.Fatalf("two-pass oracle = (%v, %v), want (5, %v)", mean, se, want)
+	}
+
 	xs := []float64{3, 1, 4, 1, 5, 9, 2.5, 6, 5.25, 3.5}
 	var w Welford
 	for _, x := range xs {
 		w.Add(x)
 	}
-	mean, se := MeanStdErr(xs)
+	mean, se = twoPassMeanStdErr(xs)
 	if RelErr(w.Mean(), mean) > 1e-13 {
 		t.Errorf("Welford mean %v vs two-pass %v", w.Mean(), mean)
 	}

@@ -1060,9 +1060,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // ahead of the listener closing.
 func (s *Server) BeginDrain() { s.ready.Store(false) }
 
-// Ready reports the /readyz state.
-func (s *Server) Ready() bool { return s.ready.Load() }
-
 // handleReadyz is routing readiness: 200 while accepting new work, 503
 // (with Retry-After) once BeginDrain has been called. Deliberately not
 // routed through writeError — drain-time readiness probes are expected

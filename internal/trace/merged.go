@@ -329,6 +329,137 @@ func (m *MergedExposure) SurvivalIntegral() float64 {
 	return sum.Sum()
 }
 
+// TTFShape returns the shape of the system's first failure time T in
+// closed form, in one pass over the table with no sampling and no
+// quadrature: its mean, its second moment E[T^2], and the
+// Kolmogorov-Smirnov distance between its law and the exponential of
+// equal mean. With q = e^(-Total()), P = Period() and the
+// one-hyperperiod integrals I0 = int_0^P e^(-H(s)) ds (which
+// SurvivalIntegral returns) and I1 = int_0^P s*e^(-H(s)) ds, summing
+// the survival function's geometric fold over hyperperiods gives
+//
+//	mean   = I0/(1-q)
+//	E[T^2] = 2*int_0^inf t*e^(-H(t)) dt = 2*(P*I0*q/(1-q)^2 + I1/(1-q))
+//	ks     = sup_t |e^(-t/mean) - e^(-H(t))|
+//
+// The supremum is a maximum over O(1) closed-form candidates per
+// segment (see ksExponential). DESIGN.md, "TTF shape", derives all
+// three. A table whose per-period hazard underflowed to zero never
+// fails: it returns an infinite mean and second moment and a zero
+// distance.
+func (m *MergedExposure) TTFShape() (mean, second, ks float64) {
+	total := m.Total()
+	if total == 0 {
+		return math.Inf(1), math.Inf(1), 0
+	}
+	var i0, i1 numeric.KahanSum
+	for i, h := range m.haz {
+		pre := numeric.ExpNeg(m.cumHaz[i])
+		if pre == 0 {
+			break // everything after contributes nothing
+		}
+		start, length := m.starts[i], m.starts[i+1]-m.starts[i]
+		// pre * int_0^len e^(-h*u) du, spelled as in SurvivalIntegral so
+		// that the mean is SurvivalIntegral()/(1-q) to the last bit.
+		term := pre * length
+		if h != 0 {
+			term = pre * numeric.OneMinusExpNeg(h*length) / h
+		}
+		i0.Add(term)
+		// pre * int_0^len (start+u)*e^(-h*u) du
+		i1.Add(start*term + pre*length*length*phi1(h*length))
+	}
+	// 1-q through expm1, as the Exact MTTF's denominator: literal
+	// 1-e^(-Total()) cancels for tiny per-period hazards.
+	oneMinusQ := numeric.OneMinusExpNeg(total)
+	q := numeric.ExpNeg(total)
+	mean = i0.Sum() / oneMinusQ
+	second = 2 * (m.period*i0.Sum()*q/(oneMinusQ*oneMinusQ) + i1.Sum()/oneMinusQ)
+	return mean, second, m.ksExponential(mean)
+}
+
+// phi1 returns (1 - e^(-x)*(1+x))/x^2, the normalized first moment of
+// a truncated exponential: int_0^L u*e^(-h*u) du = L^2*phi1(h*L). The
+// direct form loses about 2*eps/x relative to cancellation, so below
+// x = 1e-2 the alternating series sum_n (-x)^n/(n!*(n+2)) takes over,
+// truncated after x^5, where the first dropped term is below 4e-16
+// relative.
+func phi1(x float64) float64 {
+	if x < 1e-2 {
+		return 0.5 + x*(-1.0/3+x*(1.0/8+x*(-1.0/30+x*(1.0/144-x/840))))
+	}
+	return (numeric.OneMinusExpNeg(x) - x*numeric.ExpNeg(x)) / (x * x)
+}
+
+// ksExponential returns sup over t >= 0 of |e^(-t/mean) - e^(-H(t))|,
+// with H extended past the hyperperiod by H(k*P + s) = k*H(P) + H(s).
+// On segment i (start a, rate h, H(a) = Hi) the difference at
+// t = k*P + s is a difference of two exponentials, so its extremes lie
+// among these candidates:
+//
+//   - the segment start at k = 0, floor(k*) and ceil(k*): as a function
+//     of k the start's difference A*x^k - B*y^k has one stationary
+//     point, k* = (a/mean - Hi + ln(mean*H(P)/P)) / (H(P) - P/mean),
+//     and tends to 0, so its largest magnitude over integers is at 0
+//     or next to k*. Segment ends are the next segment's starts.
+//   - the in-segment stationary point
+//     s*(k) = (ln(mean*h) - Hi + h*a + k*(P/mean - H(P))) / (h - 1/mean)
+//     where h > 0 and h != 1/mean, at the smallest and largest k that
+//     place it inside the segment: there the difference is
+//     (1 - 1/(mean*h))*e^(-t/mean) with t linear in k, so it is
+//     monotone along the locus.
+func (m *MergedExposure) ksExponential(mean float64) float64 {
+	period, total := m.period, m.Total()
+	ks := 0.0
+	// consider folds in the difference at t = k*P + s, s in segment i.
+	// A NaN (from a degenerate candidate) compares false and is dropped.
+	consider := func(k float64, i int, s float64) {
+		t := k*period + s
+		h := k*total + m.cumHaz[i] + (s-m.starts[i])*m.haz[i]
+		if d := math.Abs(numeric.ExpNeg(t/mean) - numeric.ExpNeg(h)); d > ks {
+			ks = d
+		}
+	}
+	lnRatio := math.Log(mean * total / period)
+	kDen := total - period/mean
+	for i, h := range m.haz {
+		a, hi := m.starts[i], m.cumHaz[i]
+		end := m.starts[i+1]
+		consider(0, i, a)
+		if k := (a/mean - hi + lnRatio) / kDen; k > 0 {
+			consider(math.Floor(k), i, a)
+			consider(math.Ceil(k), i, a)
+		}
+		d := h - 1/mean
+		if h == 0 || d == 0 {
+			continue // monotone within the segment: its ends suffice
+		}
+		// s*(k) = c0 + c1*k; keep the k >= 0 that place it in [a, end].
+		c0 := (math.Log(mean*h) - hi + h*a) / d
+		c1 := (period/mean - total) / d
+		var lo, up float64
+		switch {
+		case c1 > 0:
+			lo, up = (a-c0)/c1, (end-c0)/c1
+		case c1 < 0:
+			lo, up = (end-c0)/c1, (a-c0)/c1
+		case c0 >= a && c0 <= end:
+			lo, up = 0, 0 // s* does not move with k, and t grows with it
+		default:
+			continue
+		}
+		kLo, kUp := math.Ceil(math.Max(lo, 0)), math.Floor(up)
+		if !(kLo <= kUp) {
+			continue
+		}
+		consider(kLo, i, min(max(c0+c1*kLo, a), end))
+		if !math.IsInf(kUp, 1) {
+			consider(kUp, i, min(max(c0+c1*kUp, a), end))
+		}
+	}
+	return ks
+}
+
 // Invert is the right-continuous generalized inverse of CumHazard: the
 // first instant x in [0, Period] at which the hazard accumulates beyond
 // h, clamped to Period for h >= Total. Zero-hazard segments accumulate

@@ -4,13 +4,16 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"github.com/soferr/soferr/internal/numeric"
 )
 
 // FuzzMergedExposure builds two busy/idle components from fuzzed
 // parameters and merges them: NewMergedExposure must either return a
 // branchable typed error (ErrIncommensurate, ErrMergedTooLarge, or the
 // no-failure sentinel) or a table satisfying the inversion round-trip
-// the Fused engine relies on.
+// the Fused engine relies on and the bounds on its closed-form TTF
+// shape.
 func FuzzMergedExposure(f *testing.F) {
 	f.Add(1.0, 0.5, 1.0, 0.25, 3.0, 7.0, 0.5)
 	f.Add(1.0, 1.0, 0.5, 0.5, 1.0, 1.0, 0.0)
@@ -73,6 +76,27 @@ func FuzzMergedExposure(f *testing.F) {
 		}
 		if got := m.Invert(total); got != m.Period() {
 			t.Fatalf("Invert(Total) = %v, want Period %v", got, m.Period())
+		}
+
+		// The closed-form TTF shape: its mean is the Exact MTTF's
+		// quotient, its second moment bounds the squared mean, and its
+		// KS distance is a distance that no probe of the two survival
+		// functions exceeds (beyond rounding).
+		mean, second, ks := m.TTFShape()
+		if want := m.SurvivalIntegral() / numeric.OneMinusExpNeg(total); numeric.RelErr(mean, want) > 1e-12 {
+			t.Fatalf("TTFShape mean = %v, want SurvivalIntegral/(1-e^-Total) = %v", mean, want)
+		}
+		if second < mean*mean*(1-1e-12) {
+			t.Fatalf("TTFShape E[T^2] = %v below mean^2 = %v", second, mean*mean)
+		}
+		if !(ks >= 0 && ks <= 1) {
+			t.Fatalf("TTFShape KS = %v outside [0, 1]", ks)
+		}
+		for _, k := range []float64{0, 1, math.Floor(1 / total)} {
+			probe := math.Abs(numeric.ExpNeg((k*m.Period()+x)/mean) - numeric.ExpNeg(k*total+m.CumHazard(x)))
+			if probe > ks+1e-12 {
+				t.Fatalf("KS %v below the probe %v at t = %v*P + %v", ks, probe, k, x)
+			}
 		}
 	})
 }

@@ -12,8 +12,6 @@
 // (bits) and S the environment scaling factor (Table 2).
 package units
 
-import "math"
-
 // Time conversion constants.
 const (
 	// CyclesPerSecond is the clock rate of the base processor (Table 1).
@@ -43,22 +41,11 @@ const (
 	BaselinePerBitPerYear = 1.0e-8
 )
 
-// CyclesToSeconds converts a cycle count to seconds at the base clock.
-func CyclesToSeconds(cycles float64) float64 { return cycles * SecondsPerCycle }
-
-// SecondsToCycles converts seconds to cycles at the base clock.
-func SecondsToCycles(seconds float64) float64 { return seconds * CyclesPerSecond }
-
 // PerYearToPerSecond converts a rate in errors/year to errors/second.
 func PerYearToPerSecond(perYear float64) float64 { return perYear / SecondsPerYear }
 
 // PerSecondToPerYear converts a rate in errors/second to errors/year.
 func PerSecondToPerYear(perSecond float64) float64 { return perSecond * SecondsPerYear }
-
-// FITToPerYear converts a FIT rate (failures per 1e9 hours) to errors/year.
-func FITToPerYear(fit float64) float64 {
-	return fit / HoursPerBillion * (SecondsPerYear / SecondsPerHour)
-}
 
 // PerYearToFIT converts errors/year to a FIT rate.
 func PerYearToFIT(perYear float64) float64 {
@@ -75,14 +62,4 @@ func ComponentRatePerYear(n, s float64) float64 {
 // ComponentRatePerSecond is ComponentRatePerYear converted to errors/second.
 func ComponentRatePerSecond(n, s float64) float64 {
 	return PerYearToPerSecond(ComponentRatePerYear(n, s))
-}
-
-// MTTFFromRate returns the mean time to failure, in seconds, of an
-// exponential failure process with the given rate in errors/second.
-// A zero rate yields +Inf.
-func MTTFFromRate(perSecond float64) float64 {
-	if perSecond == 0 {
-		return math.Inf(1)
-	}
-	return 1 / perSecond
 }

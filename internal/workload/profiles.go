@@ -155,13 +155,6 @@ func specFPProfiles() []Profile {
 	}
 }
 
-// SPECInt returns the 9 integer benchmark profiles (Section 4.1 uses 9
-// integer and 12 floating-point benchmarks).
-func SPECInt() []Profile { return specIntProfiles() }
-
-// SPECFP returns the 12 floating-point benchmark profiles.
-func SPECFP() []Profile { return specFPProfiles() }
-
 // All returns every benchmark profile, integer suite first.
 func All() []Profile {
 	return append(specIntProfiles(), specFPProfiles()...)

@@ -10,11 +10,12 @@ import (
 )
 
 func TestProfilesComplete(t *testing.T) {
-	if got := len(SPECInt()); got != 9 {
-		t.Errorf("SPECInt count = %d, want 9 (Section 4.1)", got)
+	// Section 4.1 uses 9 integer and 12 floating-point benchmarks.
+	if got := len(specIntProfiles()); got != 9 {
+		t.Errorf("integer profile count = %d, want 9 (Section 4.1)", got)
 	}
-	if got := len(SPECFP()); got != 12 {
-		t.Errorf("SPECFP count = %d, want 12 (Section 4.1)", got)
+	if got := len(specFPProfiles()); got != 12 {
+		t.Errorf("floating-point profile count = %d, want 12 (Section 4.1)", got)
 	}
 	if got := len(All()); got != 21 {
 		t.Errorf("All count = %d, want 21", got)

@@ -86,9 +86,6 @@ func (r *Rand) Uint64() uint64 {
 	return hi<<32 | lo
 }
 
-// Uint32 returns the next 32 uniformly distributed bits.
-func (r *Rand) Uint32() uint32 { return r.next32() }
-
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
 //
 //soferr:hotpath
@@ -135,15 +132,6 @@ func (r *Rand) Exp(rate float64) float64 {
 		panic("xrand: Exp with non-positive or non-finite rate")
 	}
 	return -math.Log(r.Float64Open()) / rate
-}
-
-// Norm returns a standard normal value (Box-Muller; the second value of
-// each pair is discarded to keep the stream stateless beyond the PCG
-// state).
-func (r *Rand) Norm() float64 {
-	u := r.Float64Open()
-	v := r.Float64Open()
-	return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
 }
 
 // Bool returns true with probability p.

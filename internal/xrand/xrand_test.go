@@ -182,25 +182,6 @@ func TestGeometricPOne(t *testing.T) {
 	}
 }
 
-func TestNormMoments(t *testing.T) {
-	r := New(31)
-	const n = 300000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		x := r.Norm()
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.01 {
-		t.Errorf("normal mean = %v, want 0", mean)
-	}
-	if math.Abs(variance-1) > 0.02 {
-		t.Errorf("normal variance = %v, want 1", variance)
-	}
-}
-
 func TestPerm(t *testing.T) {
 	r := New(37)
 	p := r.Perm(100)
