@@ -42,7 +42,7 @@ serve:
 # stream cuts) under the race detector, non-short so nothing skips. See
 # DESIGN.md, "Failure model".
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Panic|Injected|Eviction|Readyz|RetryAfter|Resume' ./internal/faultinject/... ./internal/montecarlo/... ./internal/sweep/... ./internal/server/... ./client/...
+	$(GO) test -race -count=1 -run 'Chaos|Panic|Injected|Eviction|Readyz|RetryAfter|Resume' ./internal/faultinject/... ./internal/montecarlo/... . ./internal/server/... ./client/...
 
 # lint runs the soferrlint static-contract suite (nondeterminism,
 # hotpath, floatprec, allocfree, errcontract, ctxflow, faultpoint,

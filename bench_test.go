@@ -202,8 +202,7 @@ func BenchmarkRepeatedSoftArchQuery(b *testing.B) {
 }
 
 // BenchmarkSurvivalIntegral measures the SoftArch closed-form path on a
-// simulator trace. The rate changes every iteration: the trace memoizes
-// its last rate's integral, so a fixed rate would time a memo hit.
+// simulator trace: one walk over its segments per call.
 func BenchmarkSurvivalIntegral(b *testing.B) {
 	res, err := soferr.SimulateBenchmark("swim", 50000, 1)
 	if err != nil {

@@ -23,6 +23,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -336,7 +337,7 @@ func (c *Client) SweepStream(ctx context.Context, req SweepRequest, fn func(Swee
 		}
 		if err != nil {
 			var apiErr *APIError
-			if ok := asAPIError(err, &apiErr); ok && !apiErr.retryable() {
+			if errors.As(err, &apiErr) && !apiErr.retryable() {
 				return err
 			}
 			if ctx.Err() != nil {
@@ -360,7 +361,7 @@ func (c *Client) SweepStream(ctx context.Context, req SweepRequest, fn func(Swee
 		}
 		retryAfter := 0
 		var apiErr *APIError
-		if asAPIError(err, &apiErr) {
+		if errors.As(err, &apiErr) {
 			retryAfter = apiErr.RetryAfterSeconds
 		}
 		if serr := c.sleep(ctx, c.backoff(stalls, retryAfter)); serr != nil {
@@ -498,19 +499,6 @@ func parseAPIError(resp *http.Response, body []byte) *APIError {
 		}
 	}
 	return apiErr
-}
-
-// asAPIError is errors.As without the reflection import churn for the
-// one type we match.
-func asAPIError(err error, target **APIError) bool {
-	if err == nil {
-		return false
-	}
-	if e, ok := err.(*APIError); ok {
-		*target = e
-		return true
-	}
-	return false
 }
 
 // backoff computes the wait before retry attempt (0-based): the doubled

@@ -259,10 +259,10 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 
 	// Cancel on any early return (cell error, write error) so the
 	// worker pool and reorder goroutine wind down instead of leaking —
-	// SweepStream's channel must be drained or its context cancelled.
+	// SweepCells' channel must be drained or its context cancelled.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	ch, err := soferr.SweepStream(ctx, grid, soferr.WithQuery(q))
+	ch, err := soferr.SweepCells(ctx, grid.Sources, cells, grid.Methods, soferr.WithQuery(q))
 	if err != nil {
 		return err
 	}

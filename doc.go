@@ -42,7 +42,7 @@
 //     independently scrambled replicates. Fixed-trial queries run PCG,
 //     and WithSampler names either sampler outright. Every estimate
 //     records the sampler that ran (Estimate.Sampler).
-//   - A design-space sweep engine (Sweep, SweepStream, SweepCells): a
+//   - A design-space sweep engine (Sweep, SweepCells, SweepCellsAll): a
 //     Grid of named axes — workloads/traces, raw rates, component
 //     counts, estimator methods — evaluated concurrently with one
 //     compiled System per unique configuration and deterministic

@@ -1,8 +1,9 @@
 // Package gocontain implements the soferrlint analyzer enforcing the
 // panic-containment contract of the serving tier (see DESIGN.md,
 // "Failure model"): a panic escaping any goroutine kills the whole
-// process, so in the contained packages (internal/server,
-// internal/sweep, internal/montecarlo, and client — recognized by the
+// process, so in the contained packages (the root soferr package,
+// whose sweep engine runs a worker pool, internal/server,
+// internal/montecarlo, and client — recognized by the
 // //soferr:contained package marker AND by import path, so deleting
 // the marker cannot silence the check) every go statement must launch
 // a goroutine that cannot leak a panic:

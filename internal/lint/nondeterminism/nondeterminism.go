@@ -1,8 +1,8 @@
 // Package nondeterminism implements the soferrlint analyzer enforcing
 // the deterministic-core contract: the packages whose results must be
 // bit-identical for a given seed across runs, machines, and worker
-// counts (trace, montecarlo, sweep, xrand, numeric, and the root
-// soferr query paths) may not read wall clocks, use the global
+// counts (trace, montecarlo, xrand, numeric, and the root soferr
+// query and sweep paths) may not read wall clocks, use the global
 // math/rand streams, or let map iteration order feed returned or
 // ordered data.
 //

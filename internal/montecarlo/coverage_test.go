@@ -27,21 +27,28 @@ func hourlyMergedSystem(t *testing.T) []Component {
 	}
 }
 
-// TestSobolStdErrCoversExact checks the error bar of the default
-// adaptive sampler, not just its point estimate. On merged systems the
+// TestSobolStdErrCoversExact checks the error bar of every sampled
+// answer on merged systems, not just its point estimate. There the
 // Exact engine is ground truth, so over many seeds z = (MTTF -
-// ExactMTTF)/StdErr of adaptive 1% runs must behave like a standard
-// normal: its ±1.96σ coverage near 0.95 and no |z| far in the tail.
-// Replicate means are right-skewed, and with few replicates a low
-// estimate arrives with a low spread: at 8 replicates these shapes
-// covered 0.885–0.895 with |z| up to 108, which this test refuses.
+// ExactMTTF)/StdErr must behave like a standard normal: its ±1.96σ
+// coverage near 0.95 and no |z| far in the tail. Three runs per shape:
+//
+//   - the default adaptive 1% run, which resolves to Sobol. Replicate
+//     means are right-skewed, and with few replicates a low estimate
+//     arrives with a low spread: at 8 replicates these shapes covered
+//     0.885–0.895 with |z| up to 108, which this test refuses;
+//   - PCG adaptive at 1%. Every seed stops at 16,384 trials, and the
+//     adaptive rounds draw the trials a fixed run of that count draws,
+//     so this is the fixed 16,384-trial PCG check too;
+//   - Sobol at a fixed 16,384 trials.
 func TestSobolStdErrCoversExact(t *testing.T) {
 	if testing.Short() {
-		t.Skip("2,000 adaptive runs per shape skipped in -short mode")
+		t.Skip("2,000 runs per shape and sampler skipped in -short mode")
 	}
 	const (
 		seeds  = 2000
 		target = 0.01
+		trials = 16384
 		// A calibrated stderr covers with probability 0.95; over 2,000
 		// seeds the binomial sd of the coverage is
 		// sqrt(0.95*0.05/2000) = 0.0049, and the band is ±4 sd.
@@ -63,28 +70,47 @@ func TestSobolStdErrCoversExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		covered, worst := 0, 0.0
-		for seed := uint64(1); seed <= seeds; seed++ {
-			res, err := c.MTTF(ctx, Config{Seed: seed, Workers: 1, TargetRelStdErr: target})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Sampler != Sobol {
-				t.Fatalf("%s: adaptive default ran %v, want sobol", shape.name, res.Sampler)
-			}
-			z := (res.MTTF - exact) / res.StdErr
-			if math.Abs(z) <= 1.96 {
-				covered++
-			}
-			worst = max(worst, math.Abs(z))
-		}
-		coverage := float64(covered) / seeds
-		t.Logf("%s: ±1.96σ coverage %.4f, max |z| %.2f over %d seeds", shape.name, coverage, worst, seeds)
-		if coverage < coverLo || coverage > coverHi {
-			t.Errorf("%s: ±1.96σ coverage %.4f outside [%.4f, %.4f]", shape.name, coverage, coverLo, coverHi)
-		}
-		if worst > maxAbsZ {
-			t.Errorf("%s: max |z| = %.2f > %v", shape.name, worst, maxAbsZ)
+		for _, run := range []struct {
+			name string
+			cfg  Config
+			want Sampler
+			// trials, when positive, is the count every seed must end at.
+			trials int
+		}{
+			{"adaptive default", Config{TargetRelStdErr: target}, Sobol, 0},
+			{"adaptive pcg", Config{TargetRelStdErr: target, Sampler: PCG}, PCG, trials},
+			{"fixed sobol", Config{Trials: trials, Sampler: Sobol}, Sobol, trials},
+		} {
+			t.Run(shape.name+"/"+run.name, func(t *testing.T) {
+				covered, worst := 0, 0.0
+				for seed := uint64(1); seed <= seeds; seed++ {
+					cfg := run.cfg
+					cfg.Seed, cfg.Workers = seed, 1
+					res, err := c.MTTF(ctx, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Sampler != run.want {
+						t.Fatalf("ran %v, want %v", res.Sampler, run.want)
+					}
+					if run.trials > 0 && res.Trials != run.trials {
+						t.Fatalf("seed %d: %d trials, want %d", seed, res.Trials, run.trials)
+					}
+					z := (res.MTTF - exact) / res.StdErr
+					if math.Abs(z) <= 1.96 {
+						covered++
+					}
+					worst = max(worst, math.Abs(z))
+				}
+				coverage := float64(covered) / seeds
+				t.Logf("±1.96σ coverage %.4f, max |z| %.2f over %d seeds", coverage, worst, seeds)
+				if coverage < coverLo || coverage > coverHi {
+					t.Errorf("±1.96σ coverage %.4f outside [%.4f, %.4f]", coverage, coverLo, coverHi)
+				}
+				if worst > maxAbsZ {
+					t.Errorf("max |z| = %.2f > %v", worst, maxAbsZ)
+				}
+			})
 		}
 	}
 }

@@ -90,34 +90,3 @@ func TestLongLoopInvertExposureSkipsIdlePhases(t *testing.T) {
 		t.Errorf("Exposure(13) = %v, want 3", got)
 	}
 }
-
-func TestSurvivalIntegralCacheTransparent(t *testing.T) {
-	p, err := NewPiecewise([]Segment{
-		{Start: 0, End: 1, Vuln: 0.5},
-		{Start: 1, End: 3, Vuln: 0},
-		{Start: 3, End: 4, Vuln: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First call computes, second hits the memo; both must agree with a
-	// fresh uncached walk.
-	i1, e1 := p.SurvivalIntegral(0.3)
-	i2, e2 := p.SurvivalIntegral(0.3)
-	if i1 != i2 || e1 != e2 {
-		t.Errorf("cached result differs: (%v,%v) vs (%v,%v)", i1, e1, i2, e2)
-	}
-	wi, we := p.survivalIntegral(0.3)
-	if i1 != wi || e1 != we {
-		t.Errorf("cache poisoned result: (%v,%v) vs direct (%v,%v)", i1, e1, wi, we)
-	}
-	// A different rate must not be served from the stale entry.
-	i3, e3 := p.SurvivalIntegral(0.7)
-	wi3, we3 := p.survivalIntegral(0.7)
-	if i3 != wi3 || e3 != we3 {
-		t.Errorf("rate change served stale cache: (%v,%v) vs direct (%v,%v)", i3, e3, wi3, we3)
-	}
-	if i3 == i1 {
-		t.Error("different rates produced identical integrals (cache key ignored)")
-	}
-}

@@ -240,7 +240,7 @@ func TestMergedExposureValidation(t *testing.T) {
 
 func TestMergedSurvivalIntegralMatchesComponent(t *testing.T) {
 	// One component: the merged survival integral must equal the
-	// trace's own survivalIntegral at the component's rate, which is
+	// trace's own SurvivalIntegral at the component's rate, which is
 	// separately validated against quadrature and Derivation 1.
 	for _, tt := range []struct {
 		name               string

@@ -23,7 +23,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"github.com/soferr/soferr/internal/numeric"
 )
@@ -97,25 +96,6 @@ type Piecewise struct {
 	// segment i: m(segs[i].Start).
 	cumExp []float64
 	avf    float64
-	// surv memoizes the last SurvivalIntegral result. It sits behind a
-	// pointer so Piecewise values can still be shallow-copied (Shift's
-	// zero-offset fast path) without tripping vet's copylocks check;
-	// sharing the cache between such copies is sound because they
-	// describe the identical trace.
-	surv *survivalCache
-}
-
-// survivalCache is a one-entry memo of SurvivalIntegral keyed by rate.
-// The computation is deterministic and idempotent, so a lock-free
-// publish via atomic.Pointer is safe under concurrent queries: the
-// worst case is recomputing and re-publishing an identical entry.
-type survivalCache struct {
-	entry atomic.Pointer[survivalEntry]
-}
-
-type survivalEntry struct {
-	rate               float64
-	integral, exposure float64
 }
 
 var _ Trace = (*Piecewise)(nil)
@@ -176,7 +156,6 @@ func (p *Piecewise) finish() {
 	}
 	p.cumExp[len(p.segs)] = k.Sum()
 	p.avf = k.Sum() / p.period
-	p.surv = &survivalCache{}
 }
 
 // Period returns the loop length in seconds.
@@ -267,25 +246,9 @@ func (p *Piecewise) InvertExposure(e float64) float64 {
 	return x
 }
 
-// SurvivalIntegral implements Trace. Because the integral walks every
-// segment (O(S), and simulator traces have ~10^4 segments), the most
-// recent (rate, result) pair is memoized: estimators that query one
-// trace repeatedly at a fixed rate — the compiled System, SoftArch
-// sweeps, LongLoop phases — pay the walk once.
+// SurvivalIntegral implements Trace in one O(S) walk over the
+// segments.
 func (p *Piecewise) SurvivalIntegral(rate float64) (integral, exposure float64) {
-	if p.surv != nil {
-		if e := p.surv.entry.Load(); e != nil && e.rate == rate { //soferr:allow floatprec memo-cache key identity; a near-miss rate only recomputes the walk, and a tolerance here would silently return the wrong rate's integral
-			return e.integral, e.exposure
-		}
-	}
-	integral, exposure = p.survivalIntegral(rate)
-	if p.surv != nil {
-		p.surv.entry.Store(&survivalEntry{rate: rate, integral: integral, exposure: exposure})
-	}
-	return integral, exposure
-}
-
-func (p *Piecewise) survivalIntegral(rate float64) (integral, exposure float64) {
 	exposure = rate * p.cumExp[len(p.segs)]
 	var sum numeric.KahanSum
 	for i, s := range p.segs {

@@ -56,8 +56,7 @@ type Trace interface {
 }
 
 // Trace and the internal trace.Trace have one method set, so values
-// convert between them implicitly (toSweepSources and the engines'
-// components rely on it).
+// convert between them implicitly (the engines' components rely on it).
 var (
 	_ trace.Trace = Trace(nil)
 	_ Trace       = trace.Trace(nil)

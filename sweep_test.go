@@ -3,6 +3,7 @@ package soferr_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync/atomic"
@@ -108,10 +109,14 @@ func TestSweepMatchesFlatSystemQueries(t *testing.T) {
 	}
 }
 
-func TestSweepStreamOrderAndMethodsSubset(t *testing.T) {
+func TestSweepCellsOrderAndMethodsSubset(t *testing.T) {
 	g := sweepTestGrid(t)
-	g.Methods = []soferr.Method{soferr.SoftArch, soferr.AVFSOFR}
-	ch, err := soferr.SweepStream(context.Background(), g, sweepOpts()...)
+	cells, err := g.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := soferr.SweepCells(context.Background(), g.Sources, cells,
+		[]soferr.Method{soferr.SoftArch, soferr.AVFSOFR}, sweepOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,5 +293,376 @@ func TestSweepExactAnswersOverCapSingleTrace(t *testing.T) {
 		if sa.MTTF != exact.MTTF {
 			t.Errorf("cell %d SoftArch MTTF = %v, exact = %v; want bit-equal", i, sa.MTTF, exact.MTTF)
 		}
+	}
+}
+
+func TestGridCellsEnumeration(t *testing.T) {
+	g := sweepTestGrid(t)
+	cells, err := g.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 12 {
+		t.Fatalf("got %d cells, want 12", len(cells))
+	}
+	// Row-major: sources outermost, then rates, then counts.
+	i := 0
+	for si, src := range g.Sources {
+		for ri, rate := range g.RatesPerYear {
+			for ci, count := range g.Counts {
+				want := soferr.Cell{
+					Index: i, Source: si, SourceName: src.Name, RateIndex: ri, CountIndex: ci,
+					RatePerYear: rate, Count: count, Seed: soferr.CellSeed(g.Seed, i),
+				}
+				if cells[i] != want {
+					t.Errorf("cells[%d] = %+v, want %+v", i, cells[i], want)
+				}
+				i++
+			}
+		}
+	}
+	seen := make(map[uint64]bool)
+	for i, c := range cells {
+		if seen[c.Seed] {
+			t.Errorf("duplicate seed %d at cell %d", c.Seed, i)
+		}
+		seen[c.Seed] = true
+	}
+}
+
+func TestGridDefaultCounts(t *testing.T) {
+	g := sweepTestGrid(t)
+	g.Counts = nil
+	cells, err := g.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 6 {
+		t.Fatalf("got %d cells, want 6", len(cells))
+	}
+	for _, c := range cells {
+		if c.Count != 1 || c.CountIndex != 0 {
+			t.Errorf("cell %d count = %d (index %d), want 1 (index 0)", c.Index, c.Count, c.CountIndex)
+		}
+	}
+}
+
+func TestCellSeedStable(t *testing.T) {
+	// The derivation is part of the determinism contract: pin a value so
+	// accidental changes (which would silently re-randomize every
+	// recorded sweep) fail loudly.
+	if soferr.CellSeed(1, 0) == soferr.CellSeed(1, 1) || soferr.CellSeed(0, 3) == soferr.CellSeed(1, 3) {
+		t.Error("CellSeed collides on adjacent inputs")
+	}
+	// The first SplitMix64 output for seed 0 (a published reference
+	// value): base 0, index 0 mixes exactly one golden-gamma step.
+	const want uint64 = 0xe220a8397b1dcdaf
+	if got := soferr.CellSeed(0, 0); got != want {
+		t.Errorf("CellSeed(0, 0) = %#x, want %#x", got, want)
+	}
+}
+
+// TestSweepValidationErrors pins the text of every error Grid.Cells and
+// SweepCells return before evaluating, and of the per-cell error a
+// source that cannot produce a trace streams.
+func TestSweepValidationErrors(t *testing.T) {
+	one := []soferr.TraceSource{{Name: "a", Trace: mustBusyIdle(t, 100, 50)}}
+	for _, tc := range []struct {
+		name string
+		g    soferr.Grid
+		want string
+	}{
+		{"no sources", soferr.Grid{RatesPerYear: []float64{1}}, "sweep: grid has no sources"},
+		{"no rates", soferr.Grid{Sources: one}, "sweep: grid has no rates"},
+		{"empty source", soferr.Grid{Sources: []soferr.TraceSource{{Name: "a"}}, RatesPerYear: []float64{1}},
+			"sweep: source 0 (a) has neither Trace nor Build"},
+		{"negative rate", soferr.Grid{Sources: one, RatesPerYear: []float64{1, -1}}, "sweep: rate 1 is invalid (-1)"},
+		{"NaN rate", soferr.Grid{Sources: one, RatesPerYear: []float64{math.NaN()}}, "sweep: rate 0 is invalid (NaN)"},
+		{"Inf rate", soferr.Grid{Sources: one, RatesPerYear: []float64{math.Inf(1)}}, "sweep: rate 0 is invalid (+Inf)"},
+		{"zero count", soferr.Grid{Sources: one, RatesPerYear: []float64{1}, Counts: []int{1, 0}}, "sweep: count 1 is invalid (0)"},
+	} {
+		t.Run("Grid.Cells/"+tc.name, func(t *testing.T) {
+			if _, err := tc.g.Cells(); err == nil || err.Error() != tc.want {
+				t.Errorf("error = %v, want %q", err, tc.want)
+			}
+		})
+	}
+
+	// SweepCellsAll returns SweepCells' own error, or else the first
+	// cell's.
+	broken := []soferr.TraceSource{
+		{Name: "empty"},
+		{Name: "nil", Build: func() (soferr.Trace, error) { return nil, nil }},
+	}
+	for _, tc := range []struct {
+		name    string
+		sources []soferr.TraceSource
+		cells   []soferr.Cell
+		want    string
+	}{
+		{"no cells", one, nil, "sweep: no cells"},
+		{"source past end", one, []soferr.Cell{{Source: 2, RatePerYear: 1, Count: 1}}, "sweep: cell 0 references source 2 of 1"},
+		{"negative source", one, []soferr.Cell{{Source: -1, RatePerYear: 1, Count: 1}}, "sweep: cell 0 references source -1 of 1"},
+		{"zero count", one, []soferr.Cell{{Source: 0, RatePerYear: 1, Count: 1}, {Source: 0, RatePerYear: 1, Count: 0}},
+			"sweep: cell 1 has invalid count 0"},
+		{"Inf rate", one, []soferr.Cell{{Source: 0, RatePerYear: math.Inf(1), Count: 1}}, "sweep: cell 0 has invalid rate +Inf"},
+		{"negative rate", one, []soferr.Cell{{Source: 0, RatePerYear: -2, Count: 1}}, "sweep: cell 0 has invalid rate -2"},
+		{"source without trace", broken, []soferr.Cell{{Source: 0, RatePerYear: 1, Count: 1}},
+			"sweep: cell 0 (empty): sweep: source 0 (empty) has neither Trace nor Build"},
+		{"nil build", broken, []soferr.Cell{{Source: 1, RatePerYear: 1, Count: 1}},
+			"sweep: cell 0 (nil): sweep: source nil built a nil trace"},
+	} {
+		t.Run("SweepCells/"+tc.name, func(t *testing.T) {
+			res, err := soferr.SweepCellsAll(context.Background(), tc.sources, tc.cells, nil, nil)
+			if res != nil || err == nil || err.Error() != tc.want {
+				t.Errorf("SweepCellsAll = %v, %v; want error %q", res, err, tc.want)
+			}
+		})
+	}
+}
+
+// TestSweepCellsIndexNormalized: the engine renumbers a hand-built cell
+// slice to slice positions and fills in source names, on its own copy.
+func TestSweepCellsIndexNormalized(t *testing.T) {
+	sources := []soferr.TraceSource{{Name: "a", Trace: mustBusyIdle(t, 100, 50)}}
+	cells := []soferr.Cell{
+		{Index: 99, Source: 0, RatePerYear: 1, Count: 1},
+		{Index: -5, Source: 0, SourceName: "stale", RatePerYear: 2, Count: 1},
+	}
+	res, err := soferr.SweepCellsAll(context.Background(), sources, cells,
+		[]soferr.Method{soferr.AVFSOFR}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if r.Cell.Index != i || r.Cell.SourceName != "a" {
+			t.Errorf("result %d has index %d, source name %q", i, r.Cell.Index, r.Cell.SourceName)
+		}
+	}
+	if cells[0].Index != 99 || cells[1].SourceName != "stale" {
+		t.Error("SweepCells mutated the caller's cell slice")
+	}
+}
+
+func TestSweepCellsUnreferencedSourceNotBuilt(t *testing.T) {
+	var builds atomic.Int64
+	tr := mustBusyIdle(t, 100, 50)
+	sources := []soferr.TraceSource{
+		{Name: "used", Trace: tr},
+		{Name: "unused", Build: func() (soferr.Trace, error) {
+			builds.Add(1)
+			return tr, nil
+		}},
+	}
+	cells := []soferr.Cell{{Source: 0, RatePerYear: 1, Count: 1}}
+	if _, err := soferr.SweepCellsAll(context.Background(), sources, cells,
+		[]soferr.Method{soferr.AVFSOFR}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if builds.Load() != 0 {
+		t.Error("unreferenced lazy source was built")
+	}
+}
+
+// TestSweepCellsPerCellErrors: a broken source fails its own cells and
+// no others; the stream still delivers every cell in order.
+func TestSweepCellsPerCellErrors(t *testing.T) {
+	boom := errors.New("boom")
+	sources := []soferr.TraceSource{
+		{Name: "good", Trace: mustBusyIdle(t, 100, 50)},
+		{Name: "bad", Build: func() (soferr.Trace, error) { return nil, boom }},
+	}
+	cells := []soferr.Cell{
+		{Source: 0, RatePerYear: 1, Count: 1},
+		{Source: 1, RatePerYear: 1, Count: 1},
+		{Source: 0, RatePerYear: 2, Count: 1},
+	}
+	got := collectCells(t, context.Background(), sources, cells, soferr.WithWorkers(1))
+	if len(got) != 3 {
+		t.Fatalf("got %d results, want 3", len(got))
+	}
+	if got[0].Err != nil || got[2].Err != nil {
+		t.Errorf("good cells errored: %v, %v", got[0].Err, got[2].Err)
+	}
+	if !errors.Is(got[1].Err, boom) || got[1].Err.Error() != "sweep: cell 1 (bad): sweep: source bad: boom" {
+		t.Errorf("bad cell error = %v, want wrapped boom", got[1].Err)
+	}
+	if got[1].Estimates != nil {
+		t.Errorf("failed cell carries estimates: %+v", got[1].Estimates)
+	}
+}
+
+// TestSweepCellsCancellation: cancelling mid-sweep closes the stream
+// promptly. Whatever was delivered is in cell order, and a cell that
+// failed carries the context error.
+func TestSweepCellsCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	started := make(chan struct{}, 1)
+	sources := []soferr.TraceSource{{Name: "blocked", Build: func() (soferr.Trace, error) {
+		started <- struct{}{}
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}}}
+	var cells []soferr.Cell
+	for i := range 64 {
+		cells = append(cells, soferr.Cell{Source: 0, RatePerYear: float64(i + 1), Count: 1})
+	}
+	ch, err := soferr.SweepCells(ctx, sources, cells, []soferr.Method{soferr.AVFSOFR}, soferr.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	cancel()
+	last, n := -1, 0
+	for r := range ch {
+		n++
+		if r.Cell.Index <= last {
+			t.Errorf("out-of-order delivery: %d after %d", r.Cell.Index, last)
+		}
+		last = r.Cell.Index
+		if !errors.Is(r.Err, context.Canceled) {
+			t.Errorf("cell %d: err = %v, want context.Canceled", r.Cell.Index, r.Err)
+		}
+	}
+	if n > len(cells) {
+		t.Errorf("got %d results for %d cells", n, len(cells))
+	}
+}
+
+// countingTrace counts SurvivalIntegral calls, and panics on any rate
+// above panicAbove errors/second when that is positive.
+type countingTrace struct {
+	soferr.Trace
+	calls      *atomic.Int64
+	panicAbove float64
+}
+
+func (c countingTrace) SurvivalIntegral(rate float64) (float64, float64) {
+	c.calls.Add(1)
+	if c.panicAbove > 0 && rate > c.panicAbove {
+		panic("integral kaboom")
+	}
+	return c.Trace.SurvivalIntegral(rate)
+}
+
+// TestSweepCellsSharedCompilation: cells with equal (source, rate x
+// count) products share one System. SoftArch integrates each System's
+// trace once, so the SurvivalIntegral calls count the Systems built:
+// rates {1,2} x counts {1,2} has products {1,2,2,4}, 3 unique per
+// source, so 8 cells build 6 Systems.
+func TestSweepCellsSharedCompilation(t *testing.T) {
+	var calls [2]atomic.Int64
+	g := soferr.Grid{
+		Sources: []soferr.TraceSource{
+			{Name: "half", Trace: countingTrace{Trace: mustBusyIdle(t, 100, 50), calls: &calls[0]}},
+			{Name: "tenth", Trace: countingTrace{Trace: mustBusyIdle(t, 100, 10), calls: &calls[1]}},
+		},
+		RatesPerYear: []float64{1, 2},
+		Counts:       []int{1, 2},
+		Methods:      []soferr.Method{soferr.SoftArch},
+	}
+	res, err := soferr.Sweep(context.Background(), g, soferr.WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 8 {
+		t.Fatalf("got %d results, want 8", len(res))
+	}
+	for i := range calls {
+		if got := calls[i].Load(); got != 3 {
+			t.Errorf("source %d built %d Systems, want 3", i, got)
+		}
+	}
+	// Cells 1 and 2 of each source (rate 1 x 2, rate 2 x 1) share one.
+	for _, base := range []int{0, 4} {
+		if a, b := res[base+1].Estimates[0], res[base+2].Estimates[0]; a != b {
+			t.Errorf("cells %d and %d share a product but differ: %+v vs %+v", base+1, base+2, a, b)
+		}
+	}
+}
+
+// TestSweepCellsPanicContainedPerCell: a panic below a cell — in a
+// source's Build, or in a trace method one System calls — becomes an
+// error of the cells it reaches, wrapping the cell-panic sentinel, and
+// every other cell is delivered.
+func TestSweepCellsPanicContainedPerCell(t *testing.T) {
+	ctx := context.Background()
+	var builds atomic.Int64
+	sources := []soferr.TraceSource{
+		{Name: "good", Trace: mustBusyIdle(t, 100, 50)},
+		{Name: "boom", Build: func() (soferr.Trace, error) {
+			builds.Add(1)
+			panic("build kaboom")
+		}},
+	}
+	cells := []soferr.Cell{
+		{Source: 0, RatePerYear: 1, Count: 1},
+		{Source: 1, RatePerYear: 1, Count: 1},
+		{Source: 1, RatePerYear: 2, Count: 1},
+		{Source: 0, RatePerYear: 2, Count: 1},
+	}
+	got := collectCells(t, ctx, sources, cells, soferr.WithWorkers(2))
+	if len(got) != 4 {
+		t.Fatalf("got %d results, want 4", len(got))
+	}
+	for _, i := range []int{0, 3} {
+		if got[i].Err != nil {
+			t.Errorf("healthy cell %d errored: %v", i, got[i].Err)
+		}
+	}
+	for _, i := range []int{1, 2} {
+		checkCellPanic(t, got[i], "build kaboom")
+	}
+	if n := builds.Load(); n != 1 {
+		t.Errorf("panicking Build ran %d times, want 1", n)
+	}
+
+	// 10/yr is 3.2e-7/s and 100/yr 3.2e-6/s: only the last cell panics.
+	var calls atomic.Int64
+	sources = []soferr.TraceSource{{Name: "integral", Trace: countingTrace{
+		Trace: mustBusyIdle(t, 100, 50), calls: &calls, panicAbove: 1e-6,
+	}}}
+	cells = []soferr.Cell{
+		{Source: 0, RatePerYear: 1, Count: 1},
+		{Source: 0, RatePerYear: 10, Count: 1},
+		{Source: 0, RatePerYear: 100, Count: 1},
+	}
+	got = collectCells(t, ctx, sources, cells, soferr.WithWorkers(2))
+	if len(got) != 3 {
+		t.Fatalf("got %d results, want 3", len(got))
+	}
+	for _, i := range []int{0, 1} {
+		if got[i].Err != nil {
+			t.Errorf("healthy cell %d errored: %v", i, got[i].Err)
+		}
+	}
+	checkCellPanic(t, got[2], "integral kaboom")
+}
+
+// collectCells streams cells with SoftArch and AVF+SOFR and returns
+// every result, errors included.
+func collectCells(t *testing.T, ctx context.Context, sources []soferr.TraceSource, cells []soferr.Cell, opts ...soferr.EstimateOption) []soferr.CellResult {
+	t.Helper()
+	ch, err := soferr.SweepCells(ctx, sources, cells, []soferr.Method{soferr.SoftArch, soferr.AVFSOFR}, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []soferr.CellResult
+	for r := range ch {
+		out = append(out, r)
+	}
+	return out
+}
+
+func checkCellPanic(t *testing.T, r soferr.CellResult, value string) {
+	t.Helper()
+	if !errors.Is(r.Err, soferr.ErrCellPanic) {
+		t.Errorf("cell %d err = %v, want the cell-panic sentinel", r.Cell.Index, r.Err)
+		return
+	}
+	prefix := fmt.Sprintf("sweep: cell %d (%s): sweep: cell evaluation panicked: %s\n", r.Cell.Index, r.Cell.SourceName, value)
+	if !strings.HasPrefix(r.Err.Error(), prefix) {
+		t.Errorf("cell %d error %q does not start with %q", r.Cell.Index, r.Err, prefix)
 	}
 }

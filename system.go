@@ -323,21 +323,12 @@ func (f *JSONFloat) UnmarshalJSON(data []byte) error {
 type SystemOption func(*systemConfig)
 
 type systemConfig struct {
-	name    string
-	noCache bool
+	name string
 }
 
 // WithName labels the system in error messages.
 func WithName(name string) SystemOption {
 	return func(c *systemConfig) { c.name = name }
-}
-
-// WithoutQueryCache disables memoization of query results. Queries are
-// deterministic at fixed settings, so the cache is semantically
-// transparent; disabling it is useful only for benchmarking the
-// underlying estimators.
-func WithoutQueryCache() SystemOption {
-	return func(c *systemConfig) { c.noCache = true }
 }
 
 // Query is the settings of one Monte-Carlo query: the (engine,
@@ -476,7 +467,6 @@ func WithTimeLimit(d time.Duration) EstimateOption {
 type System struct {
 	name       string
 	components []Component
-	noCache    bool
 
 	mc *montecarlo.Compiled
 
@@ -515,7 +505,6 @@ func NewSystem(components []Component, opts ...SystemOption) (*System, error) {
 	s := &System{
 		name:       cfg.name,
 		components: make([]Component, len(components)),
-		noCache:    cfg.noCache,
 	}
 	copy(s.components, components)
 	for i, c := range s.components {
@@ -640,12 +629,10 @@ func (s *System) monteCarlo(ctx context.Context, q Query) (Estimate, error) {
 	// Equal normalized Queries share one cache entry: every exact query
 	// on this system is one entry, and workers never split the memo.
 	key := q.normalize()
-	if !s.noCache {
-		if v, ok := s.mcCache.Load(key); ok {
-			est := v.(Estimate)
-			est.Cached = true
-			return est, nil
-		}
+	if v, ok := s.mcCache.Load(key); ok {
+		est := v.(Estimate)
+		est.Cached = true
+		return est, nil
 	}
 	res, err := s.mc.MTTF(ctx, montecarlo.Config{
 		Trials:          key.Trials,
@@ -664,7 +651,7 @@ func (s *System) monteCarlo(ctx context.Context, q Query) (Estimate, error) {
 	// Bounded retention: LoadOrStore so concurrent first-queries count
 	// each key once; a race can overshoot the cap by at most the number
 	// of in-flight queries.
-	if !s.noCache && s.mcCacheSize.Load() < maxCachedEstimates {
+	if s.mcCacheSize.Load() < maxCachedEstimates {
 		if _, loaded := s.mcCache.LoadOrStore(key, est); !loaded {
 			s.mcCacheSize.Add(1)
 		}

@@ -137,19 +137,18 @@ func TestSystemQueryCacheIsTransparent(t *testing.T) {
 		t.Error("different seed produced identical MTTF (cache key too loose?)")
 	}
 
-	// A cache-disabled system recomputes but agrees bit-for-bit.
-	noCache, err := soferr.NewSystem(
-		[]soferr.Component{{Name: "c", RatePerYear: 1e6, Trace: tr}},
-		soferr.WithoutQueryCache())
+	// A second system starts with an empty cache: it recomputes and
+	// agrees bit-for-bit.
+	fresh, err := soferr.NewSystem([]soferr.Component{{Name: "c", RatePerYear: 1e6, Trace: tr}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := noCache.MTTF(ctx, soferr.MonteCarlo, opts...)
+	again, err := fresh.MTTF(ctx, soferr.MonteCarlo, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again.Cached {
-		t.Error("cache-disabled system reported Cached")
+		t.Error("first query on a fresh system reported Cached")
 	}
 	if again.MTTF != first.MTTF {
 		t.Errorf("recomputation differs from cached value: %v vs %v", again.MTTF, first.MTTF)
@@ -598,7 +597,7 @@ func TestSystemAccessors(t *testing.T) {
 func TestSystemConcurrentQueries(t *testing.T) {
 	// A compiled System is shared state: hammer every query surface
 	// from many goroutines so the race detector can vet the caches
-	// (survival memo, SoftArch once, Monte-Carlo query cache).
+	// (the Exact state built once, the Monte-Carlo query cache).
 	tr := mustBusyIdle(t, 10, 4)
 	sys, err := soferr.NewSystem([]soferr.Component{
 		{Name: "a", RatePerYear: 1e6, Trace: tr},
@@ -756,7 +755,8 @@ func TestWithTargetRelStdErr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys2, err := soferr.NewSystem(sys.Components(), soferr.WithoutQueryCache())
+	// A second System, because the memo key ignores Workers.
+	sys2, err := soferr.NewSystem(sys.Components())
 	if err != nil {
 		t.Fatal(err)
 	}
