@@ -296,12 +296,12 @@ type SweepCell struct {
 	Err       string            `json:"error,omitempty"`
 }
 
-// streamLine decodes result and terminator lines alike.
+// streamLine decodes result and terminator lines alike. Done is nil on
+// a cell line, true on the done line, and false on the terminator of a
+// page whose own deadline expired, whose Err names the deadline.
 type streamLine struct {
 	SweepCell
-	Done       bool  `json:"done"`
-	NextCursor int64 `json:"next_cursor"`
-	Total      int64 `json:"total"`
+	Done *bool `json:"done"`
 }
 
 // SweepStream consumes the sweep's NDJSON streaming mode, calling fn
@@ -310,6 +310,11 @@ type streamLine struct {
 // restarted server — is resumed from the last delivered cell's
 // index + 1; the server re-enumerates the grid, so the resumed tail is
 // bit-identical to what the uninterrupted stream would have carried.
+// A sweep that outlives its own timeout is not resumed, since the
+// resent request would meet the same deadline: the error wraps
+// context.DeadlineExceeded when the stream ended on the server's
+// deadline terminator, and is an *APIError with status 504 when the
+// deadline passed before the first cell.
 // fn returning an error aborts the stream with that error.
 func (c *Client) SweepStream(ctx context.Context, req SweepRequest, fn func(SweepCell) error) error {
 	cursor := req.Cursor
@@ -333,7 +338,7 @@ func (c *Client) SweepStream(ctx context.Context, req SweepRequest, fn func(Swee
 		}
 		next, done, err := c.streamOnce(ctx, r, fn)
 		if done {
-			return nil
+			return err
 		}
 		if err != nil {
 			var apiErr *APIError
@@ -372,7 +377,8 @@ func (c *Client) SweepStream(ctx context.Context, req SweepRequest, fn func(Swee
 
 // streamOnce runs one streaming request. next is the cursor to resume
 // from (last delivered index + 1, or the unchanged cursor when nothing
-// arrived); done reports that the terminator line was seen.
+// arrived); done reports that a terminator line was seen, with err
+// naming the deadline when it was the deadline terminator.
 func (c *Client) streamOnce(ctx context.Context, req SweepRequest, fn func(SweepCell) error) (next int64, done bool, err error) {
 	next = req.Cursor
 	data, err := json.Marshal(req)
@@ -403,7 +409,10 @@ func (c *Client) streamOnce(ctx context.Context, req SweepRequest, fn func(Sweep
 			// treat as truncation and resume before it.
 			return next, false, fmt.Errorf("client: bad stream line: %w", err)
 		}
-		if line.Done {
+		if line.Done != nil {
+			if !*line.Done {
+				return next, true, fmt.Errorf("client: sweep stopped at cursor %d by its own deadline: %w", next, context.DeadlineExceeded)
+			}
 			return next, true, nil
 		}
 		if err := fn(line.SweepCell); err != nil {

@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -276,5 +277,56 @@ func TestSweepStreamResumesAfterCut(t *testing.T) {
 			}
 			checkCells(t, "resumed stream", got, want)
 		})
+	}
+}
+
+// TestSweepStreamStopsOnOwnDeadline: a stream whose own timeout_ms
+// expires ends with the server's 504 or its deadline terminator, and
+// SweepStream reports the deadline after one request instead of
+// resending the same request until its retries run out.
+func TestSweepStreamStopsOnOwnDeadline(t *testing.T) {
+	real := server.New(server.Config{})
+	var calls atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		real.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	c := New(Config{BaseURL: srv.URL, HTTPClient: srv.Client(),
+		BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond})
+	req := SweepRequest{
+		Sources: []soferr.SourceSpec{
+			{Name: "half", Trace: soferr.TraceSpec{Kind: soferr.TraceKindBusyIdle, PeriodSeconds: 10, BusySeconds: 5}},
+		},
+		RatesPerYear: []float64{1e4, 1e6},
+		Methods:      []string{"montecarlo"},
+		Query:        soferr.Query{Trials: 10_000_000},
+		TimeoutMS:    1,
+	}
+	for i := 0; i < 10; i++ {
+		calls.Store(0)
+		cells := 0
+		err := c.SweepStream(context.Background(), req, func(SweepCell) error {
+			cells++
+			return nil
+		})
+		var apiErr *APIError
+		switch {
+		case err == nil:
+			if cells != 2 {
+				t.Errorf("done after %d cells, want 2", cells)
+			}
+		case errors.As(err, &apiErr):
+			if apiErr.Status != http.StatusGatewayTimeout || cells != 0 {
+				t.Errorf("status %d after %d cells, want 504 before any: %v", apiErr.Status, cells, err)
+			}
+		case !errors.Is(err, context.DeadlineExceeded):
+			t.Errorf("error %v does not wrap context.DeadlineExceeded", err)
+		case cells == 0:
+			t.Errorf("deadline terminator with no cell line before it: %v", err)
+		}
+		if n := calls.Load(); n != 1 {
+			t.Errorf("sent %d requests, want 1 (err %v)", n, err)
+		}
 	}
 }

@@ -32,7 +32,8 @@
 //
 //	-trials N        run: Monte-Carlo trials per point (default 200000)
 //	-instructions N  simulated instructions per benchmark (default 300000)
-//	-seed N          deterministic seed (default 1)
+//	-seed N          deterministic seed (default 1); run: also the benchmark
+//	                 simulation seed, 0 meaning the default seed 1
 //	-engine NAME     run: Monte-Carlo engine: fused (default) or exact
 //	-sampler NAME    run <spec.json>: Monte-Carlo sampler: pcg or sobol (quasi-Monte-Carlo);
 //	                 unset: sobol for -target-rse runs where the system allows it, else pcg
@@ -250,7 +251,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 // setting or parses an engine or sampler name itself.
 func queryFlags(fs *flag.FlagSet, q *soferr.Query) {
 	fs.IntVar(&q.Trials, "trials", q.Trials, "Monte-Carlo trials per query, the cap under -target-rse (0 = default)")
-	fs.Uint64Var(&q.Seed, "seed", q.Seed, "deterministic seed (sweep: the base seed; per-cell streams derive from (seed, cell index))")
+	fs.Uint64Var(&q.Seed, "seed", q.Seed, "deterministic seed (run, sweep: also the benchmark simulation seed, 0 meaning 1; sweep: the base seed, per-cell streams derive from (seed, cell index))")
 	fs.TextVar(&q.Engine, "engine", q.Engine, "Monte-Carlo engine `name`: fused or exact")
 	fs.TextVar(&q.Sampler, "sampler", q.Sampler, "Monte-Carlo sampler `name`: pcg or sobol (quasi-Monte-Carlo); unset: sobol for -target-rse runs where the system allows it, else pcg")
 	fs.Float64Var(&q.TargetRelStdErr, "target-rse", q.TargetRelStdErr, "adaptive precision target (relative standard error; 0 = fixed trials)")
@@ -285,7 +286,8 @@ commands:
 
 query flags (run and sweep; one soferr.Query):
   -trials N -seed N -engine fused|exact -sampler pcg|sobol -target-rse T
-  (no -sampler: sobol for -target-rse runs where the system allows it, else pcg)
+  (no -sampler: sobol for -target-rse runs where the system allows it, else pcg;
+  -seed also seeds the benchmark simulations, 0 meaning the default seed 1)
 flags for run:
   -instructions N -methods LIST -quick -csv -json -v
 flags for sweep:

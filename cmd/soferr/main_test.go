@@ -197,6 +197,41 @@ func TestRunExtdistIgnoresEngineAndSeed(t *testing.T) {
 	}
 }
 
+// TestRunAllMatchesExperimentsMD: `soferr run all -seed 1` prints, byte
+// for byte, the tables EXPERIMENTS.md records. A change meant to keep
+// every answer must keep this test passing; one that moves a table
+// regenerates the fenced block and says why.
+func TestRunAllMatchesExperimentsMD(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment at full scale")
+	}
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, ok := strings.Cut(string(doc), "## Full run (`soferr run all -seed 1`)\n\n```\n")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no fenced block under \"## Full run\"")
+	}
+	recorded, _, ok := strings.Cut(block, "\n```\n")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md's full-run block is not closed")
+	}
+	out, _, err := runCLI(t, "run", "all", "-seed", "1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.TrimRight(out, "\n"); got != recorded {
+		gotLines, wantLines := strings.Split(got, "\n"), strings.Split(recorded, "\n")
+		for i := range min(len(gotLines), len(wantLines)) {
+			if gotLines[i] != wantLines[i] {
+				t.Fatalf("line %d differs from EXPERIMENTS.md:\n got %q\nwant %q", i+1, gotLines[i], wantLines[i])
+			}
+		}
+		t.Fatalf("output has %d lines, EXPERIMENTS.md records %d", len(gotLines), len(wantLines))
+	}
+}
+
 func TestRunEngineFlagUnknown(t *testing.T) {
 	_, _, err := runCLI(t, "run", "fig4", "-quick", "-engine", "warp")
 	if err == nil {

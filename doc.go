@@ -53,7 +53,8 @@
 //     validation, a stable content hash (equal Specs hash equal), and
 //     Compile to a *System — the wire format of the `soferr serve` HTTP
 //     query service, whose compiled-System LRU is keyed by that hash. A
-//     Compiler shares benchmark simulations across many Specs.
+//     Compiler shares benchmark simulations across many Specs, and the
+//     paper's Section 5 tables build their traces through one too.
 //   - The flat convenience functions for one-shot use: the AVF step
 //     (AVF, AVFMTTF), the SOFR step (SOFRMTTF), the first-principles
 //     Monte-Carlo estimator (MonteCarloMTTF), and the SoftArch-style

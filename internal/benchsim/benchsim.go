@@ -1,14 +1,14 @@
 // Package benchsim is the one implementation of the benchmark-trace
 // pipeline: generate a bundled workload, run it through the Table 1
 // timing simulator, and (optionally) union the unit traces into the
-// processor-level masking trace. The experiment harness
-// (internal/experiments.Runner), the public Spec compiler
-// (soferr.Compiler), soferr.SimulateBenchmark and `soferr workloads`
-// all build on it, which is what guarantees that harness-built,
-// Spec/HTTP-built and directly simulated traces agree bit for bit, and
-// that every entry point accepts the same benchmark names — there is no
-// second copy of the generator lookup, the unit rates, the union order,
-// or the coarsening window to drift.
+// processor-level masking trace. The public Spec compiler
+// (soferr.Compiler) simulates, unions and caches every benchmark trace
+// a Spec, a sweep, the query server or the experiment harness uses;
+// soferr.SimulateBenchmark and `soferr workloads` call Simulate
+// directly for one-off runs. So every entry point accepts the same
+// benchmark names, and there is no second copy of the generator
+// lookup, the unit rates, the union order, or the coarsening window to
+// drift.
 package benchsim
 
 import (
@@ -20,18 +20,6 @@ import (
 	"github.com/soferr/soferr/internal/trace"
 	"github.com/soferr/soferr/internal/turandot"
 	"github.com/soferr/soferr/internal/workload"
-)
-
-// Default simulation settings, shared by the experiment harness and
-// the public Spec compiler so their notion of "the default trace"
-// cannot drift apart.
-const (
-	// DefaultInstructions is the per-benchmark simulated instruction
-	// count (the paper used 100M; a few hundred thousand give stable
-	// AVFs in seconds of CPU time).
-	DefaultInstructions = 300000
-	// DefaultSeed drives benchmark generation deterministically.
-	DefaultSeed = 1
 )
 
 // The representative benchmark pair for workload families and the

@@ -188,7 +188,7 @@ func (r *Runner) ExtPhases(ctx context.Context) (*Table, error) {
 	}
 	sources := make([]soferr.TraceSource, len(names))
 	for i, name := range names {
-		proc, err := r.ProcessorTrace(name)
+		proc, err := r.benchmarkTrace(name, "")
 		if err != nil {
 			return nil, err
 		}

@@ -90,7 +90,7 @@ func (r *Runner) Fig5(ctx context.Context) (*Table, error) {
 	workloads := []design.Workload{design.WorkloadDay, design.WorkloadWeek, design.WorkloadCombined}
 	sources := make([]soferr.TraceSource, len(workloads))
 	for i, w := range workloads {
-		tr, err := r.WorkloadTrace(w)
+		tr, err := r.workloadTrace(w)
 		if err != nil {
 			return nil, err
 		}
@@ -155,7 +155,7 @@ func (r *Runner) Fig6a(ctx context.Context) (*Table, error) {
 	}
 	sources := make([]soferr.TraceSource, len(benchmarks))
 	for i, b := range benchmarks {
-		proc, err := r.ProcessorTrace(b)
+		proc, err := r.benchmarkTrace(b, "")
 		if err != nil {
 			return nil, err
 		}
@@ -249,7 +249,7 @@ func (r *Runner) Fig6b(ctx context.Context) (*Table, error) {
 	}
 	sources := make([]soferr.TraceSource, len(workloads))
 	for i, w := range workloads {
-		tr, err := r.WorkloadTrace(w)
+		tr, err := r.workloadTrace(w)
 		if err != nil {
 			return nil, err
 		}
@@ -326,7 +326,7 @@ func (r *Runner) Sec54(ctx context.Context) (*Table, error) {
 	for i, p := range points {
 		si, ok := srcIdx[p.w]
 		if !ok {
-			tr, err := r.WorkloadTrace(p.w)
+			tr, err := r.workloadTrace(p.w)
 			if err != nil {
 				return nil, err
 			}

@@ -9,7 +9,6 @@ import (
 	"github.com/soferr/soferr/internal/avf"
 	"github.com/soferr/soferr/internal/design"
 	"github.com/soferr/soferr/internal/sofr"
-	"github.com/soferr/soferr/internal/trace"
 	"github.com/soferr/soferr/internal/units"
 	"github.com/soferr/soferr/internal/workload"
 )
@@ -36,30 +35,30 @@ func (r *Runner) Sec51(ctx context.Context) (*Table, error) {
 			"MC MTTF", "AVF MTTF", "rel err",
 		},
 	}
+	comps := []struct {
+		name   string
+		unit   string
+		ratePY float64
+	}{
+		{"integer", soferr.UnitInt, design.IntUnitRatePerYear},
+		{"fp", soferr.UnitFP, design.FPUnitRatePerYear},
+		{"decode", soferr.UnitDecode, design.DecodeUnitRatePerYear},
+		{"regfile", soferr.UnitRegFile, design.RegFileRatePerYear},
+	}
 	worst := 0.0
 	worstSOFR := 0.0
 	for _, b := range r.sec51Benchmarks() {
-		traces, err := r.benchTraces(b)
-		if err != nil {
-			return nil, err
-		}
-		comps := []struct {
-			name   string
-			ratePY float64
-			mask   *trace.Piecewise
-		}{
-			{"integer", design.IntUnitRatePerYear, traces.Int},
-			{"fp", design.FPUnitRatePerYear, traces.FP},
-			{"decode", design.DecodeUnitRatePerYear, traces.Decode},
-			{"regfile", design.RegFileRatePerYear, traces.RegFile},
-		}
 		var (
 			procComponents []soferr.Component
 			mttfsForSOFR   []float64
 		)
 		for _, c := range comps {
+			mask, err := r.benchmarkTrace(b, c.unit)
+			if err != nil {
+				return nil, err
+			}
 			rate := units.PerYearToPerSecond(c.ratePY)
-			avfVal := c.mask.AVF()
+			avfVal := mask.AVF()
 			avfMTTF, err := avf.MTTF(rate, avfVal)
 			if err != nil {
 				return nil, err
@@ -71,7 +70,7 @@ func (r *Runner) Sec51(ctx context.Context) (*Table, error) {
 				continue
 			}
 			r.logf("sec51: %s/%s", b, c.name)
-			mc, err := r.mcMTTF(ctx, c.ratePY, c.mask, hash51(b, c.name))
+			mc, err := r.mcMTTF(ctx, c.ratePY, mask, hash51(b, c.name))
 			if err != nil {
 				return nil, err
 			}
@@ -81,7 +80,7 @@ func (r *Runner) Sec51(ctx context.Context) (*Table, error) {
 				fmt.Sprintf("%.3f", avfVal), fmtSci(c.ratePY),
 				fmtSeconds(mc.MTTF), fmtSeconds(avfMTTF), fmtPct(rel))
 			procComponents = append(procComponents, soferr.Component{
-				Name: c.name, RatePerYear: c.ratePY, Trace: c.mask,
+				Name: c.name, RatePerYear: c.ratePY, Trace: mask,
 			})
 			mttfsForSOFR = append(mttfsForSOFR, mc.MTTF)
 		}

@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/soferr/soferr"
+	"github.com/soferr/soferr/internal/design"
+	"github.com/soferr/soferr/internal/trace"
 )
 
 func quickRunner() *Runner {
@@ -362,5 +367,33 @@ func TestExtPhasesRuns(t *testing.T) {
 	}
 	if !seen["gzip"] || !seen["phased-int"] {
 		t.Errorf("missing workloads in %v", tab.Rows)
+	}
+}
+
+// TestSeedZeroSimulatesAtDefaultSeed pins the harness's simulation seed
+// rule: the Runner builds its traces through a soferr.Compiler, so
+// Seed 0 simulates at the Compiler's default seed 1, the trace a Spec
+// with no sim_seed names, while another seed simulates another trace.
+func TestSeedZeroSimulatesAtDefaultSeed(t *testing.T) {
+	const instructions = 20000
+	got, err := NewRunner(Options{Seed: 0, Instructions: instructions}).workloadTrace(design.WorkloadSPECInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gzip := soferr.TraceSpec{Kind: soferr.TraceKindBenchmark, Benchmark: "gzip"}
+	want, err := (&soferr.Compiler{Instructions: instructions}).BuildTrace(gzip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := (&soferr.Compiler{Instructions: instructions, SimSeed: 2}).BuildTrace(gzip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segments := func(tr trace.Trace) []trace.Segment { return tr.(*trace.Piecewise).Segments() }
+	if !slices.Equal(segments(got), segments(want)) {
+		t.Error("Seed 0 built a gzip trace other than the default simulation seed's")
+	}
+	if slices.Equal(segments(other), segments(want)) {
+		t.Error("simulation seeds 1 and 2 built the same gzip trace")
 	}
 }

@@ -10,14 +10,12 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
+	"github.com/soferr/soferr"
 	"github.com/soferr/soferr/internal/benchsim"
 	"github.com/soferr/soferr/internal/design"
 	"github.com/soferr/soferr/internal/montecarlo"
 	"github.com/soferr/soferr/internal/trace"
-	"github.com/soferr/soferr/internal/turandot"
-	"github.com/soferr/soferr/internal/workload"
 )
 
 // Options configures an experiment run. The zero value gives the
@@ -26,7 +24,10 @@ type Options struct {
 	// Trials is the Monte-Carlo trial count per point (default 200000;
 	// the paper used 1e6 — see DESIGN.md on precision).
 	Trials int
-	// Seed drives all stochastic components deterministically.
+	// Seed drives all stochastic components deterministically: the
+	// Monte-Carlo streams, and the benchmark simulations as the
+	// Compiler's SimSeed, where 0 means the default simulation seed 1
+	// (as a Spec's sim_seed does).
 	Seed uint64
 	// Instructions is the per-benchmark simulated instruction count
 	// (default 300000; the paper simulated 100M Turandot instructions).
@@ -48,42 +49,33 @@ func (o Options) withDefaults() Options {
 	if o.Trials <= 0 {
 		o.Trials = 200000
 	}
-	if o.Instructions <= 0 {
-		o.Instructions = benchsim.DefaultInstructions
-	}
 	if o.Quick {
 		if o.Trials > 30000 {
 			o.Trials = 30000
 		}
-		if o.Instructions > 60000 {
+		if o.Instructions <= 0 || o.Instructions > 60000 {
 			o.Instructions = 60000
 		}
 	}
 	return o
 }
 
-// Runner executes experiments, caching benchmark simulations so that
-// experiments sharing workloads (Fig 6a, Sections 5.1/5.4) do not
-// re-simulate.
+// Runner executes experiments. Its Compiler builds every benchmark
+// trace, so experiments sharing workloads (Fig 6a, Sections 5.1/5.4)
+// simulate each benchmark once, exactly as a Spec naming it would.
 type Runner struct {
-	opt Options
-
-	mu     sync.Mutex
-	traces map[string]*turandot.ComponentTraces
-	procs  map[string]*trace.Piecewise
+	opt  Options
+	comp *soferr.Compiler
 }
 
 // NewRunner builds a runner with the given options.
 func NewRunner(opt Options) *Runner {
+	opt = opt.withDefaults()
 	return &Runner{
-		opt:    opt.withDefaults(),
-		traces: make(map[string]*turandot.ComponentTraces),
-		procs:  make(map[string]*trace.Piecewise),
+		opt:  opt,
+		comp: &soferr.Compiler{Instructions: opt.Instructions, SimSeed: opt.Seed, Log: opt.Log},
 	}
 }
-
-// Options returns the runner's effective options.
-func (r *Runner) Options() Options { return r.opt }
 
 func (r *Runner) logf(format string, args ...interface{}) {
 	if r.opt.Log != nil {
@@ -91,93 +83,32 @@ func (r *Runner) logf(format string, args ...interface{}) {
 	}
 }
 
-// benchTraces simulates one benchmark on the Table 1 machine and
-// returns the four component masking traces, cached per benchmark.
-// Phased-program names (workload.PhasedByName) are accepted too. The
-// pipeline itself is the shared internal/benchsim implementation, so
-// harness-built traces are bit-identical to Spec/HTTP-built ones.
-func (r *Runner) benchTraces(name string) (*turandot.ComponentTraces, error) {
-	r.mu.Lock()
-	if t, ok := r.traces[name]; ok {
-		r.mu.Unlock()
-		return t, nil
-	}
-	r.mu.Unlock()
-
-	t, _, err := benchsim.Simulate(name, r.opt.Instructions, r.opt.Seed, r.opt.Log)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	r.traces[name] = t
-	r.mu.Unlock()
-	return t, nil
+// benchmarkTrace returns one unit trace of a simulated benchmark (""
+// for the processor-level union).
+func (r *Runner) benchmarkTrace(name, unit string) (trace.Trace, error) {
+	return r.comp.BuildTrace(soferr.TraceSpec{Kind: soferr.TraceKindBenchmark, Benchmark: name, Unit: unit})
 }
 
-// ProcessorTrace returns the processor-level masking trace of a benchmark:
-// the rate-weighted union of the integer, floating-point, and decode
-// unit traces (Section 4.2 applies these three simultaneously for
-// processor-level failure), cached per benchmark.
-func (r *Runner) ProcessorTrace(name string) (*trace.Piecewise, error) {
-	r.mu.Lock()
-	if p, ok := r.procs[name]; ok {
-		r.mu.Unlock()
-		return p, nil
-	}
-	r.mu.Unlock()
-
-	t, err := r.benchTraces(name)
-	if err != nil {
-		return nil, err
-	}
-	union, err := benchsim.ProcessorUnion(name, t)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	r.procs[name] = union
-	r.mu.Unlock()
-	return union, nil
-}
-
-// WorkloadTrace builds the masking trace for a Table 2 workload family.
-// SPEC families use the named representative benchmark's processor
-// trace; day and week are the Section 4.2 schedules; combined
-// concatenates two benchmark processor traces in a 24-hour loop.
-func (r *Runner) WorkloadTrace(w design.Workload) (trace.Trace, error) {
+// workloadTrace builds the masking trace for a Table 2 workload family:
+// day and week are the Section 4.2 schedules, combined their 24-hour
+// loop of two benchmark halves, and each SPEC family its representative
+// benchmark's processor trace.
+func (r *Runner) workloadTrace(w design.Workload) (trace.Trace, error) {
 	switch w {
 	case design.WorkloadDay:
-		return workload.Day()
+		return r.comp.BuildTrace(soferr.TraceSpec{Kind: soferr.TraceKindDay})
 	case design.WorkloadWeek:
-		return workload.Week()
+		return r.comp.BuildTrace(soferr.TraceSpec{Kind: soferr.TraceKindWeek})
 	case design.WorkloadCombined:
-		a, err := r.ProcessorTrace(combinedBenchA)
-		if err != nil {
-			return nil, err
-		}
-		b, err := r.ProcessorTrace(combinedBenchB)
-		if err != nil {
-			return nil, err
-		}
-		return workload.Combined(a, b)
+		return r.comp.BuildTrace(soferr.TraceSpec{Kind: soferr.TraceKindCombined})
 	case design.WorkloadSPECInt:
-		return r.ProcessorTrace(specIntRepresentative)
+		return r.benchmarkTrace(benchsim.SPECIntRepresentative, "")
 	case design.WorkloadSPECFP:
-		return r.ProcessorTrace(specFPRepresentative)
+		return r.benchmarkTrace(benchsim.SPECFPRepresentative, "")
 	default:
 		return nil, fmt.Errorf("experiments: unknown workload %v", w)
 	}
 }
-
-// Representative benchmarks for workload families and the combined
-// schedule: the shared internal/benchsim definition, so harness-built
-// and Spec-built systems agree by construction.
-const (
-	specIntRepresentative = benchsim.SPECIntRepresentative
-	specFPRepresentative  = benchsim.SPECFPRepresentative
-	combinedBenchA        = benchsim.SPECIntRepresentative
-	combinedBenchB        = benchsim.SPECFPRepresentative
-)
 
 // Experiment is a registered, runnable experiment.
 type Experiment struct {

@@ -270,7 +270,9 @@ func Compile(components []Component) (*Compiled, error) {
 
 // SystemMTTF estimates the MTTF of a series system of components: a
 // single-use convenience over Compile + MTTF. Cancelling ctx aborts the
-// run and returns ctx.Err().
+// run and returns ctx.Err(). No program path calls it; it is kept as a
+// named cross-package test helper for the montecarlo, softarch and root
+// package tests.
 func SystemMTTF(ctx context.Context, components []Component, cfg Config) (Result, error) {
 	c, err := Compile(components)
 	if err != nil {
@@ -657,7 +659,8 @@ func (br *blockRunner) runRange(lo, hi, workers int, accs []numeric.Welford) {
 	wg.Wait()
 }
 
-// ComponentMTTF estimates the MTTF of a single component.
+// ComponentMTTF estimates the MTTF of a single component. Like
+// SystemMTTF, it is kept as a named cross-package test helper.
 func ComponentMTTF(ctx context.Context, c Component, cfg Config) (Result, error) {
 	return SystemMTTF(ctx, []Component{c}, cfg)
 }

@@ -756,14 +756,18 @@ type sweepLine struct {
 }
 
 // sweepDone is the NDJSON terminator line: a client that never sees it
-// knows the stream was cut and resumes from its last index + 1.
+// knows the stream was cut and resumes from its last index + 1. A page
+// whose own deadline expired ends instead with Done false and Error
+// naming the deadline, which a client must not resume with the same
+// deadline; its NextCursor is the first undelivered cell.
 type sweepDone struct {
-	Done       bool  `json:"done"`
-	Cursor     int64 `json:"cursor"`
-	Count      int64 `json:"count"`
-	NextCursor int64 `json:"next_cursor,omitempty"`
-	Total      int64 `json:"total"`
-	CellErrors int64 `json:"cell_errors,omitempty"`
+	Done       bool   `json:"done"`
+	Cursor     int64  `json:"cursor"`
+	Count      int64  `json:"count"`
+	NextCursor int64  `json:"next_cursor,omitempty"`
+	Total      int64  `json:"total"`
+	CellErrors int64  `json:"cell_errors,omitempty"`
+	Error      string `json:"error,omitempty"`
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -929,8 +933,8 @@ func overrideSweepParams(r *http.Request, req *sweepRequest) error {
 // streamSweep writes the page as NDJSON: one sweepLine per cell as it
 // completes (in cell order, per-cell errors as Error lines), then the
 // sweepDone terminator. Once the first line is out the status is
-// committed; later failures surface as a truncated stream — no done
-// line — which clients treat as "resume from last index + 1".
+// committed; a cut connection surfaces as a truncated stream — no
+// terminator — which clients treat as "resume from last index + 1".
 func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, r *http.Request,
 	grid soferr.Grid, page []soferr.Cell, methods []soferr.Method, opt soferr.EstimateOption,
 	cursor, nextCursor, total int64) {
@@ -940,7 +944,7 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, r *http
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	s.writeSweepLines(w, ch, len(page), cursor, nextCursor, total)
+	s.writeSweepLines(ctx, w, r, ch, len(page), cursor, nextCursor, total)
 }
 
 // writeSweepLines writes one NDJSON line per result received on ch,
@@ -948,9 +952,12 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, r *http
 // terminator. Each line is one Write from a reused buffer. The writer
 // flushes only when the next result is not ready yet, and after the
 // terminator: a finished line never waits on computation, and lines
-// that finish back to back share network writes.
-func (s *Server) writeSweepLines(w http.ResponseWriter, ch <-chan soferr.CellResult, cells int,
-	cursor, nextCursor, total int64) {
+// that finish back to back share network writes. ctx is the sweep's
+// own context: when its deadline ends the page early while the client
+// is still connected, the reply is a 504 if no line is out and the
+// deadline terminator otherwise.
+func (s *Server) writeSweepLines(ctx context.Context, w http.ResponseWriter, r *http.Request,
+	ch <-chan soferr.CellResult, cells int, cursor, nextCursor, total int64) {
 	flusher, _ := w.(http.Flusher)
 	var (
 		buf                   []byte
@@ -994,15 +1001,24 @@ func (s *Server) writeSweepLines(w http.ResponseWriter, ch <-chan soferr.CellRes
 		unflushed = true
 		delivered++
 	}
-	if delivered < int64(cells) {
-		// The context ended before the page finished: ending without the
-		// done line IS the truncation signal.
-		return
-	}
-	json.NewEncoder(w).Encode(sweepDone{
+	done := sweepDone{
 		Done: true, Cursor: cursor, Count: delivered,
 		NextCursor: nextCursor, Total: total, CellErrors: cellErrors,
-	})
+	}
+	if delivered < int64(cells) {
+		// The context ended before the page finished. A client that went
+		// away gets no terminator: its absence IS the truncation signal.
+		if r.Context().Err() != nil || !errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			return
+		}
+		msg := fmt.Sprintf("sweep: %v after %d of %d cells", ctx.Err(), delivered, cells)
+		if delivered == 0 {
+			s.writeError(w, r, http.StatusGatewayTimeout, msg)
+			return
+		}
+		done.Done, done.NextCursor, done.Error = false, cursor+delivered, msg
+	}
+	json.NewEncoder(w).Encode(done)
 	if flusher != nil {
 		flusher.Flush()
 	}

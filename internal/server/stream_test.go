@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -310,7 +311,7 @@ func TestSweepStreamFlushesFinishedLine(t *testing.T) {
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
-		s.writeSweepLines(w, ch, 2, 0, 0, 2)
+		s.writeSweepLines(context.Background(), w, httptest.NewRequest(http.MethodPost, "/v1/sweep", nil), ch, 2, 0, 0, 2)
 	}()
 	timeout := time.After(10 * time.Second)
 	send := func(res soferr.CellResult) {
@@ -594,5 +595,107 @@ func TestEvictionMidSingleFlight(t *testing.T) {
 	}
 	if second.Estimate.MTTF != first.Estimate.MTTF || second.Estimate.StdErr != first.Estimate.StdErr {
 		t.Errorf("recompiled answer differs: %+v vs %+v", second.Estimate, first.Estimate)
+	}
+}
+
+// deadlineSweepBody is a two-cell streamed sweep whose cells each want
+// far more trials than a 1 ms timeout_ms allows.
+func deadlineSweepBody() map[string]interface{} {
+	return map[string]interface{}{
+		"sources": []map[string]interface{}{
+			{"name": "half", "trace": map[string]interface{}{"kind": "busyidle", "period_seconds": 10, "busy_seconds": 5}},
+		},
+		"rates_per_year": []float64{1e4, 1e6},
+		"methods":        []string{"montecarlo"},
+		"trials":         10_000_000,
+		"timeout_ms":     1,
+	}
+}
+
+// TestSweepStreamDeadlineNeverEmpty: a streamed sweep whose own
+// timeout_ms expires answers the 504 envelope when no line is out, and
+// otherwise a 200 whose last line is a terminator: the done line, or
+// the deadline terminator. It is never an empty 200, which a client
+// cannot tell from a cut connection.
+func TestSweepStreamDeadlineNeverEmpty(t *testing.T) {
+	srv := httptest.NewServer(New(Config{}))
+	defer srv.Close()
+	for i := 0; i < 20; i++ {
+		resp, body := post(t, srv.Client(), srv.URL+"/v1/sweep?stream=ndjson", deadlineSweepBody())
+		switch resp.StatusCode {
+		case http.StatusGatewayTimeout:
+			var env struct {
+				Error httpError `json:"error"`
+			}
+			mustUnmarshal(t, body, &env)
+			if env.Error.Status != http.StatusGatewayTimeout || !strings.Contains(env.Error.Message, "deadline exceeded") {
+				t.Errorf("504 envelope = %s", body)
+			}
+		case http.StatusOK:
+			if len(body) == 0 {
+				t.Fatal("empty 200: the reply reads as a cut connection")
+			}
+			lines := strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
+			var done sweepDone
+			mustUnmarshal(t, []byte(lines[len(lines)-1]), &done)
+			cells := int64(len(lines) - 1)
+			switch {
+			case done.Done:
+				if done.Count != 2 || done.Error != "" {
+					t.Errorf("done line %s after %d cells", lines[len(lines)-1], cells)
+				}
+			case !strings.Contains(done.Error, "deadline exceeded"):
+				t.Errorf("200 ends in %q, want the done line or the deadline terminator", lines[len(lines)-1])
+			case done.Count != cells || done.NextCursor != cells || cells == 0:
+				t.Errorf("deadline terminator %s after %d cell lines", lines[len(lines)-1], cells)
+			}
+		default:
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+	}
+}
+
+// TestSweepLinesEndOnOwnDeadline drives the write loop with a sweep
+// context past its deadline: with no line out it answers the 504
+// envelope, with a line out the deadline terminator, and with the
+// client gone nothing more, so the cut stays visible.
+func TestSweepLinesEndOnOwnDeadline(t *testing.T) {
+	expired, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancel()
+	gone, leave := context.WithCancel(context.Background())
+	leave()
+	for _, tc := range []struct {
+		name     string
+		lines    int
+		client   context.Context
+		wantCode int
+		wantLast string
+	}{
+		{"no line out", 0, context.Background(), http.StatusGatewayTimeout,
+			`{"error":{"status":504,"message":"sweep: context deadline exceeded after 0 of 2 cells"}}`},
+		{"one line out", 1, context.Background(), http.StatusOK,
+			`{"done":false,"cursor":4,"count":1,"next_cursor":5,"total":9,"error":"sweep: context deadline exceeded after 1 of 2 cells"}`},
+		{"client gone", 1, gone, http.StatusOK, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ch := make(chan soferr.CellResult, 1)
+			if tc.lines == 1 {
+				ch <- soferr.CellResult{Cell: soferr.Cell{Index: 0, SourceName: "day", RatePerYear: 1e4, Count: 1}, Estimates: threeEstimates()}
+			}
+			close(ch)
+			rec := httptest.NewRecorder()
+			r := httptest.NewRequest(http.MethodPost, "/v1/sweep", nil).WithContext(tc.client)
+			New(Config{}).writeSweepLines(expired, rec, r, ch, 2, 4, 6, 9)
+			if rec.Code != tc.wantCode {
+				t.Errorf("status %d, want %d", rec.Code, tc.wantCode)
+			}
+			lines := strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n")
+			if got := lines[len(lines)-1]; tc.wantLast != "" && got != tc.wantLast {
+				t.Errorf("last line\n got %s\nwant %s", got, tc.wantLast)
+			}
+			if tc.wantLast == "" && len(lines) != tc.lines {
+				t.Errorf("wrote %d lines after the client left, want only the %d cell lines", len(lines), tc.lines)
+			}
+		})
 	}
 }

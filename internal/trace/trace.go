@@ -165,6 +165,8 @@ func (p *Piecewise) Period() float64 { return p.period }
 func (p *Piecewise) AVF() float64 { return p.avf }
 
 // Segments returns a copy of the segment decomposition of one period.
+// No program path reads it; it is kept as a named cross-package test
+// helper for the trace, timing-simulator and experiment tests.
 func (p *Piecewise) Segments() []Segment {
 	out := make([]Segment, len(p.segs))
 	copy(out, p.segs)

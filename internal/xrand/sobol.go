@@ -90,9 +90,6 @@ func NewSobol(dims int) (*Sobol, error) {
 	return &Sobol{dims: dims, v: sobolTable[:dims]}, nil
 }
 
-// Dims returns the dimension count.
-func (s *Sobol) Dims() int { return s.dims }
-
 // buildSobolTable constructs direction numbers for all MaxSobolDims
 // dimensions: dimension 0 is van der Corput, the next len(sobolClassic)
 // use the classical rows, and the rest use enumerated primitive

@@ -15,8 +15,8 @@ func TestNewSobolBounds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSobol(%d): %v", MaxSobolDims, err)
 	}
-	if s.Dims() != MaxSobolDims {
-		t.Fatalf("Dims() = %d, want %d", s.Dims(), MaxSobolDims)
+	if s.dims != MaxSobolDims {
+		t.Fatalf("dims = %d, want %d", s.dims, MaxSobolDims)
 	}
 }
 
@@ -29,7 +29,7 @@ func TestSobolDirectionDiagonal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j := 0; j < s.Dims(); j++ {
+	for j := 0; j < s.dims; j++ {
 		for k := 0; k < 32; k++ {
 			v := s.v[j][k]
 			if v&(1<<(31-uint(k))) == 0 {
@@ -69,11 +69,11 @@ func TestSobolStratification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := s.Scrambled(12345, make([]uint32, s.Dims()))
-	pt := make([]float64, s.Dims())
+	ss := s.Scrambled(12345, make([]uint32, s.dims))
+	pt := make([]float64, s.dims)
 	for _, k := range []uint{1, 4, 8, 12} {
 		n := uint64(1) << k
-		hit := make([][]bool, s.Dims())
+		hit := make([][]bool, s.dims)
 		for j := range hit {
 			hit[j] = make([]bool, n)
 		}
@@ -104,11 +104,11 @@ func TestSobolPairwiseMoments(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, seed := range []uint64{1, 99, 0xdeadbeef} {
-		ss := s.Scrambled(seed, make([]uint32, s.Dims()))
-		pt := make([]float64, s.Dims())
+		ss := s.Scrambled(seed, make([]uint32, s.dims))
+		pt := make([]float64, s.dims)
 		const n = 4096
-		mean := make([]float64, s.Dims())
-		prod := make([]float64, s.Dims()-1)
+		mean := make([]float64, s.dims)
+		prod := make([]float64, s.dims-1)
 		for i := uint64(0); i < n; i++ {
 			ss.Point(i, pt)
 			for j, x := range pt {
@@ -140,9 +140,9 @@ func TestSobolScrambleDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := s.Scrambled(42, make([]uint32, s.Dims()))
-	b := s.Scrambled(42, make([]uint32, s.Dims()))
-	c := s.Scrambled(43, make([]uint32, s.Dims()))
+	a := s.Scrambled(42, make([]uint32, s.dims))
+	b := s.Scrambled(42, make([]uint32, s.dims))
+	c := s.Scrambled(43, make([]uint32, s.dims))
 	pa := make([]float64, 8)
 	pb := make([]float64, 8)
 	pc := make([]float64, 8)
@@ -172,7 +172,7 @@ func TestSobolPointDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := s.Scrambled(7, make([]uint32, s.Dims()))
+	ss := s.Scrambled(7, make([]uint32, s.dims))
 	pt := make([]float64, 4)
 	allocs := testing.AllocsPerRun(1000, func() {
 		ss.Point(123, pt)
@@ -187,7 +187,7 @@ func BenchmarkSobolPoint2D(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ss := s.Scrambled(1, make([]uint32, s.Dims()))
+	ss := s.Scrambled(1, make([]uint32, s.dims))
 	pt := make([]float64, 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

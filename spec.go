@@ -307,11 +307,14 @@ func (s Spec) Compile() (*System, error) {
 	return c.Compile(s)
 }
 
-// Compiler turns Specs into compiled Systems. It caches benchmark
-// simulations (the expensive, deterministic part of trace building) per
-// (benchmark, instructions, seed), so many specs — or one server's
-// whole request stream — share each simulation. The zero value is
-// ready to use; a Compiler is safe for concurrent use.
+// Compiler turns Specs into compiled Systems. It is the one place a
+// benchmark trace is simulated, unioned and cached: every entry point
+// (Spec files, `soferr sweep`, the query server, the experiment
+// harness) builds its benchmark traces through one. Simulations (the
+// expensive, deterministic part of trace building) and processor
+// unions are cached per (benchmark, instructions, seed), so many specs
+// — or one server's whole request stream — share each of them. The
+// zero value is ready to use; a Compiler is safe for concurrent use.
 type Compiler struct {
 	// Instructions is the default per-benchmark simulated instruction
 	// count for specs that do not set their own (default 300000).
@@ -323,9 +326,8 @@ type Compiler struct {
 	// simulations.
 	Log io.Writer
 
-	mu    sync.Mutex
-	sims  map[simKey]*simEntry
-	procs map[simKey]*procEntry
+	sims  flightCache[*turandot.ComponentTraces]
+	procs flightCache[*trace.Piecewise]
 }
 
 type simKey struct {
@@ -334,20 +336,20 @@ type simKey struct {
 	seed         uint64
 }
 
-// simEntry and procEntry are single-flight cache slots: the entry is
-// published under the lock before anyone computes, and every requester
-// runs once.Do, so concurrent requests for one key share one
-// simulation (or union) instead of racing to duplicate it.
-type simEntry struct {
-	once   sync.Once
-	traces *turandot.ComponentTraces
-	err    error
+// flightCache is a bounded single-flight cache keyed by simulation
+// settings. An entry is published under the lock before anyone builds
+// it and every requester waits on the entry's once, so concurrent
+// requests for one key share one build; a failed build is dropped so a
+// later request retries.
+type flightCache[V any] struct {
+	mu      sync.Mutex
+	entries map[simKey]*flight[V]
 }
 
-type procEntry struct {
-	once  sync.Once
-	trace *trace.Piecewise
-	err   error
+type flight[V any] struct {
+	once sync.Once
+	val  V
+	err  error
 }
 
 // maxCompilerCacheEntries bounds each of the compiler's caches. Keys
@@ -357,6 +359,38 @@ type procEntry struct {
 // arbitrary entry is evicted (in-flight waiters keep their pointer and
 // finish normally).
 const maxCompilerCacheEntries = 64
+
+// get returns key's value, running build for it at most once among
+// concurrent requesters.
+func (fc *flightCache[V]) get(key simKey, build func() (V, error)) (V, error) {
+	fc.mu.Lock()
+	e, ok := fc.entries[key]
+	if !ok {
+		if fc.entries == nil {
+			fc.entries = make(map[simKey]*flight[V])
+		}
+		if len(fc.entries) >= maxCompilerCacheEntries {
+			for k := range fc.entries {
+				delete(fc.entries, k)
+				break
+			}
+		}
+		e = &flight[V]{}
+		fc.entries[key] = e
+	}
+	fc.mu.Unlock()
+	e.once.Do(func() { e.val, e.err = build() })
+	if e.err != nil {
+		// Drop only this entry: the slot may hold a newer one if this
+		// entry was evicted while it built.
+		fc.mu.Lock()
+		if fc.entries[key] == e {
+			delete(fc.entries, key)
+		}
+		fc.mu.Unlock()
+	}
+	return e.val, e.err
+}
 
 // Compile validates a spec and builds its System: one trace per
 // component spec, Count copies superposed into an effective rate, all
@@ -412,10 +446,10 @@ func (c *Compiler) BuildTrace(ts TraceSpec) (Trace, error) {
 	case TraceKindCombined:
 		a, b := ts.A, ts.B
 		if a == nil {
-			a = &TraceSpec{Kind: TraceKindBenchmark, Benchmark: combinedBenchA}
+			a = &TraceSpec{Kind: TraceKindBenchmark, Benchmark: benchsim.SPECIntRepresentative}
 		}
 		if b == nil {
-			b = &TraceSpec{Kind: TraceKindBenchmark, Benchmark: combinedBenchB}
+			b = &TraceSpec{Kind: TraceKindBenchmark, Benchmark: benchsim.SPECFPRepresentative}
 		}
 		ta, err := c.BuildTrace(*a)
 		if err != nil {
@@ -440,14 +474,6 @@ func (c *Compiler) BuildTrace(ts TraceSpec) (Trace, error) {
 	}
 }
 
-// The combined schedule's representative benchmark pair: the shared
-// internal/benchsim definition, so Spec-built and harness-built
-// combined schedules cannot drift apart.
-const (
-	combinedBenchA = benchsim.SPECIntRepresentative
-	combinedBenchB = benchsim.SPECFPRepresentative
-)
-
 func (c *Compiler) simSettings(ts TraceSpec) simKey {
 	key := simKey{bench: ts.Benchmark, instructions: ts.Instructions, seed: ts.SimSeed}
 	if key.instructions <= 0 {
@@ -465,11 +491,14 @@ func (c *Compiler) simSettings(ts TraceSpec) simKey {
 	return key
 }
 
-// The package-wide simulation defaults live in internal/benchsim,
-// shared with the experiment harness.
+// The simulation defaults of every benchmark trace.
 const (
-	defaultSimInstructions = benchsim.DefaultInstructions
-	defaultSimSeed         = benchsim.DefaultSeed
+	// defaultSimInstructions is the per-benchmark simulated instruction
+	// count (the paper used 100M; a few hundred thousand give stable
+	// AVFs in seconds of CPU time).
+	defaultSimInstructions = 300000
+	// defaultSimSeed drives benchmark generation deterministically.
+	defaultSimSeed = 1
 )
 
 // benchmarkTrace returns the requested unit trace of a simulated
@@ -502,113 +531,31 @@ func (c *Compiler) benchmarkTrace(ts TraceSpec) (Trace, error) {
 	}
 }
 
-// procEntryFor returns (creating if needed) the single-flight slot for
-// a processor-union key, evicting an arbitrary entry past the cap.
-func (c *Compiler) procEntryFor(key simKey) *procEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.procs == nil {
-		c.procs = make(map[simKey]*procEntry)
-	}
-	if e, ok := c.procs[key]; ok {
-		return e
-	}
-	if len(c.procs) >= maxCompilerCacheEntries {
-		for k := range c.procs {
-			delete(c.procs, k)
-			break
-		}
-	}
-	e := &procEntry{}
-	c.procs[key] = e
-	return e
-}
-
-// processorTrace builds (and caches, single-flight) the processor-level
-// union trace: the rate-weighted union of the integer, floating-point,
-// and decode unit traces, coarsened exactly as the experiment harness
-// does.
+// processorTrace returns the processor-level union trace: the
+// rate-weighted union of the integer, floating-point, and decode unit
+// traces, built at most once per (benchmark, instructions, seed).
 func (c *Compiler) processorTrace(key simKey) (*trace.Piecewise, error) {
-	e := c.procEntryFor(key)
-	e.once.Do(func() { e.trace, e.err = c.buildProcessorTrace(key) })
-	if e.err != nil {
-		c.dropProc(key, e)
-	}
-	return e.trace, e.err
-}
-
-func (c *Compiler) buildProcessorTrace(key simKey) (*trace.Piecewise, error) {
-	sim, err := c.simulate(key)
-	if err != nil {
-		return nil, err
-	}
-	// One shared pipeline with the experiment harness (see
-	// internal/benchsim): spec-built and harness-built systems agree
-	// bit for bit by construction.
-	union, err := benchsim.ProcessorUnion(key.bench, sim)
-	if err != nil {
-		return nil, fmt.Errorf("soferr: %w", err)
-	}
-	return union, nil
-}
-
-// dropProc removes a failed entry so a later request can retry, but
-// only if the slot still holds that exact entry (it may have been
-// evicted and replaced meanwhile).
-func (c *Compiler) dropProc(key simKey, e *procEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur, ok := c.procs[key]; ok && cur == e {
-		delete(c.procs, key)
-	}
-}
-
-// simEntryFor mirrors procEntryFor for raw benchmark simulations.
-func (c *Compiler) simEntryFor(key simKey) *simEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.sims == nil {
-		c.sims = make(map[simKey]*simEntry)
-	}
-	if e, ok := c.sims[key]; ok {
-		return e
-	}
-	if len(c.sims) >= maxCompilerCacheEntries {
-		for k := range c.sims {
-			delete(c.sims, k)
-			break
+	return c.procs.get(key, func() (*trace.Piecewise, error) {
+		sim, err := c.simulate(key)
+		if err != nil {
+			return nil, err
 		}
-	}
-	e := &simEntry{}
-	c.sims[key] = e
-	return e
+		union, err := benchsim.ProcessorUnion(key.bench, sim)
+		if err != nil {
+			return nil, fmt.Errorf("soferr: %w", err)
+		}
+		return union, nil
+	})
 }
 
-// simulate runs (and caches, single-flight) one benchmark simulation on
-// the Table 1 machine: concurrent requests for one (benchmark,
-// instructions, seed) share a single run. Phased-program names are
-// accepted alongside the plain profiles, mirroring the experiment
-// harness.
+// simulate runs one benchmark simulation on the Table 1 machine at most
+// once per (benchmark, instructions, seed). Phased-program names are
+// accepted alongside the plain profiles.
 func (c *Compiler) simulate(key simKey) (*turandot.ComponentTraces, error) {
-	e := c.simEntryFor(key)
-	e.once.Do(func() { e.traces, e.err = c.runSimulation(key) })
-	if e.err != nil {
-		c.dropSim(key, e)
-	}
-	return e.traces, e.err
-}
-
-func (c *Compiler) runSimulation(key simKey) (*turandot.ComponentTraces, error) {
-	traces, _, err := benchsim.Simulate(key.bench, key.instructions, key.seed, c.Log)
-	return traces, err
-}
-
-func (c *Compiler) dropSim(key simKey, e *simEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur, ok := c.sims[key]; ok && cur == e {
-		delete(c.sims, key)
-	}
+	return c.sims.get(key, func() (*turandot.ComponentTraces, error) {
+		traces, _, err := benchsim.Simulate(key.bench, key.instructions, key.seed, c.Log)
+		return traces, err
+	})
 }
 
 // SourceSpec names a TraceSpec for use on a sweep's trace axis: the
