@@ -38,11 +38,12 @@ serve:
 	$(GO) run ./cmd/soferr serve -addr 127.0.0.1:8080 -v
 
 # chaos mirrors the CI chaos job: the scripted fault-injection suite
-# (compile failures, worker panics, eviction storms, cancellation races,
-# stream cuts) under the race detector, non-short so nothing skips. See
-# DESIGN.md, "Failure model".
+# (compile failures and panics, worker panics, eviction storms,
+# cancellation races, stream cuts) and the single-flight cache's panic
+# and eviction tests under the race detector, non-short so nothing
+# skips. See DESIGN.md, "Failure model".
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Panic|Injected|Eviction|Readyz|RetryAfter|Resume' ./internal/faultinject/... ./internal/montecarlo/... . ./internal/server/... ./client/...
+	$(GO) test -race -count=1 -run 'Chaos|Panic|Injected|Eviction|Readyz|RetryAfter|Resume' ./internal/faultinject/... ./internal/flight/... ./internal/montecarlo/... . ./internal/server/... ./client/...
 
 # lint runs the soferrlint static-contract suite (nondeterminism,
 # hotpath, floatprec, allocfree, errcontract, ctxflow, faultpoint,

@@ -20,8 +20,9 @@
 //	    panic-containment contract: every go statement must launch a
 //	    recover-bearing goroutine (the gocontain analyzer). The
 //	    analyzer recognizes the contained packages (ContainedPaths:
-//	    the root package's sweep engine, the server, the trial loop
-//	    and the client) by import path, so none needs the marker.
+//	    the root package's sweep engine, the server, the trial loop,
+//	    the single-flight cache and the client) by import path, so
+//	    none needs the marker.
 //
 //	//soferr:allow <check> <justification>
 //	    Escape hatch. Suppresses diagnostics of analyzer <check> on
@@ -61,6 +62,7 @@ var ContainedPaths = map[string]bool{
 	"github.com/soferr/soferr":                     true,
 	"github.com/soferr/soferr/internal/server":     true,
 	"github.com/soferr/soferr/internal/montecarlo": true,
+	"github.com/soferr/soferr/internal/flight":     true,
 	"github.com/soferr/soferr/client":              true,
 }
 

@@ -3,7 +3,8 @@
 // "Failure model"): a panic escaping any goroutine kills the whole
 // process, so in the contained packages (the root soferr package,
 // whose sweep engine runs a worker pool, internal/server,
-// internal/montecarlo, and client — recognized by the
+// internal/montecarlo, internal/flight, whose caches run each build
+// on a goroutine of its own, and client — recognized by the
 // //soferr:contained package marker AND by import path, so deleting
 // the marker cannot silence the check) every go statement must launch
 // a goroutine that cannot leak a panic:

@@ -23,12 +23,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/soferr/soferr"
 	"github.com/soferr/soferr/internal/faultinject"
+	"github.com/soferr/soferr/internal/flight"
 	"github.com/soferr/soferr/internal/montecarlo"
 )
 
@@ -474,4 +476,225 @@ func TestChaosHandlerPanicStorm(t *testing.T) {
 		t.Errorf("panics_recovered = %d, want %d", got, fired)
 	}
 	postDisarmBitIdentity(t, srv)
+}
+
+// syncBuffer is a Config.Log that handler goroutines and the test may
+// share.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *syncBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *syncBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestChaosCompilePanic: a compile that panics is contained by the
+// System LRU, not the recovery middleware: the request gets a 500
+// naming flight.ErrPanic and nothing stays cached. On a one-slot
+// server the same Spec then compiles and answers bit-identically, which
+// it could not if the panic had kept its compile slot.
+func TestChaosCompilePanic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos suite runs non-short")
+	}
+	s := New(Config{MaxConcurrent: 1})
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+	spec := testSpec(6.6e5)
+	want := referenceMTTF(t, spec, 2000, 21)
+	req := map[string]interface{}{"spec": spec, "trials": 2000, "seed": 21, "engine": "fused", "timeout_ms": 5000}
+
+	disarm := faultinject.Arm(faultinject.Schedule{Rules: []faultinject.Rule{
+		{Point: "server.compile", Hits: []int{1}, PanicMsg: "chaos compile"},
+	}})
+	resp, body := post(t, srv.Client(), srv.URL+"/v1/mttf", req)
+	disarm()
+	checkStructured(t, "compile panic", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusInternalServerError ||
+		!bytes.Contains(body, []byte(flight.ErrPanic.Error())) || !bytes.Contains(body, []byte("chaos compile")) {
+		t.Fatalf("compile panic: %d %s, want a 500 naming flight.ErrPanic and the panic value", resp.StatusCode, body)
+	}
+	m := s.Metrics()
+	if m.PanicsRecovered != 0 {
+		t.Errorf("panics_recovered = %d, want 0: the cache contains a compile panic", m.PanicsRecovered)
+	}
+	if m.Cache.Size != 0 {
+		t.Errorf("compile_cache.size = %d after a panicked compile, want 0", m.Cache.Size)
+	}
+
+	resp, body = post(t, srv.Client(), srv.URL+"/v1/mttf", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("retry after the compile panic: %d %s", resp.StatusCode, body)
+	}
+	var got mttfResponse
+	mustUnmarshal(t, body, &got)
+	if got.CompileCacheHit {
+		t.Error("the retry hit the cache the panicked compile should have left")
+	}
+	if got.Estimate.MTTF != want.MTTF || got.Estimate.StdErr != want.StdErr {
+		t.Errorf("retry estimate differs from direct: %+v vs %+v", got.Estimate, want)
+	}
+}
+
+// TestChaosCompileBacklog: past the compile backlog (8 pending compiles
+// per compile slot) fresh Specs are refused with a 503 that says when
+// to retry, every request ends structured, and once the slow compiles
+// drain, every refused Spec compiles.
+func TestChaosCompileBacklog(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos suite runs non-short")
+	}
+	s := New(Config{MaxConcurrent: 1})
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+
+	// 12 requests of 10 ms each, against compiles of 200 ms that run one
+	// at a time: at most a few compiles finish before the backlog fills.
+	const requests = 12
+	disarm := faultinject.Arm(faultinject.Schedule{Rules: []faultinject.Rule{
+		{Point: "server.compile", Delay: 200 * time.Millisecond},
+	}})
+	defer disarm()
+	status := make([]int, requests)
+	var wg sync.WaitGroup
+	for i := range status {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			data, err := json.Marshal(map[string]interface{}{"spec": testSpec(8e5 + float64(i)), "trials": 1000, "timeout_ms": 10})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			req, _ := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/mttf", bytes.NewReader(data))
+			resp, err := srv.Client().Do(req)
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+				return
+			}
+			defer resp.Body.Close()
+			var body bytes.Buffer
+			body.ReadFrom(resp.Body)
+			label := fmt.Sprintf("backlog request %d", i)
+			checkStructured(t, label, resp.StatusCode, body.Bytes())
+			status[i] = resp.StatusCode
+			if resp.StatusCode == http.StatusServiceUnavailable {
+				var env struct {
+					Error httpError `json:"error"`
+				}
+				mustUnmarshal(t, body.Bytes(), &env)
+				if resp.Header.Get("Retry-After") != "1" || env.Error.RetryAfterSeconds != 1 ||
+					!bytes.Contains(body.Bytes(), []byte(errCompileBacklog.Error())) {
+					t.Errorf("%s: 503 without the backlog retry hint: Retry-After %q, %s", label, resp.Header.Get("Retry-After"), body.Bytes())
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	disarm()
+	var refused []int
+	accepted := int64(0)
+	for i, code := range status {
+		switch code {
+		case http.StatusServiceUnavailable:
+			refused = append(refused, i)
+		case http.StatusGatewayTimeout:
+			accepted++
+		default:
+			t.Errorf("request %d: status %d, want 504 (compile accepted) or 503 (backlog full)", i, code)
+		}
+	}
+	if len(refused) == 0 {
+		t.Fatalf("no request was refused (statuses %v); the backlog bound was never reached", status)
+	}
+
+	// The accepted compiles finish into the cache; then the backlog has
+	// room again and every refused Spec compiles.
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Metrics().Compiles < accepted {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d accepted compiles finished", s.Metrics().Compiles, accepted)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for _, i := range refused {
+		resp, body := post(t, srv.Client(), srv.URL+"/v1/mttf", map[string]interface{}{"spec": testSpec(8e5 + float64(i)), "trials": 1000})
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("refused spec %d after the drain: %d %s", i, resp.StatusCode, body)
+		}
+	}
+	t.Logf("backlog: statuses %v", status)
+}
+
+// TestChaosPanicStacksStayInLog: a contained panic's error text carries
+// the Go stack after its first line. A client gets only that first line
+// (the sentinel and the panic value), on a compile-panic 500, a
+// trial-panic 500 and a streamed sweep's cell line, while Config.Log
+// gets the stack.
+func TestChaosPanicStacksStayInLog(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos suite runs non-short")
+	}
+	var log syncBuffer
+	s := New(Config{Log: &log})
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+	for _, tc := range []struct {
+		name, point, path string
+		body              map[string]interface{}
+		sentinel          error
+	}{
+		{"compile panic", "server.compile", "/v1/mttf",
+			map[string]interface{}{"spec": testSpec(5.1e5), "trials": 1000}, flight.ErrPanic},
+		{"trial panic", "montecarlo.trial", "/v1/mttf",
+			map[string]interface{}{"spec": testSpec(5.2e5), "trials": 1000}, montecarlo.ErrTrialPanic},
+		{"sweep cell", "montecarlo.trial", "/v1/sweep?stream=ndjson", map[string]interface{}{
+			"sources": []map[string]interface{}{
+				{"name": "half", "trace": map[string]interface{}{"kind": "busyidle", "period_seconds": 10, "busy_seconds": 5}},
+			},
+			"rates_per_year": []float64{1e4}, "methods": []string{"montecarlo"}, "trials": 1000,
+		}, montecarlo.ErrTrialPanic},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			logged := len(log.String())
+			disarm := faultinject.Arm(faultinject.Schedule{Rules: []faultinject.Rule{
+				{Point: tc.point, Hits: []int{1}, PanicMsg: "chaos stack"},
+			}})
+			resp, body := post(t, srv.Client(), srv.URL+tc.path, tc.body)
+			disarm()
+			if tc.point == "server.compile" || tc.path == "/v1/mttf" {
+				if resp.StatusCode != http.StatusInternalServerError {
+					t.Errorf("status %d, want 500: %s", resp.StatusCode, body)
+				}
+				checkStructured(t, tc.name, resp.StatusCode, body)
+			} else {
+				var line ndjsonLine
+				first, _, _ := bytes.Cut(body, []byte("\n"))
+				mustUnmarshal(t, first, &line)
+				if resp.StatusCode != http.StatusOK || line.Error == "" {
+					t.Errorf("status %d, first line %s: want a 200 stream opening with the cell's error line", resp.StatusCode, first)
+				}
+			}
+			if !bytes.Contains(body, []byte(tc.sentinel.Error())) || !bytes.Contains(body, []byte("chaos stack")) {
+				t.Errorf("body lacks the sentinel %q and the panic value: %s", tc.sentinel, body)
+			}
+			if bytes.Contains(body, []byte("goroutine ")) {
+				t.Errorf("body carries a Go stack: %s", body)
+			}
+			if tail := log.String()[logged:]; !strings.Contains(tail, "goroutine ") {
+				t.Errorf("Config.Log did not get the stack: %q", tail)
+			}
+		})
+	}
 }

@@ -51,11 +51,13 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"github.com/soferr/soferr"
 	"github.com/soferr/soferr/internal/faultinject"
+	"github.com/soferr/soferr/internal/flight"
 	"github.com/soferr/soferr/internal/montecarlo"
 )
 
@@ -122,12 +124,21 @@ type Config struct {
 // timed-out request — after http.Server.Shutdown returns, an in-flight
 // compile can still be finishing into the cache.
 type Server struct {
-	cfg   Config
-	comp  *soferr.Compiler
-	cache *systemCache
-	sem   chan struct{}
-	mux   *http.ServeMux
-	start time.Time
+	cfg  Config
+	comp *soferr.Compiler
+	// systems maps Spec hashes to compiled Systems: equal Specs share
+	// one System, and with it one query memo.
+	systems *flight.Cache[string, compiledSystem]
+	sem     chan struct{}
+	mux     *http.ServeMux
+	start   time.Time
+
+	// compileSem and pending bound the compiles in flight (see compile);
+	// compiles and compileNs count the compiles run and their wall time.
+	compileSem chan struct{}
+	pending    atomic.Int64
+	compiles   atomic.Int64
+	compileNs  atomic.Int64
 
 	queries    [5]atomic.Int64 // indexed by endpoint
 	errorCount atomic.Int64
@@ -182,17 +193,21 @@ func New(cfg Config) *Server {
 	if cfg.MaxTimeout == 0 {
 		cfg.MaxTimeout = defaultMaxTimeout
 	}
+	if cfg.CacheSize <= 0 {
+		cfg.CacheSize = defaultCacheSize
+	}
 	comp := cfg.Compiler
 	if comp == nil {
 		comp = &soferr.Compiler{}
 	}
 	s := &Server{
-		cfg:   cfg,
-		comp:  comp,
-		cache: newSystemCache(cfg.CacheSize, cfg.MaxConcurrent),
-		sem:   make(chan struct{}, cfg.MaxConcurrent),
-		mux:   http.NewServeMux(),
-		start: time.Now(),
+		cfg:        cfg,
+		comp:       comp,
+		systems:    flight.New[string, compiledSystem](cfg.CacheSize),
+		sem:        make(chan struct{}, cfg.MaxConcurrent),
+		mux:        http.NewServeMux(),
+		start:      time.Now(),
+		compileSem: make(chan struct{}, cfg.MaxConcurrent),
 	}
 	s.mux.HandleFunc("/v1/mttf", s.query(epMTTF, s.handleMTTF))
 	s.mux.HandleFunc("/v1/compare", s.query(epCompare, s.handleCompare))
@@ -306,6 +321,7 @@ func (s *Server) writeErrorFull(w http.ResponseWriter, r *http.Request, he httpE
 	if s.cfg.Log != nil {
 		fmt.Fprintf(s.cfg.Log, "%s %s -> %d %s\n", r.Method, r.URL.Path, he.Status, he.Message)
 	}
+	he.Message = firstLine(he.Message)
 	if he.RetryAfterSeconds > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(he.RetryAfterSeconds))
 	}
@@ -314,6 +330,14 @@ func (s *Server) writeErrorFull(w http.ResponseWriter, r *http.Request, he httpE
 	json.NewEncoder(w).Encode(struct {
 		Error httpError `json:"error"`
 	}{he})
+}
+
+// firstLine is the part of an error text a client gets: its first
+// line, which for a contained panic is the sentinel and the panic
+// value. The lines after it, a panic's Go stack, go to Config.Log only.
+func firstLine(msg string) string {
+	line, _, _ := strings.Cut(msg, "\n")
+	return line
 }
 
 func writeJSON(w http.ResponseWriter, v interface{}) {
@@ -435,12 +459,20 @@ func (s *Server) timeout(requestMS int64) time.Duration {
 // hash was already present (compile claimed by an earlier request).
 func (s *Server) compiled(ctx context.Context, spec soferr.Spec) (sys *soferr.System, hash string, cacheHit bool, compileNs int64, err error) {
 	hash = spec.Hash()
-	entry, hit := s.cache.get(hash)
-	sys, err = entry.compile(ctx, s.cache, s.comp, spec)
+	h, hit := s.systems.Get(hash, func() (compiledSystem, error) { return s.compile(spec) })
+	select {
+	case <-h.Done():
+	case <-ctx.Done():
+		return nil, hash, hit, 0, ctx.Err()
+	}
+	c, err := h.Wait()
 	if err != nil {
 		return nil, hash, hit, 0, err
 	}
-	return sys, hash, hit, entry.compileNs, nil
+	if !hit && faultinject.Fire(fiEvictPoint) != nil {
+		s.systems.Evict(h)
+	}
+	return c.sys, hash, hit, c.ns, nil
 }
 
 // compileStatus maps a compiled() failure: deadline/cancellation keep
@@ -455,7 +487,7 @@ func compileStatus(err error) int {
 	}
 	// A contained compile panic or an injected chaos fault is the
 	// server's failure, not the spec's.
-	if errors.Is(err, errCompilePanic) || errors.Is(err, faultinject.ErrInjected) {
+	if errors.Is(err, flight.ErrPanic) || errors.Is(err, faultinject.ErrInjected) {
 		return http.StatusInternalServerError
 	}
 	return http.StatusBadRequest
@@ -984,7 +1016,11 @@ func (s *Server) writeSweepLines(ctx context.Context, w http.ResponseWriter, r *
 		line := sweepLine{Cell: res.Cell, Estimates: res.Estimates}
 		line.Cell.Index = int(cursor) + res.Cell.Index
 		if res.Err != nil {
-			line.Error = res.Err.Error()
+			msg := res.Err.Error()
+			line.Error = firstLine(msg)
+			if s.cfg.Log != nil && line.Error != msg {
+				fmt.Fprintf(s.cfg.Log, "%s %s cell %d: %s\n", r.Method, r.URL.Path, line.Cell.Index, msg)
+			}
 			line.Estimates = nil
 			cellErrors++
 		}
@@ -1121,16 +1157,15 @@ type Metrics struct {
 	// FaultInjection reports per-point hit/fired counts while a chaos
 	// schedule is armed (absent in production, where nothing is armed).
 	FaultInjection map[string]faultinject.PointStats `json:"fault_injection,omitempty"`
-	Cache          struct {
-		Hits      int64 `json:"hits"`
-		Misses    int64 `json:"misses"`
-		Evictions int64 `json:"evictions"`
-		Size      int   `json:"size"`
-		Capacity  int   `json:"capacity"`
-	} `json:"compile_cache"`
-	Compiles       int64   `json:"compiles"`
-	CompileMSTotal float64 `json:"compile_ms_total"`
-	UptimeSeconds  float64 `json:"uptime_seconds"`
+	// Cache counts the compiled-System LRU; SimulationCache and
+	// UnionCache count the Compiler's benchmark simulations and
+	// processor unions, which every Spec naming a benchmark shares.
+	Cache           flight.Stats `json:"compile_cache"`
+	SimulationCache flight.Stats `json:"simulation_cache"`
+	UnionCache      flight.Stats `json:"union_cache"`
+	Compiles        int64        `json:"compiles"`
+	CompileMSTotal  float64      `json:"compile_ms_total"`
+	UptimeSeconds   float64      `json:"uptime_seconds"`
 }
 
 // LatencySummary is one endpoint's request-latency summary.
@@ -1188,11 +1223,10 @@ func (s *Server) Metrics() Metrics {
 	m.FaultInjection = faultinject.Snapshot()
 	m.Errors = s.errorCount.Load()
 	m.Inflight = s.inflight.Load()
-	hits, misses, evictions, size, capacity := s.cache.stats()
-	m.Cache.Hits, m.Cache.Misses, m.Cache.Evictions = hits, misses, evictions
-	m.Cache.Size, m.Cache.Capacity = size, capacity
-	m.Compiles = s.cache.compiles.Load()
-	m.CompileMSTotal = float64(s.cache.compileNs.Load()) / 1e6
+	m.Cache = s.systems.Stats()
+	m.SimulationCache, m.UnionCache = s.comp.CacheStats()
+	m.Compiles = s.compiles.Load()
+	m.CompileMSTotal = float64(s.compileNs.Load()) / 1e6
 	m.UptimeSeconds = time.Since(s.start).Seconds()
 	return m
 }

@@ -16,6 +16,7 @@ import (
 
 	"github.com/soferr/soferr"
 	"github.com/soferr/soferr/internal/faultinject"
+	"github.com/soferr/soferr/internal/flight"
 )
 
 func testSpec(rate float64) soferr.Spec {
@@ -588,6 +589,47 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 	if !strings.Contains(string(body), `"latency"`) {
 		t.Errorf("/metrics body lacks latency block: %s", body)
+	}
+}
+
+// TestMetricsCompilerCaches: /metrics counts the Compiler's simulation
+// and processor-union caches. A Spec with a gzip processor component
+// and a gzip int component simulates gzip once and reads that
+// simulation again for the int unit, and builds one union.
+func TestMetricsCompilerCaches(t *testing.T) {
+	s := New(Config{Compiler: &soferr.Compiler{Instructions: 5000}})
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+	gzip := soferr.TraceSpec{Kind: soferr.TraceKindBenchmark, Benchmark: "gzip"}
+	gzipInt := gzip
+	gzipInt.Unit = soferr.UnitInt
+	spec := soferr.Spec{Components: []soferr.ComponentSpec{
+		{RatePerYear: 1e4, Trace: gzip},
+		{RatePerYear: 1e4, Trace: gzipInt},
+	}}
+	if resp, body := post(t, srv.Client(), srv.URL+"/v1/mttf", map[string]interface{}{
+		"spec": spec, "method": "avf+sofr",
+	}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	resp, err := srv.Client().Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readAll(t, resp)
+	var m Metrics
+	mustUnmarshal(t, body, &m)
+	if want := (flight.Stats{Hits: 1, Misses: 1, Size: 1, Capacity: flight.DefaultCapacity}); m.SimulationCache != want {
+		t.Errorf("simulation_cache = %+v, want %+v", m.SimulationCache, want)
+	}
+	if want := (flight.Stats{Misses: 1, Size: 1, Capacity: flight.DefaultCapacity}); m.UnionCache != want {
+		t.Errorf("union_cache = %+v, want %+v", m.UnionCache, want)
+	}
+	for _, key := range []string{`"simulation_cache":{"hits":1,"misses":1,"evictions":0,"size":1,"capacity":64}`,
+		`"union_cache":{"hits":0,"misses":1,"evictions":0,"size":1,"capacity":64}`} {
+		if !strings.Contains(string(body), key) {
+			t.Errorf("/metrics body lacks %s: %s", key, body)
+		}
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 	"io"
 	"math"
 	"strings"
-	"sync"
 
 	"github.com/soferr/soferr/internal/benchsim"
+	"github.com/soferr/soferr/internal/flight"
 	"github.com/soferr/soferr/internal/trace"
 	"github.com/soferr/soferr/internal/turandot"
 	"github.com/soferr/soferr/internal/workload"
@@ -313,8 +313,13 @@ func (s Spec) Compile() (*System, error) {
 // harness) builds its benchmark traces through one. Simulations (the
 // expensive, deterministic part of trace building) and processor
 // unions are cached per (benchmark, instructions, seed), so many specs
-// — or one server's whole request stream — share each of them. The
-// zero value is ready to use; a Compiler is safe for concurrent use.
+// — or one server's whole request stream — share each of them. Each
+// key builds once among concurrent requests; a build that fails or
+// panics returns its error to every waiter and is dropped, so a later
+// request retries. Keys are client-controlled, so each cache is an LRU
+// of 64 entries, and an evicted entry still finishes for the requests
+// waiting on it. The zero value is ready to use; a Compiler is safe
+// for concurrent use.
 type Compiler struct {
 	// Instructions is the default per-benchmark simulated instruction
 	// count for specs that do not set their own (default 300000).
@@ -326,8 +331,8 @@ type Compiler struct {
 	// simulations.
 	Log io.Writer
 
-	sims  flightCache[*turandot.ComponentTraces]
-	procs flightCache[*trace.Piecewise]
+	sims  flight.Cache[simKey, *turandot.ComponentTraces]
+	procs flight.Cache[simKey, *trace.Piecewise]
 }
 
 type simKey struct {
@@ -336,60 +341,10 @@ type simKey struct {
 	seed         uint64
 }
 
-// flightCache is a bounded single-flight cache keyed by simulation
-// settings. An entry is published under the lock before anyone builds
-// it and every requester waits on the entry's once, so concurrent
-// requests for one key share one build; a failed build is dropped so a
-// later request retries.
-type flightCache[V any] struct {
-	mu      sync.Mutex
-	entries map[simKey]*flight[V]
-}
-
-type flight[V any] struct {
-	once sync.Once
-	val  V
-	err  error
-}
-
-// maxCompilerCacheEntries bounds each of the compiler's caches. Keys
-// are client-controlled (benchmark, instructions, sim seed), so a
-// server compiler fed adversarial seed churn would otherwise grow one
-// full component-trace set per distinct key forever; past the cap an
-// arbitrary entry is evicted (in-flight waiters keep their pointer and
-// finish normally).
-const maxCompilerCacheEntries = 64
-
-// get returns key's value, running build for it at most once among
-// concurrent requesters.
-func (fc *flightCache[V]) get(key simKey, build func() (V, error)) (V, error) {
-	fc.mu.Lock()
-	e, ok := fc.entries[key]
-	if !ok {
-		if fc.entries == nil {
-			fc.entries = make(map[simKey]*flight[V])
-		}
-		if len(fc.entries) >= maxCompilerCacheEntries {
-			for k := range fc.entries {
-				delete(fc.entries, k)
-				break
-			}
-		}
-		e = &flight[V]{}
-		fc.entries[key] = e
-	}
-	fc.mu.Unlock()
-	e.once.Do(func() { e.val, e.err = build() })
-	if e.err != nil {
-		// Drop only this entry: the slot may hold a newer one if this
-		// entry was evicted while it built.
-		fc.mu.Lock()
-		if fc.entries[key] == e {
-			delete(fc.entries, key)
-		}
-		fc.mu.Unlock()
-	}
-	return e.val, e.err
+// CacheStats reports the counters of the compiler's simulation and
+// processor-union caches, which the query server shows in /metrics.
+func (c *Compiler) CacheStats() (simulations, unions flight.Stats) {
+	return c.sims.Stats(), c.procs.Stats()
 }
 
 // Compile validates a spec and builds its System: one trace per
@@ -535,7 +490,7 @@ func (c *Compiler) benchmarkTrace(ts TraceSpec) (Trace, error) {
 // rate-weighted union of the integer, floating-point, and decode unit
 // traces, built at most once per (benchmark, instructions, seed).
 func (c *Compiler) processorTrace(key simKey) (*trace.Piecewise, error) {
-	return c.procs.get(key, func() (*trace.Piecewise, error) {
+	h, _ := c.procs.Get(key, func() (*trace.Piecewise, error) {
 		sim, err := c.simulate(key)
 		if err != nil {
 			return nil, err
@@ -546,16 +501,18 @@ func (c *Compiler) processorTrace(key simKey) (*trace.Piecewise, error) {
 		}
 		return union, nil
 	})
+	return h.Wait()
 }
 
 // simulate runs one benchmark simulation on the Table 1 machine at most
 // once per (benchmark, instructions, seed). Phased-program names are
 // accepted alongside the plain profiles.
 func (c *Compiler) simulate(key simKey) (*turandot.ComponentTraces, error) {
-	return c.sims.get(key, func() (*turandot.ComponentTraces, error) {
+	h, _ := c.sims.Get(key, func() (*turandot.ComponentTraces, error) {
 		traces, _, err := benchsim.Simulate(key.bench, key.instructions, key.seed, c.Log)
 		return traces, err
 	})
+	return h.Wait()
 }
 
 // SourceSpec names a TraceSpec for use on a sweep's trace axis: the
